@@ -74,12 +74,12 @@ def _write(text: str, path: str | None):
 def _build_sparse(args):
     u = parse_gate_spec(args.gate)
     if args.i is None:
-        return embedded_sparse(args.n, args.j, u), u
-    return controlled_sparse(ControlledGateSpec(args.n, args.i, args.j, u)), u
+        return embedded_sparse(args.n, args.j, u)
+    return controlled_sparse(ControlledGateSpec(args.n, args.i, args.j, u))
 
 
 def cmd_build_gate(args) -> int:
-    sparse, _ = _build_sparse(args)
+    sparse = _build_sparse(args)
     payload = sparse.to_json_dict()
     if args.dense:
         payload["dense"] = _dense_json(sparse.to_dense())
@@ -96,15 +96,11 @@ def cmd_hamiltonian(args) -> int:
         u = parse_gate_spec(args.gate)
         if args.i is None:
             h = embedded_gate_hamiltonian(args.n, args.j, u.eigenpairs())
-            reference = embedded_sparse(args.n, args.j, u).to_dense()
         else:
             h = controlled_gate_hamiltonian(args.n, args.i, args.j, u)
-            reference = controlled_sparse(
-                ControlledGateSpec(args.n, args.i, args.j, u)
-            ).to_dense()
         _write(h.to_json() + "\n", args.output)
         if args.check:
-            error = frobenius_error(reference, exp_minus_ih(h))
+            error = frobenius_error(_build_sparse(args).to_dense(), exp_minus_ih(h))
             print(f"reconstruction_error={error!r}")
             return 0 if error <= tol else 1
         return 0
@@ -137,7 +133,13 @@ def _load_params(path: str | None) -> dict[str, float]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("params file must hold a JSON object of name -> value")
-    return {str(k): float(v) for k, v in data.items()}
+    params = {}
+    for k, v in data.items():
+        try:
+            params[str(k)] = float(v)
+        except TypeError:
+            raise ValueError(f"parameter {k!r} must be a number, got {v!r}") from None
+    return params
 
 
 def cmd_run(args) -> int:

@@ -113,11 +113,15 @@ class StateVector:
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":
-        pairs = json.loads(text)
+        pairs = np.array(json.loads(text))  # ragged nesting raises ValueError here
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
+            raise ValueError("state must be a JSON array of [re, im] number pairs")
         n = (len(pairs) - 1).bit_length()
         if len(pairs) != 1 << n:
             raise ValueError(f"amplitude count {len(pairs)} is not a power of 2")
-        return cls(n, np.array([complex(re, im) for re, im in pairs]))
+        amps = np.empty(len(pairs), dtype=complex)
+        amps.real, amps.imag = pairs[:, 0], pairs[:, 1]
+        return cls(n, amps)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .core import OneQubitGate
+from .qindex import pair_lows
 
 #: Dense constructions are O(4^n); refuse beyond this register size.
 DENSE_MAX_QUBITS = 12
@@ -206,6 +207,22 @@ def straddled_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
     return m
 
 
+def _pair_sparse(n: int, j: int, u: OneQubitGate, i: int | None = None) -> SparseUnitary:
+    """Identity rows, except that each target pair (k, k + 2^(n-j)) from
+    pair_lows carries row 0 of u in its low row and row 1 in its high row."""
+    dim = 1 << n
+    low = pair_lows(n, j, i)
+    high = low + (1 << (n - j))
+    cols = np.full((dim, 2), -1, dtype=np.int64)
+    cols[:, 0] = np.arange(dim)
+    vals = np.zeros((dim, 2), dtype=complex)
+    vals[:, 0] = 1.0
+    cols[low] = cols[high] = np.stack([low, high], axis=1)
+    vals[low] = u.matrix[0]
+    vals[high] = u.matrix[1]
+    return SparseUnitary(dim, cols, vals)
+
+
 def controlled_sparse(spec: ControlledGateSpec) -> SparseUnitary:
     """2-sparse matrix of the controlled gate, either qubit ordering.
 
@@ -213,50 +230,13 @@ def controlled_sparse(spec: ControlledGateSpec) -> SparseUnitary:
     target bit b couples index k with its partner k -+ 2^(n-j) through row b
     of u; both slots are stored even when an entry of u is zero.
     """
-    n, i, j, u = spec.n, spec.i, spec.j, spec.u
-    dim = 1 << n
-    k = np.arange(dim)
-    ibit = (k >> (n - i)) & 1
-    jbit = (k >> (n - j)) & 1
-    stride = 1 << (n - j)
-    cols = np.full((dim, 2), -1, dtype=np.int64)
-    vals = np.zeros((dim, 2), dtype=complex)
-    cols[:, 0] = k
-    vals[:, 0] = 1.0
-    low = (ibit == 1) & (jbit == 0)
-    high = (ibit == 1) & (jbit == 1)
-    vals[low, 0] = u.u11
-    cols[low, 1] = k[low] + stride
-    vals[low, 1] = u.u12
-    cols[high, 0] = k[high] - stride
-    vals[high, 0] = u.u21
-    cols[high, 1] = k[high]
-    vals[high, 1] = u.u22
-    return SparseUnitary(dim, cols, vals)
+    return _pair_sparse(spec.n, spec.j, spec.u, spec.i)
 
 
 def embedded_sparse(n: int, j: int, u: OneQubitGate) -> SparseUnitary:
     """2-sparse matrix of a single-qubit gate at position j of an n-qubit
     register; equals the Kronecker product I ⊗ u ⊗ I."""
-    if not 1 <= j <= n:
-        raise ValueError(f"target position {j} out of range 1..{n}")
-    dim = 1 << n
-    k = np.arange(dim)
-    jbit = (k >> (n - j)) & 1
-    stride = 1 << (n - j)
-    cols = np.empty((dim, 2), dtype=np.int64)
-    vals = np.empty((dim, 2), dtype=complex)
-    low = jbit == 0
-    high = ~low
-    cols[low, 0] = k[low]
-    vals[low, 0] = u.u11
-    cols[low, 1] = k[low] + stride
-    vals[low, 1] = u.u12
-    cols[high, 0] = k[high] - stride
-    vals[high, 0] = u.u21
-    cols[high, 1] = k[high]
-    vals[high, 1] = u.u22
-    return SparseUnitary(dim, cols, vals)
+    return _pair_sparse(n, j, u)
 
 
 def _check_dense_cap(n: int, max_qubits: int):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EigenPair2, OneQubitGate, PAULI, eigenpairs_2x2, phase_of
+from .qindex import pair_lows
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
 ORTHO_TOL = 1e-10
@@ -125,8 +126,22 @@ class PauliStringTerm:
         return math.cos(c) * np.eye(dim) - 1j * math.sin(c) * p
 
 
-def _pair_values(pairs: tuple[EigenPair2, EigenPair2]) -> list[tuple[complex, np.ndarray]]:
-    return [(p.value, p.vector) for p in pairs]
+def _lifted_vectors(dim: int, lows: np.ndarray, stride: int, vector: np.ndarray):
+    """One length-dim vector per low index a, carrying the two gate-eigenvector
+    components at a and at its partner a + stride."""
+    for a in lows.tolist():
+        v = np.zeros(dim, dtype=complex)
+        v[a] = vector[0]
+        v[a + stride] = vector[1]
+        yield v
+
+
+def _block_eigenpairs(
+    dim: int, lows: np.ndarray, stride: int, pairs: tuple[EigenPair2, EigenPair2]
+) -> list[tuple[complex, np.ndarray]]:
+    return [
+        (p.value, v) for p in pairs for v in _lifted_vectors(dim, lows, stride, p.vector)
+    ]
 
 
 def target_pair_eigenpairs(
@@ -141,14 +156,7 @@ def target_pair_eigenpairs(
     if not i < j:
         raise ValueError(f"requires control before target, got i={i}, j={j}")
     half = 1 << (n - j)
-    out = []
-    for lam, uvec in _pair_values(pairs):
-        for r in range(half):
-            v = np.zeros(2 * half, dtype=complex)
-            v[r] = uvec[0]
-            v[r + half] = uvec[1]
-            out.append((lam, v))
-    return out
+    return _block_eigenpairs(2 * half, pair_lows(n - j + 1, 1), half, pairs)
 
 
 def straddled_pair_eigenpairs(
@@ -160,48 +168,31 @@ def straddled_pair_eigenpairs(
     inside a control block the vector with components at p + (l-1)*2^(n-i)
     and that index + 2^(n-j) is an eigenvector; there are 2^(n-j-1) per gate
     eigenvalue. Unit-eigenvalue directions of the identity rows are omitted.
+    The block is one target-pair span less its leading identity block, so the
+    slots are that span's pair lows shifted down by 2^(n-i).
     """
     if not i > j:
         raise ValueError(f"requires control after target, got i={i}, j={j}")
     blk = 1 << (n - i)
     stride = 1 << (n - j)
-    dim = 2 * stride - blk
-    cross = 1 << (i - j)
-    out = []
-    for lam, uvec in _pair_values(pairs):
-        for l in range(1, cross, 2):
-            for p in range(blk):
-                v = np.zeros(dim, dtype=complex)
-                pos = p + (l - 1) * blk
-                v[pos] = uvec[0]
-                v[pos + stride] = uvec[1]
-                out.append((lam, v))
-    return out
+    lows = pair_lows(n - j + 1, 1, i - j + 1) - blk
+    return _block_eigenpairs(2 * stride - blk, lows, stride, pairs)
 
 
-def _terms_from_placements(
-    n: int,
-    pairs: tuple[EigenPair2, EigenPair2],
-    placements,
-) -> tuple[ProjectorTerm, ...]:
-    """Build projector terms for every non-unit gate eigenvalue.
-
-    placements yields (offset, partner_offset) pairs of absolute basis
-    indices at which the two gate-eigenvector components are placed.
-    """
+def _lift(
+    n: int, j: int, i: int | None, pairs: tuple[EigenPair2, EigenPair2]
+) -> LocalHamiltonian:
+    """Projector terms for every non-unit gate eigenvalue, one per target pair
+    of pair_lows(n, j, i), in ascending order of the pair's low index."""
     dim = 1 << n
-    slots = list(placements)
+    lows = pair_lows(n, j, i)
+    stride = 1 << (n - j)
     terms = []
-    for lam, uvec in _pair_values(pairs):
-        z = phase_of(lam)
-        if z == 0.0:
-            continue
-        for a, b in slots:
-            w = np.zeros(dim, dtype=complex)
-            w[a] = uvec[0]
-            w[b] = uvec[1]
-            terms.append(ProjectorTerm(z, w))
-    return tuple(terms)
+    for p in pairs:
+        z = phase_of(p.value)
+        if z != 0.0:
+            terms += [ProjectorTerm(z, w) for w in _lifted_vectors(dim, lows, stride, p.vector)]
+    return LocalHamiltonian(dim, tuple(terms))
 
 
 def hamiltonian_control_above(
@@ -215,17 +206,7 @@ def hamiltonian_control_above(
     """
     if not (1 <= i < j <= n):
         raise ValueError(f"requires 1 <= i < j <= n, got n={n}, i={i}, j={j}")
-    block = 1 << (n - i)
-    span = 1 << (n - j + 1)
-    half = 1 << (n - j)
-    placements = []
-    for beta in range(1 << (i - 1)):
-        base = (2 * beta + 1) * block
-        for l in range(1 << (j - i - 1)):
-            off = base + l * span
-            for r in range(half):
-                placements.append((off + r, off + r + half))
-    return LocalHamiltonian(1 << n, _terms_from_placements(n, pairs, placements))
+    return _lift(n, j, i, pairs)
 
 
 def hamiltonian_control_below(
@@ -238,18 +219,7 @@ def hamiltonian_control_below(
     """
     if not (1 <= j < i <= n):
         raise ValueError(f"requires 1 <= j < i <= n, got n={n}, i={i}, j={j}")
-    blk = 1 << (n - i)
-    stride = 1 << (n - j)
-    span = 2 * stride
-    cross = 1 << (i - j)
-    placements = []
-    for k in range(1 << (j - 1)):
-        base = k * span + blk
-        for l in range(1, cross, 2):
-            for p in range(blk):
-                pos = base + p + (l - 1) * blk
-                placements.append((pos, pos + stride))
-    return LocalHamiltonian(1 << n, _terms_from_placements(n, pairs, placements))
+    return _lift(n, j, i, pairs)
 
 
 def embedded_gate_hamiltonian(
@@ -258,14 +228,7 @@ def embedded_gate_hamiltonian(
     """H with I ⊗ u ⊗ I = e^{-iH} for a single-qubit gate at position j."""
     if not 1 <= j <= n:
         raise ValueError(f"target position {j} out of range 1..{n}")
-    span = 1 << (n - j + 1)
-    half = 1 << (n - j)
-    placements = [
-        (m * span + r, m * span + r + half)
-        for m in range(1 << (j - 1))
-        for r in range(half)
-    ]
-    return LocalHamiltonian(1 << n, _terms_from_placements(n, pairs, placements))
+    return _lift(n, j, None, pairs)
 
 
 def controlled_gate_hamiltonian(n: int, i: int, j: int, u: OneQubitGate) -> LocalHamiltonian:

@@ -1,79 +1,31 @@
-"""Bit-index arithmetic over the 2^n computational basis.
+"""The one index rule of the 2^n computational basis.
 
 Qubit positions are 1-based with qubit 1 the most significant bit, so basis
 index k decomposes as k = sum_alpha k_alpha * 2^(n-alpha). Basis indices are
 0-based throughout (external material that counts from 1 is off by one).
+
+A single-qubit gate on qubit j couples index k only with its target partner
+k + 2^(n-j), for every k whose qubit j is 0; a controlled gate does so only
+where the control qubit i is 1 as well. Sparse gates, lifted eigenvectors and
+projector Hamiltonians all sit on these pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 
-def bit_at(k: int, alpha: int, n: int) -> int:
-    """The alpha-th qubit of |k> (qubit 1 = most significant bit)."""
-    if not 1 <= alpha <= n:
-        raise ValueError(f"qubit position {alpha} out of range 1..{n}")
-    return (k >> (n - alpha)) & 1
+def pair_lows(n: int, j: int, i: int | None = None) -> np.ndarray:
+    """Ascending indices k with qubit j = 0 (and qubit i = 1 if i is given).
 
-
-def partner_index(k: int, j: int, n: int) -> int:
-    """Index reached by flipping qubit j of |k>: k +- 2^(n-j). Involutive."""
+    Each k is the low member of the target pair (k, k + 2^(n-j)); there are
+    2^(n-1) of them, or 2^(n-2) with a control.
+    """
     if not 1 <= j <= n:
-        raise ValueError(f"qubit position {j} out of range 1..{n}")
-    return k ^ (1 << (n - j))
-
-
-def control_blocks(n: int, i: int) -> list[range]:
-    """The 2^(i-1) runs of consecutive indices whose qubit i equals 1.
-
-    Block l covers [(2l+1)*2^(n-i), (2l+2)*2^(n-i)); together the blocks are
-    exactly {k : bit_at(k, i, n) = 1}, half of the basis.
-    """
-    if not 1 <= i <= n:
-        raise ValueError(f"qubit position {i} out of range 1..{n}")
-    width = 1 << (n - i)
-    return [range((2 * l + 1) * width, (2 * l + 2) * width) for l in range(1 << (i - 1))]
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Derived block geometry of a controlled gate on qubits (i, j) of n.
-
-    block is the control-block length 2^(n-i), stride the target-partner
-    offset 2^(n-j), pair_span one target pair 2^(n-j+1). sub_blocks
-    (2^(j-i-1)) exists only for i < j, cross (2^(i-j)) only for i > j.
-    """
-
-    n: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise ValueError(f"positions ({self.i}, {self.j}) out of range 1..{self.n}")
-        if self.i == self.j:
-            raise ValueError("control and target positions must differ")
-
-    @property
-    def block(self) -> int:
-        return 1 << (self.n - self.i)
-
-    @property
-    def stride(self) -> int:
-        return 1 << (self.n - self.j)
-
-    @property
-    def pair_span(self) -> int:
-        return 1 << (self.n - self.j + 1)
-
-    @property
-    def sub_blocks(self) -> int:
-        if self.i >= self.j:
-            raise ValueError("sub_blocks is defined only for control before target (i < j)")
-        return 1 << (self.j - self.i - 1)
-
-    @property
-    def cross(self) -> int:
-        if self.i <= self.j:
-            raise ValueError("cross is defined only for control after target (i > j)")
-        return 1 << (self.i - self.j)
+        raise ValueError(f"target position {j} out of range 1..{n}")
+    k = np.arange(1 << n)
+    selected = (k >> (n - j)) & 1 == 0
+    if i is not None:
+        if not 1 <= i <= n or i == j:
+            raise ValueError(f"control position {i} invalid for target {j} of 1..{n}")
+        selected &= (k >> (n - i)) & 1 == 1
+    return k[selected]

@@ -15,6 +15,7 @@ import numpy as np
 from .core import OneQubitGate, eigenpairs_2x2, rotation_gate
 from .engine import Circuit, GateOp, StateVector, run_circuit
 from .gate_matrix import (
+    DENSE_MAX_QUBITS,
     ControlledGateSpec,
     controlled_sparse,
     dense_gate,
@@ -124,7 +125,7 @@ def exp_oracle(h_dense: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
     return (eigvecs * np.exp(-1j * eigvals)) @ eigvecs.conj().T
 
 
-def dense_circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
+def dense_circuit_unitary(circuit: Circuit, max_qubits: int = DENSE_MAX_QUBITS) -> np.ndarray:
     """Dense product of per-gate Kronecker oracles, rightmost op first."""
     out = np.eye(1 << circuit.n, dtype=complex)
     for op in circuit.ops:

@@ -108,6 +108,27 @@ class TestHamiltonianCommand:
     def test_missing_arguments_exit_2(self, capsys):
         assert main(["hamiltonian", "--check"]) == 2
 
+    def test_no_dense_reference_without_check(self, capsys, monkeypatch):
+        argv = ["hamiltonian", "-n", "3", "-j", "2", "--gate", "x"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def refuse(self):
+            raise AssertionError("dense reference built without --check")
+
+        monkeypatch.setattr(SparseUnitary, "to_dense", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("command", ["run", "hamiltonian"])
+    @pytest.mark.parametrize("value", [None, [1], {"x": 1}])
+    def test_non_numeric_parameter_exits_3(self, tmp_path, capsys, command, value):
+        circuit = write(tmp_path, "c.sq", "qubits 2\nrx q1 $a\n")
+        params = write(tmp_path, "p.json", json.dumps({"a": value}))
+        argv = ["run", circuit] if command == "run" else ["hamiltonian", "--circuit", circuit]
+        assert main(argv + ["--params", params]) == 3
+        assert "parameter 'a'" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_bell_probabilities(self, tmp_path, capsys):
@@ -154,6 +175,16 @@ class TestRunCommand:
         circuit = write(tmp_path, "c.sq", "qubits 2\nrx q1 0.1\n")
         state = write(tmp_path, "s.json", json.dumps([[1.0, 0.0], [0.0, 0.0]]))
         assert main(["run", circuit, "--input", state]) == 3
+
+    @pytest.mark.parametrize("text", [
+        "5", "[1, 2]", '["ab", "cd"]', "[[1.0, 0.0], [0.0]]", "[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]",
+        '[[1.0, 0.0], [0.0, "0"]]', "[[1.0, 0.0], [0.0, null]]", "{}",
+    ])
+    def test_malformed_input_state_exits_3(self, tmp_path, capsys, text):
+        circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")
+        state = write(tmp_path, "s.json", text)
+        assert main(["run", circuit, "--input", state]) == 3
+        assert "validation error" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -50,6 +50,18 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector.from_json("[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]")
 
+    @pytest.mark.parametrize("text", [
+        "5", "[1, 2]", '["ab", "cd"]', "[]", "[[1.0, 0.0], [0.0]]", '[[1.0, 0.0], [0.0, "0"]]',
+    ])
+    def test_from_json_rejects_non_pairs(self, text):
+        with pytest.raises(ValueError):
+            StateVector.from_json(text)
+
+    def test_from_json_keeps_signed_zeros(self):
+        s = StateVector.from_json("[[-0.0, 1.0], [0.0, -0.0]]")
+        assert np.signbit(s.amps.real).tolist() == [True, False]
+        assert np.signbit(s.amps.imag).tolist() == [False, True]
+
 
 class TestApplySingleQubit:
     def test_first_column_lands_on_zero_state(self, generic_gate):

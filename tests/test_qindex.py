@@ -1,105 +1,137 @@
+"""pair_lows against the nested placement loops it replaced, and the pair
+properties every gate builder and Hamiltonian lifter relies on."""
+import numpy as np
 import pytest
 
-from sparseq import BlockLayout, bit_at, control_blocks, partner_index
+from sparseq.qindex import pair_lows
+
+MAX_N = 8
 
 
-class TestBitAt:
-    def test_known_bits(self):
-        assert bit_at(5, 1, 3) == 1  # 5 = 101
-        assert bit_at(5, 2, 3) == 0
-        assert bit_at(0, 3, 3) == 0
+def loops_control_above(n, i, j):
+    block, span, half = 1 << (n - i), 1 << (n - j + 1), 1 << (n - j)
+    return [
+        (2 * beta + 1) * block + l * span + r
+        for beta in range(1 << (i - 1))
+        for l in range(1 << (j - i - 1))
+        for r in range(half)
+    ]
 
-    def test_reconstruction(self):
-        for n in range(1, 9):
-            for k in range(1 << n):
-                assert sum(bit_at(k, a, n) << (n - a) for a in range(1, n + 1)) == k
 
-    def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            bit_at(0, 0, 3)
-        with pytest.raises(ValueError):
-            bit_at(0, 4, 3)
+def loops_control_below(n, i, j):
+    blk, span, cross = 1 << (n - i), 1 << (n - j + 1), 1 << (i - j)
+    return [
+        k * span + blk + p + (l - 1) * blk
+        for k in range(1 << (j - 1))
+        for l in range(1, cross, 2)
+        for p in range(blk)
+    ]
+
+
+def loops_embedded(n, j):
+    span, half = 1 << (n - j + 1), 1 << (n - j)
+    return [m * span + r for m in range(1 << (j - 1)) for r in range(half)]
+
+
+def loops_straddled_block(n, i, j):
+    blk, cross = 1 << (n - i), 1 << (i - j)
+    return [p + (l - 1) * blk for l in range(1, cross, 2) for p in range(blk)]
+
+
+def placements():
+    for n in range(1, MAX_N + 1):
+        for j in range(1, n + 1):
+            yield n, j, None
+            for i in range(1, n + 1):
+                if i != j:
+                    yield n, j, i
+
+
+def bit(k, q, n):
+    return (k >> (n - q)) & 1
+
+
+class TestAgainstPlacementLoops:
+    def test_every_placement_matches_exactly(self):
+        for n, j, i in placements():
+            if i is None:
+                want = loops_embedded(n, j)
+            elif i < j:
+                want = loops_control_above(n, i, j)
+            else:
+                want = loops_control_below(n, i, j)
+            got = pair_lows(n, j, i)
+            assert got.tolist() == want, (n, j, i)
+
+    def test_straddled_block_positions(self):
+        for n, j, i in placements():
+            if i is not None and i > j:
+                got = pair_lows(n - j + 1, 1, i - j + 1) - (1 << (n - i))
+                assert got.tolist() == loops_straddled_block(n, i, j), (n, j, i)
+
+    def test_target_pair_block_positions(self):
+        for n in range(1, MAX_N + 1):
+            assert pair_lows(n, 1).tolist() == list(range(1 << (n - 1)))
 
 
 class TestPartnerIndex:
+    """Each low index k pairs with its target partner k + 2^(n-j)."""
+
     def test_flip_last_qubit(self):
-        assert partner_index(0, 2, 2) == 1
+        assert pair_lows(2, 2).tolist() == [0, 2]  # 0 pairs with 1
 
     def test_pairing_matches_offset(self):
         # n=5, j=3: index 8 pairs with 12 (offset 2^(5-3) = 4)
-        assert partner_index(8, 3, 5) == 12
-        assert partner_index(12, 3, 5) == 8
+        lows = pair_lows(5, 3)
+        assert 8 in lows and 12 not in lows
 
     def test_flip_first_qubit(self):
-        assert partner_index(3, 1, 2) == 1
+        assert pair_lows(2, 1).tolist() == [0, 1]  # 1 pairs with 3
 
     def test_involution_exhaustive(self):
-        for n in range(1, 13):
-            for j in range(1, n + 1):
-                for k in range(1 << n):
-                    assert partner_index(partner_index(k, j, n), j, n) == k
+        # lows and their partners cover every selected index exactly once
+        for n, j, i in placements():
+            lows = pair_lows(n, j, i)
+            both = np.concatenate([lows, lows + (1 << (n - j))])
+            selected = [k for k in range(1 << n) if i is None or bit(k, i, n) == 1]
+            assert sorted(both.tolist()) == selected, (n, j, i)
 
     def test_direction_follows_bit(self):
-        for n in range(1, 9):
-            for j in range(1, n + 1):
-                for k in range(1 << n):
-                    p = partner_index(k, j, n)
-                    if bit_at(k, j, n) == 0:
-                        assert p == k + (1 << (n - j))
-                    else:
-                        assert p == k - (1 << (n - j))
+        for n, j, i in placements():
+            lows = pair_lows(n, j, i).tolist()
+            assert lows == sorted(lows)
+            for k in lows:
+                assert bit(k, j, n) == 0 and bit(k + (1 << (n - j)), j, n) == 1
+                assert i is None or bit(k, i, n) == 1
 
 
 class TestControlBlocks:
+    """With a control, only indices whose control qubit is 1 are paired."""
+
     def test_first_qubit_of_two(self):
-        assert control_blocks(2, 1) == [range(2, 4)]
+        assert pair_lows(2, 2, 1).tolist() == [2]
 
     def test_middle_qubit(self):
-        assert control_blocks(3, 2) == [range(2, 4), range(6, 8)]
+        assert pair_lows(3, 3, 2).tolist() == [2, 6]
 
     def test_last_qubit_gives_odd_indices(self):
-        assert control_blocks(2, 2) == [range(1, 2), range(3, 4)]
+        assert pair_lows(2, 1, 2).tolist() == [1]
+        assert pair_lows(3, 1, 3).tolist() == [1, 3]
 
     def test_blocks_equal_selected_bit_exhaustive(self):
-        for n in range(1, 11):
-            for i in range(1, n + 1):
-                selected = {k for block in control_blocks(n, i) for k in block}
-                assert selected == {k for k in range(1 << n) if bit_at(k, i, n) == 1}
+        for n, j, i in placements():
+            want = [
+                k for k in range(1 << n)
+                if bit(k, j, n) == 0 and (i is None or bit(k, i, n) == 1)
+            ]
+            assert pair_lows(n, j, i).tolist() == want, (n, j, i)
 
     def test_total_length_is_half_the_basis(self):
-        for n in range(1, 11):
-            for i in range(1, n + 1):
-                assert sum(len(b) for b in control_blocks(n, i)) == 1 << (n - 1)
+        for n, j, i in placements():
+            count = len(pair_lows(n, j, i))
+            assert count == 1 << (n - 1 if i is None else n - 2), (n, j, i)
 
     def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            control_blocks(3, 0)
-
-
-class TestBlockLayout:
-    def test_derived_sizes(self):
-        layout = BlockLayout(5, 2, 4)
-        assert layout.block == 8
-        assert layout.stride == 2
-        assert layout.pair_span == 4
-        assert layout.sub_blocks == 2
-        assert layout.block << layout.i == 1 << layout.n
-        assert layout.stride << layout.j == 1 << layout.n
-
-    def test_cross_for_control_after_target(self):
-        layout = BlockLayout(5, 4, 2)
-        assert layout.cross == 4
-        with pytest.raises(ValueError):
-            _ = layout.sub_blocks
-
-    def test_sub_blocks_only_for_control_before_target(self):
-        with pytest.raises(ValueError):
-            _ = BlockLayout(4, 3, 1).sub_blocks
-
-    def test_equal_positions_rejected(self):
-        with pytest.raises(ValueError):
-            BlockLayout(3, 2, 2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            BlockLayout(3, 0, 2)
+        for n, j, i in [(3, 0, None), (3, 4, None), (3, 2, 0), (3, 2, 4), (3, 2, 2)]:
+            with pytest.raises(ValueError):
+                pair_lows(n, j, i)
