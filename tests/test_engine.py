@@ -164,6 +164,12 @@ class TestRunCircuit:
         with pytest.raises(ValueError):
             run_circuit(Circuit(2, ()), StateVector.zero(3))
 
+    def test_broken_norm_raises_after_circuit(self):
+        s = StateVector.zero(2)
+        s.amps *= 2.0  # tampered after the construction-time check
+        with pytest.raises(RuntimeError, match="normalization"):
+            run_circuit(Circuit(2, (GateOp(1, H),)), s)
+
     def test_matches_dense_chain(self, rng):
         from sparseq.verify import engine_equivalence_deviations
 

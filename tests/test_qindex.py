@@ -135,3 +135,27 @@ class TestControlBlocks:
         for n, j, i in [(3, 0, None), (3, 4, None), (3, 2, 0), (3, 2, 4), (3, 2, 2)]:
             with pytest.raises(ValueError):
                 pair_lows(n, j, i)
+
+
+class TestBitAt:
+    """Target positions are 1-based qubit numbers in 1..n."""
+
+    def test_position_out_of_range(self):
+        for n, j in [(1, 0), (1, 2), (3, 0), (3, 4), (3, -1)]:
+            with pytest.raises(ValueError):
+                pair_lows(n, j)
+
+
+class TestBlockLayout:
+    """A control/target placement names two distinct positions in 1..n."""
+
+    def test_equal_positions_rejected(self):
+        for n in range(2, MAX_N + 1):
+            for j in range(1, n + 1):
+                with pytest.raises(ValueError):
+                    pair_lows(n, j, j)
+
+    def test_out_of_range_rejected(self):
+        for n, j, i in [(2, 1, 0), (2, 1, 3), (4, 2, 5), (4, 4, -1), (4, 5, 1)]:
+            with pytest.raises(ValueError):
+                pair_lows(n, j, i)
