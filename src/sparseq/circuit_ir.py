@@ -12,6 +12,9 @@ Grammar (one statement per line, `#` starts a comment, blank lines ignored):
 
 <expr> is a float literal or `$name`; <c> is `re` or `re,im`. Qubit
 positions are 1-based with qubit 1 the most significant bit.
+
+The gate list lives in GATES; parse, serialize, bind, circuit_hamiltonians
+and the CLI gate specs all read it, so a new gate is one entry there.
 """
 from __future__ import annotations
 
@@ -32,17 +35,50 @@ from .hamiltonian import (
     exp_minus_ih,
 )
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-NAMED_GATES = {
-    "x": OneQubitGate(PAULI["X"]),
-    "y": OneQubitGate(PAULI["Y"]),
-    "z": OneQubitGate(PAULI["Z"]),
-    "h": OneQubitGate(_H),
-    "i": OneQubitGate(np.eye(2)),
-    "s": OneQubitGate(np.diag([1, 1j])),
-    "t": OneQubitGate(np.diag([1, np.exp(1j * math.pi / 4)])),
+
+@dataclass(frozen=True)
+class GateKind:
+    """How a statement name reads and binds. A rotation about `axis` takes
+    one angle, a `fixed` gate takes no argument, and a gate with neither
+    takes four complex entries; a controlled kind takes its control qubit
+    before the target."""
+
+    controlled: bool
+    axis: str | None = None
+    fixed: OneQubitGate | None = None
+
+    @property
+    def named(self) -> bool:
+        """A single-qubit fixed gate, written `u q<j> <name>`."""
+        return self.fixed is not None and not self.controlled
+
+
+_X, _Y, _Z = (OneQubitGate(PAULI[axis]) for axis in "XYZ")
+_H = OneQubitGate(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+
+#: The gate vocabulary by statement name. Single-qubit fixed gates are
+#: written `u q<j> <name>`; every other name heads its own statement.
+GATES: dict[str, GateKind] = {
+    "rx": GateKind(False, axis="X"),
+    "ry": GateKind(False, axis="Y"),
+    "rz": GateKind(False, axis="Z"),
+    "x": GateKind(False, fixed=_X),
+    "y": GateKind(False, fixed=_Y),
+    "z": GateKind(False, fixed=_Z),
+    "h": GateKind(False, fixed=_H),
+    "i": GateKind(False, fixed=OneQubitGate(np.eye(2))),
+    "s": GateKind(False, fixed=OneQubitGate(np.diag([1, 1j]))),
+    "t": GateKind(False, fixed=OneQubitGate(np.diag([1, np.exp(1j * math.pi / 4)]))),
+    "u": GateKind(False),
+    "crx": GateKind(True, axis="X"),
+    "cry": GateKind(True, axis="Y"),
+    "crz": GateKind(True, axis="Z"),
+    "cx": GateKind(True, fixed=_X),
+    "cy": GateKind(True, fixed=_Y),
+    "cz": GateKind(True, fixed=_Z),
+    "ch": GateKind(True, fixed=_H),
+    "cu": GateKind(True),
 }
-_ROT_AXES = {"rx": "X", "ry": "Y", "rz": "Z"}
 _NAME_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -165,13 +201,6 @@ def _expect_arity(line: _Line, count: int):
         )
 
 
-def _gate_from_entries(line: _Line, entries) -> None:
-    try:
-        OneQubitGate(np.array(entries, dtype=complex).reshape(2, 2))
-    except ValueError as exc:
-        raise CircuitParseError(str(exc), line.number, line.col(2)) from None
-
-
 def parse_circuit(text: str) -> CircuitTemplate:
     """Parse source text into a template; raises CircuitParseError."""
     n: int | None = None
@@ -186,7 +215,7 @@ def parse_circuit(text: str) -> CircuitTemplate:
             if n is not None:
                 raise CircuitParseError("duplicate qubits header", number, line.col(0))
             _expect_arity(line, 2)
-            if not words[1].isdigit() or int(words[1]) < 1:
+            if not _re.fullmatch(r"\d+", words[1]) or int(words[1]) < 1:
                 raise CircuitParseError(
                     f"qubits needs a positive count, got {words[1]!r}", number, line.col(1)
                 )
@@ -196,45 +225,33 @@ def parse_circuit(text: str) -> CircuitTemplate:
             raise CircuitParseError(
                 "qubits header must come before gate statements", number, line.col(0)
             )
-        if head in _ROT_AXES:
-            _expect_arity(line, 3)
-            stmts.append(
-                GateStmt(number, head, _parse_qubit(line, 1, n), angle=_parse_expr(line, 2))
-            )
-        elif head == "u":
-            if len(words) == 3 and words[2] in NAMED_GATES:
-                stmts.append(GateStmt(number, words[2], _parse_qubit(line, 1, n)))
-            elif len(words) == 6:
-                j = _parse_qubit(line, 1, n)
-                entries = tuple(_parse_complex(line, idx) for idx in range(2, 6))
-                _gate_from_entries(line, entries)
-                stmts.append(GateStmt(number, "u", j, entries=entries))
-            else:
+        if head == "u" and len(words) != 6:
+            kind = GATES.get(words[2]) if len(words) == 3 else None
+            if kind is None or not kind.named:
                 raise CircuitParseError(
                     "u takes a named gate or 4 complex entries", number, line.col(2)
                 )
-        elif head.startswith("c") and head[1:] in ("x", "y", "z", "h"):
-            _expect_arity(line, 3)
-            i = _parse_qubit(line, 1, n)
-            j = _parse_qubit(line, 2, n)
-            stmts.append(GateStmt(number, head, j, i=i))
-        elif head in ("crx", "cry", "crz"):
-            _expect_arity(line, 4)
-            i = _parse_qubit(line, 1, n)
-            j = _parse_qubit(line, 2, n)
-            stmts.append(GateStmt(number, head, j, i=i, angle=_parse_expr(line, 3)))
-        elif head == "cu":
-            _expect_arity(line, 7)
-            i = _parse_qubit(line, 1, n)
-            j = _parse_qubit(line, 2, n)
-            entries = tuple(_parse_complex(line, idx) for idx in range(3, 7))
-            _gate_from_entries(line, entries)
-            stmts.append(GateStmt(number, "cu", j, i=i, entries=entries))
-        else:
+            stmts.append(GateStmt(number, words[2], _parse_qubit(line, 1, n)))
+            continue
+        kind = GATES.get(head)
+        if kind is None or kind.named:
             raise CircuitParseError(f"unknown statement {head!r}", number, line.col(0))
-        last = stmts[-1]
-        if last.i is not None and last.i == last.j:
+        t = 1 + kind.controlled  # index of the target qubit
+        _expect_arity(line, t + 1 + (1 if kind.axis else 0 if kind.fixed else 4))
+        i = _parse_qubit(line, 1, n) if kind.controlled else None
+        j = _parse_qubit(line, t, n)
+        angle = entries = None
+        if kind.axis is not None:
+            angle = _parse_expr(line, t + 1)
+        elif kind.fixed is None:
+            entries = tuple(_parse_complex(line, idx) for idx in range(t + 1, t + 5))
+            try:
+                OneQubitGate(np.array(entries, dtype=complex).reshape(2, 2))
+            except ValueError as exc:
+                raise CircuitParseError(str(exc), number, line.col(2)) from None
+        if i == j:
             raise CircuitParseError("control equals target", number, line.col(1))
+        stmts.append(GateStmt(number, head, j, i=i, angle=angle, entries=entries))
     if n is None:
         raise CircuitParseError("missing qubits header", max(1, text.count("\n") + 1))
     return CircuitTemplate(n, tuple(stmts))
@@ -252,27 +269,18 @@ def serialize(template: CircuitTemplate) -> str:
     """Canonical source text; reparsing yields an equal template."""
     lines = [f"qubits {template.n}"]
     for s in template.stmts:
-        if s.name in _ROT_AXES:
-            lines.append(f"{s.name} q{s.j} {_expr_text(s.angle)}")
-        elif s.name in NAMED_GATES:
-            lines.append(f"u q{s.j} {s.name}")
-        elif s.name == "u":
-            lines.append(f"u q{s.j} " + " ".join(_complex_text(c) for c in s.entries))
-        elif s.name in ("crx", "cry", "crz"):
-            lines.append(f"{s.name} q{s.i} q{s.j} {_expr_text(s.angle)}")
-        elif s.name == "cu":
-            lines.append(
-                f"cu q{s.i} q{s.j} " + " ".join(_complex_text(c) for c in s.entries)
-            )
-        else:  # cx, cy, cz, ch
-            lines.append(f"{s.name} q{s.i} q{s.j}")
+        kind = GATES[s.name]
+        qubits = [f"q{s.i}", f"q{s.j}"] if kind.controlled else [f"q{s.j}"]
+        if kind.named:
+            words = ["u", *qubits, s.name]
+        elif kind.axis is not None:
+            words = [s.name, *qubits, _expr_text(s.angle)]
+        elif kind.fixed is not None:
+            words = [s.name, *qubits]
+        else:
+            words = [s.name, *qubits, *map(_complex_text, s.entries)]
+        lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
-
-
-def _resolve(expr: float | ParamRef, params: dict[str, float]) -> float:
-    if isinstance(expr, ParamRef):
-        return float(params[expr.name])
-    return expr
 
 
 def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> Circuit:
@@ -285,24 +293,16 @@ def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> C
         )
     ops = []
     for s in template.stmts:
-        if s.name in _ROT_AXES:
-            theta = _resolve(s.angle, params)
-            u = rotation_gate(_ROT_AXES[s.name], theta)
-            ops.append(GateOp(s.j, u, name=s.name, theta=theta))
-        elif s.name in NAMED_GATES:
-            ops.append(GateOp(s.j, NAMED_GATES[s.name], name=s.name))
-        elif s.name == "u":
-            u = OneQubitGate(np.array(s.entries, dtype=complex).reshape(2, 2))
-            ops.append(GateOp(s.j, u, name="u"))
-        elif s.name in ("crx", "cry", "crz"):
-            theta = _resolve(s.angle, params)
-            u = rotation_gate(_ROT_AXES[s.name[1:]], theta)
-            ops.append(GateOp(s.j, u, i=s.i, name=s.name, theta=theta))
-        elif s.name == "cu":
-            u = OneQubitGate(np.array(s.entries, dtype=complex).reshape(2, 2))
-            ops.append(GateOp(s.j, u, i=s.i, name="cu"))
+        kind = GATES[s.name]
+        theta = None
+        if kind.axis is not None:
+            theta = float(params[s.angle.name]) if isinstance(s.angle, ParamRef) else s.angle
+            u = rotation_gate(kind.axis, theta)
+        elif kind.fixed is not None:
+            u = kind.fixed
         else:
-            ops.append(GateOp(s.j, NAMED_GATES[s.name[1:]], i=s.i, name=s.name))
+            u = OneQubitGate(np.array(s.entries, dtype=complex).reshape(2, 2))
+        ops.append(GateOp(s.j, u, i=s.i, name=s.name, theta=theta))
     return Circuit(template.n, tuple(ops))
 
 
@@ -370,11 +370,12 @@ def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
             embedded_gate_hamiltonian(circuit.n, op.j, eigenpairs_2x2(op.u))
             for op in run
         )
+        axes = [getattr(GATES.get(op.name), "axis", None) for op in run]
         paulis: tuple[PauliStringTerm, ...] = ()
-        if all(op.name in _ROT_AXES for op in run):
+        if all(axes):
             paulis = tuple(
-                PauliStringTerm(op.theta / 2.0, _ROT_AXES[op.name], op.j, circuit.n)
-                for op in run
+                PauliStringTerm(op.theta / 2.0, axis, op.j, circuit.n)
+                for op, axis in zip(run, axes)
             )
         groups.append(HamiltonianGroup("string", hams, paulis))
         run.clear()

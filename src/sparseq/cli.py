@@ -2,8 +2,9 @@
 execution, and verification sweeps with stable file outputs.
 
 Exit codes: 0 success, 1 verification exceedance, 2 usage or parse error,
-3 validation error. The QSIM_TOL environment variable overrides the default
-tolerance of 1e-12; an explicit --tol beats both.
+3 validation error, a register too large for memory included. The QSIM_TOL
+environment variable overrides the default tolerance of 1e-12; an explicit
+--tol beats both.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from .circuit_ir import (
     CircuitBindError,
     CircuitParseError,
-    NAMED_GATES,
+    GATES,
     bind,
     circuit_hamiltonians,
     groups_unitary,
@@ -46,17 +47,18 @@ def _tolerance(args) -> float:
 
 
 def parse_gate_spec(spec: str) -> OneQubitGate:
-    """Gate specs: a named gate (x, y, z, h, i, s, t) or rx:0.5 / ry:… / rz:…"""
-    if spec in NAMED_GATES:
-        return NAMED_GATES[spec]
-    if ":" in spec:
-        name, _, angle = spec.partition(":")
-        if name in ("rx", "ry", "rz"):
-            try:
-                theta = float(angle)
-            except ValueError:
-                raise ValueError(f"bad rotation angle in gate spec {spec!r}") from None
-            return rotation_gate(name[1].upper(), theta)
+    """Gate specs: a single-qubit fixed gate of GATES (x, y, z, h, i, s, t)
+    or a rotation rx:0.5 / ry:… / rz:…"""
+    name, colon, angle = spec.partition(":")
+    kind = GATES.get(name)
+    if kind is not None and kind.named and not colon:
+        return kind.fixed
+    if kind is not None and kind.axis is not None and not kind.controlled and colon:
+        try:
+            theta = float(angle)
+        except ValueError:
+            raise ValueError(f"bad rotation angle in gate spec {spec!r}") from None
+        return rotation_gate(kind.axis, theta)
     raise ValueError(f"unknown gate spec {spec!r}")
 
 
@@ -135,10 +137,12 @@ def _load_params(path: str | None) -> dict[str, float]:
         raise ValueError("params file must hold a JSON object of name -> value")
     params = {}
     for k, v in data.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"parameter {k!r} must be a number, got {v!r}")
         try:
             params[str(k)] = float(v)
-        except TypeError:
-            raise ValueError(f"parameter {k!r} must be a number, got {v!r}") from None
+        except OverflowError:
+            raise ValueError(f"parameter {k!r} is out of float range") from None
     return params
 
 
@@ -269,20 +273,17 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CircuitParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
+    except (CircuitParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except CircuitBindError as exc:
+    except (CircuitBindError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"validation error: register too large for memory: {exc}", file=sys.stderr)
         return 3
 
 

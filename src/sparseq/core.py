@@ -83,9 +83,6 @@ class EigenPair2:
         object.__setattr__(self, "vector", v)
 
 
-IDENTITY = OneQubitGate(np.eye(2))
-
-
 def rotation_gate(axis: str, theta: float) -> OneQubitGate:
     """Bloch-sphere rotation R_axis(theta), half-angle convention."""
     if not math.isfinite(theta):

@@ -56,6 +56,12 @@ class TestParse:
             parse_circuit("qubits 2\nqubits 3\n")
         assert "duplicate" in str(err.value)
 
+    def test_non_ascii_digit_count_is_a_parse_error(self):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit("# header\nqubits ²\n")
+        assert (err.value.line, err.value.column) == (2, 8)
+        assert "positive count" in str(err.value)
+
     def test_missing_header_rejected(self):
         with pytest.raises(CircuitParseError):
             parse_circuit("rx q1 0.3\n")

@@ -121,7 +121,9 @@ class TestHamiltonianCommand:
         assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("command", ["run", "hamiltonian"])
-    @pytest.mark.parametrize("value", [None, [1], {"x": 1}])
+    @pytest.mark.parametrize("value", [
+        None, [1], {"x": 1}, "0.5", True, pytest.param(10 ** 400, id="int_401_digits"),
+    ])
     def test_non_numeric_parameter_exits_3(self, tmp_path, capsys, command, value):
         circuit = write(tmp_path, "c.sq", "qubits 2\nrx q1 $a\n")
         params = write(tmp_path, "p.json", json.dumps({"a": value}))
@@ -185,6 +187,23 @@ class TestRunCommand:
         state = write(tmp_path, "s.json", text)
         assert main(["run", circuit, "--input", state]) == 3
         assert "validation error" in capsys.readouterr().err
+
+
+class TestImpossibleRegister:
+    """2^44 amplitudes ask for 128-256 TiB, which numpy refuses before
+    allocating anything; sizes that could really be allocated stay untested."""
+
+    @pytest.mark.parametrize("command", ["run", "hamiltonian", "build-gate"])
+    def test_n44_exits_3_with_one_line(self, tmp_path, capsys, command):
+        circuit = write(tmp_path, "c.sq", "qubits 44\nrx q1 0.1\n")
+        if command == "run":
+            argv = ["run", circuit]
+        else:
+            argv = [command, "-n", "44", "-j", "1", "--gate", "x"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: register too large for memory")
+        assert err.count("\n") == 1
 
 
 class TestVerifyCommand:
