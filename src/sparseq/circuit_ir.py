@@ -248,7 +248,7 @@ def parse_circuit(text: str) -> CircuitTemplate:
             try:
                 OneQubitGate(np.array(entries, dtype=complex).reshape(2, 2))
             except ValueError as exc:
-                raise CircuitParseError(str(exc), number, line.col(2)) from None
+                raise CircuitParseError(str(exc), number, line.col(t + 1)) from None
         if i == j:
             raise CircuitParseError("control equals target", number, line.col(1))
         stmts.append(GateStmt(number, head, j, i=i, angle=angle, entries=entries))

@@ -163,7 +163,8 @@ def cmd_run(args) -> int:
     if args.amplitudes:
         lines = ["index,re,im"]
         lines += [
-            f"{k},{float(a.real)!r},{float(a.imag)!r}" for k, a in enumerate(result.amps)
+            f"{k},{float(a.real) + 0.0!r},{float(a.imag) + 0.0!r}"
+            for k, a in enumerate(result.amps)
         ]
         _write("\n".join(lines) + "\n", args.output)
     else:

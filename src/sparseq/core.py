@@ -32,7 +32,8 @@ def validate_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class OneQubitGate:
-    """A validated 2x2 unitary. The entries u11..u22 are row-major."""
+    """A validated 2x2 unitary. The entries u11..u22 are row-major. Gates
+    compare and hash by matrix value."""
 
     matrix: np.ndarray = field(repr=False)
 
@@ -62,6 +63,14 @@ class OneQubitGate:
     @property
     def u22(self) -> complex:
         return self.matrix[1, 1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OneQubitGate):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.matrix.ravel().tolist()))
 
     def __matmul__(self, other: "OneQubitGate") -> "OneQubitGate":
         return OneQubitGate(self.matrix @ other.matrix)

@@ -3,11 +3,16 @@
 Gates update amplitude pairs (k, k +- 2^(n-j)) in place: both new values of a
 pair depend only on the pair's old values, so reading both slices before
 writing them back is safe and avoids a second buffer. Controlled gates touch
-only the half of the register whose control bit is 1.
+only the half of the register whose control bit is 1. A diagonal gate (rz, s,
+t, z, cz, crz, or any u whose off-diagonal entries are exactly 0) is one
+in-place multiply per half, and a half whose entry is exactly 1 is not
+touched at all. The sign of an exact zero amplitude is therefore not
+meaningful, and the text writers print every exact zero as 0.0.
 """
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 
@@ -36,18 +41,38 @@ def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _mix_pairs(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
     """(a0, a1) <- (u11 a0 + u12 a1, u21 a0 + u22 a1), elementwise in place.
 
+    A diagonal u scales each half in place by its own entry and skips a half
+    whose entry is exactly 1, so s/t/z/cz touch only the half or quarter of
+    the register that changes. The scalar stays the first operand, as in
+    _mix_full, so both routes round identically. numpy rounds an in-place
+    multiply of a single element without FMA, so a one-element view (n <= 2)
+    takes the full mix.
+    """
+    if u.u12 == 0 and u.u21 == 0 and a0.size > 1:
+        if u.u11 != 1:
+            np.multiply(u.u11, a0, out=a0)
+        if u.u22 != 1:
+            np.multiply(u.u22, a1, out=a1)
+    else:
+        _mix_full(a0, a1, u)
+
+
+def _mix_full(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
+    """The general 2x2 mix of _mix_pairs, for any u.
+
     Both new values depend only on the old pair, so each chunk is computed
     into bounded scratch before writing back. Oversized views are split
-    along their largest axis.
+    along their outermost axis longer than 1, so a chunk is made of whole
+    contiguous rows.
     """
     size = a0.size
     if size > _CHUNK:
-        ax = int(np.argmax(a0.shape))
+        ax = next(d for d, k in enumerate(a0.shape) if k > 1)
         mid = a0.shape[ax] // 2
-        lo = tuple(slice(None) if d != ax else slice(0, mid) for d in range(a0.ndim))
-        hi = tuple(slice(None) if d != ax else slice(mid, None) for d in range(a0.ndim))
-        _mix_pairs(a0[lo], a1[lo], u)
-        _mix_pairs(a0[hi], a1[hi], u)
+        lo = (slice(None),) * ax + (slice(0, mid),)
+        hi = (slice(None),) * ax + (slice(mid, None),)
+        _mix_full(a0[lo], a1[lo], u)
+        _mix_full(a0[hi], a1[hi], u)
         return
     s0, s1, s2 = _scratch()
     n0 = s0[:size].reshape(a0.shape)
@@ -61,6 +86,11 @@ def _mix_pairs(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
     np.add(n1, t, out=n1)
     a0[...] = n0
     a1[...] = n1
+
+
+def _norm(a: np.ndarray) -> float:
+    """sqrt(<a|a>) in one pass over a, unlike np.linalg.norm."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
 class StateVector:
@@ -79,7 +109,7 @@ class StateVector:
             amps = np.array(amps, dtype=complex).reshape(-1)
             if amps.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got {amps.shape[0]}")
-            if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+            if abs(_norm(amps) - 1.0) > NORM_TOL:
                 raise ValueError("amplitudes are not normalized")
         self.n = n
         self.amps = amps
@@ -103,13 +133,14 @@ class StateVector:
         return out
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return _norm(self.amps)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
     def to_json(self) -> str:
-        return json.dumps([[float(a.real), float(a.imag)] for a in self.amps])
+        # + 0.0 prints an exact zero as 0.0, whichever sign the kernels left it
+        return json.dumps([[float(a.real) + 0.0, float(a.imag) + 0.0] for a in self.amps])
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":

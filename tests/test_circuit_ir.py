@@ -87,6 +87,15 @@ class TestParse:
             parse_circuit("qubits 1\nu q1 1.0 0.0 0.0 2.0\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("src, column", [
+        ("qubits 2\nu q1 1.0 0.0 0.0 2.0\n", 6),
+        ("qubits 2\ncu q1 q2 1 0 0 2\n", 10),
+    ])
+    def test_non_unitary_entries_reported_at_first_entry(self, src, column):
+        with pytest.raises(CircuitParseError, match="not unitary") as err:
+            parse_circuit(src)
+        assert (err.value.line, err.value.column) == (2, column)
+
     def test_comments_and_blank_lines_ignored(self):
         src = "# header comment\n\nqubits 2\n\nrx q1 0.5  # trailing\n"
         assert len(parse_circuit(src).stmts) == 1

@@ -148,6 +148,13 @@ class TestRunCommand:
         assert lines[0] == "index,re,im"
         assert len(lines) == 5
 
+    def test_amplitudes_print_exact_zeros_unsigned(self, tmp_path, capsys):
+        # z on q1 scales the q1 = 1 half by -1, leaving -0.0 at index 2
+        circuit = write(tmp_path, "c.sq", "qubits 2\nu q1 x\nu q2 x\nu q1 z\ncz q1 q2\n")
+        assert main(["run", circuit, "--amplitudes"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:] == ["0,0.0,0.0", "1,0.0,0.0", "2,0.0,0.0", "3,1.0,0.0"]
+
     def test_oracle_cross_check(self, tmp_path, capsys):
         circuit = write(tmp_path, "c.sq", "qubits 3\nrx q2 $a\ncrz q3 q1 0.4\n")
         params = write(tmp_path, "p.json", json.dumps({"a": 1.1}))

@@ -5,11 +5,14 @@ import pytest
 
 from sparseq import (
     OneQubitGate,
+    bind,
     eigenpairs_2x2,
+    parse_circuit,
     phase_of,
     rotation_gate,
     validate_unitary,
 )
+from sparseq.circuit_ir import GATES, GateKind
 from sparseq.verify import random_gate
 
 
@@ -70,6 +73,29 @@ class TestOneQubitGate:
         g = rotation_gate("X", 0.3)
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 0.0
+
+
+class TestGateEquality:
+    """Gates compare by matrix value, so the frozen dataclasses holding one
+    (GateOp, Circuit, GateKind) compare and hash too."""
+
+    def test_equal_matrices_compare_and_hash_equal(self):
+        a, b = rotation_gate("X", 0.1), rotation_gate("X", 0.1)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != rotation_gate("X", 0.2)
+        assert a != "rx"
+        assert len({a, b, rotation_gate("Y", 0.1)}) == 2
+
+    def test_holders_of_gates_compare_and_hash(self):
+        template = parse_circuit("qubits 2\nrx q1 $a\ncu q1 q2 0 1 1 0\n")
+        one, two = bind(template, {"a": 0.3}), bind(template, {"a": 0.3})
+        assert one == two and hash(one) == hash(two)
+        assert one.ops[1] == two.ops[1] and hash(one.ops[1]) == hash(two.ops[1])
+        assert one != bind(template, {"a": 0.4})
+        assert GATES["cx"] == GateKind(True, fixed=OneQubitGate(GATES["x"].fixed.matrix))
+        assert hash(GATES["cz"]) == hash(GateKind(True, fixed=GATES["z"].fixed))
+        assert GATES["cx"] != GATES["x"]
 
 
 class TestEigenpairs2x2:

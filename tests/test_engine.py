@@ -11,9 +11,12 @@ from sparseq import (
     apply_controlled,
     apply_single_qubit,
     probabilities,
+    rotation_gate,
     run_circuit,
 )
-from sparseq.engine import probabilities_csv
+from sparseq import engine
+from sparseq.circuit_ir import GATES
+from sparseq.engine import apply_op, probabilities_csv
 from sparseq.gate_matrix import dense_gate
 from sparseq.verify import dense_apply_oracle, random_gate
 
@@ -56,6 +59,16 @@ class TestStateVector:
     def test_from_json_rejects_non_pairs(self, text):
         with pytest.raises(ValueError):
             StateVector.from_json(text)
+
+    def test_norm_matches_linalg_norm(self, rng):
+        for n in (1, 5, 12):
+            s = random_state(rng, n)
+            s.amps *= rng.uniform(0.5, 2.0)
+            assert abs(s.norm() - np.linalg.norm(s.amps)) <= 1e-14
+
+    def test_to_json_prints_exact_zeros_unsigned(self):
+        s = StateVector(2, np.array([-0.0 + 1j, complex(0.0, -0.0), 0.0, 0.0]))
+        assert s.to_json() == "[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"
 
     def test_from_json_keeps_signed_zeros(self):
         s = StateVector.from_json("[[-0.0, 1.0], [0.0, -0.0]]")
@@ -139,6 +152,92 @@ class TestApplyControlled:
     def test_equal_positions_rejected(self):
         with pytest.raises(ValueError):
             apply_controlled(StateVector.zero(2), 1, 1, X)
+
+
+def _diagonal_gates(rng):
+    """Every exactly diagonal gate kind: fixed, rotation, explicit phases."""
+    a, b = rng.uniform(-math.pi, math.pi, size=2)
+    return [
+        GATES[name].fixed for name in ("i", "z", "s", "t")
+    ] + [
+        rotation_gate("Z", 0.7),
+        OneQubitGate(np.diag([np.exp(1j * a), np.exp(1j * b)])),
+        OneQubitGate(np.diag([1, np.exp(1j * b)])),
+        OneQubitGate(np.diag([np.exp(1j * a), 1])),
+        OneQubitGate(np.diag([-1, 1j])),
+    ]
+
+
+class TestDiagonalKernel:
+    """Diagonal gates take a one-multiply path; it must agree with the full
+    2x2 mix value for value and leave the unchanged part bitwise intact."""
+
+    def test_equals_full_mix_every_placement(self, rng, monkeypatch):
+        for n in range(1, 7):
+            for j in range(1, n + 1):
+                for i in [None, *(q for q in range(1, n + 1) if q != j)]:
+                    for u in _diagonal_gates(rng):
+                        s = random_state(rng, n)
+                        ref = s.copy()
+                        apply_op(s, GateOp(j, u, i=i))
+                        with monkeypatch.context() as m:
+                            m.setattr(engine, "_mix_pairs", engine._mix_full)
+                            apply_op(ref, GateOp(j, u, i=i))
+                        assert np.array_equal(s.amps, ref.amps), (n, i, j, u.matrix)
+
+    @pytest.mark.parametrize("name", ["z", "s"])
+    def test_single_leaves_bit_zero_half_bitwise(self, rng, name):
+        n = 5
+        for j in range(1, n + 1):
+            s = random_state(rng, n)
+            before = s.amps.copy()
+            apply_single_qubit(s, j, GATES[name].fixed)
+            idle = [k for k in range(1 << n) if not (k >> (n - j)) & 1]
+            assert s.amps[idle].tobytes() == before[idle].tobytes()
+            assert not np.array_equal(s.amps, before)
+
+    def test_cz_leaves_three_quarters_bitwise(self, rng):
+        n = 5
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                s = random_state(rng, n)
+                before = s.amps.copy()
+                apply_controlled(s, i, j, GATES["cz"].fixed)
+                both = [k for k in range(1 << n) if (k >> (n - i)) & (k >> (n - j)) & 1]
+                idle = sorted(set(range(1 << n)) - set(both))
+                assert len(idle) == 3 << (n - 2)
+                assert s.amps[idle].tobytes() == before[idle].tobytes()
+                np.testing.assert_array_equal(s.amps[both], -before[both])
+
+
+class TestChunkedMix:
+    """Registers above the scratch size are mixed in row chunks; every
+    chunk must see exactly the pair formula, bit for bit."""
+
+    @pytest.mark.parametrize("j", [1, 2, 8, 15, 16])
+    def test_single_qubit_rows_exact(self, rng, generic_gate, j):
+        n, u = 16, generic_gate
+        s = random_state(rng, n)
+        t = s.amps.reshape(1 << (j - 1), 2, -1).copy()
+        a0, a1 = t[:, 0, :], t[:, 1, :]
+        want = np.stack([u.u11 * a0 + u.u12 * a1, u.u21 * a0 + u.u22 * a1], axis=1)
+        apply_single_qubit(s, j, u)
+        assert np.array_equal(s.amps, want.reshape(-1))
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (5, 15), (15, 5), (16, 1), (8, 9)])
+    def test_controlled_rows_exact(self, rng, generic_gate, i, j):
+        n, u = 16, generic_gate
+        s = random_state(rng, n)
+        want = s.amps.copy()
+        lows = np.array([k for k in range(1 << n)
+                         if (k >> (n - i)) & 1 and not (k >> (n - j)) & 1])
+        highs = lows + (1 << (n - j))
+        a0, a1 = want[lows], want[highs]
+        want[lows], want[highs] = u.u11 * a0 + u.u12 * a1, u.u21 * a0 + u.u22 * a1
+        apply_controlled(s, i, j, u)
+        assert np.array_equal(s.amps, want)
 
 
 class TestRunCircuit:

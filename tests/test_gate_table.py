@@ -1,5 +1,6 @@
-"""Property tests over the gate table: every GATES entry parses, serializes
-and binds, and a new gate needs nothing beyond its entry."""
+"""Property tests over the gate table: every GATES entry parses, serializes,
+binds and runs like the dense chain, and a new gate needs nothing beyond its
+entry."""
 import math
 
 import numpy as np
@@ -54,6 +55,47 @@ def test_parse_inverts_serialize_and_every_entry_binds(template):
     assert [(op.name, op.i, op.j) for op in circuit.ops] == [
         (s.name, s.i, s.j) for s in template.stmts
     ]
+
+
+phases = st.sampled_from([1, -1, 1j, -1j]) | turns.map(lambda a: complex(np.exp(1j * a)))
+
+
+@st.composite
+def diagonal_entries(draw):
+    """Row-major entries of an exactly diagonal unitary, exact 1 and -1 included."""
+    return (complex(draw(phases)), 0j, 0j, complex(draw(phases)))
+
+
+@st.composite
+def bound_circuits(draw):
+    """A bound circuit over every GATES entry, explicit unitaries included
+    both general and exactly diagonal, with a random input state."""
+    n = draw(st.integers(1, 8))
+    usable = sorted(name for name, kind in GATES.items() if n > 1 or not kind.controlled)
+    stmts = []
+    for name in draw(st.lists(st.sampled_from(usable), max_size=12)):
+        kind = GATES[name]
+        j = draw(st.integers(1, n))
+        i = None
+        if kind.controlled:
+            i = draw(st.sampled_from([q for q in range(1, n + 1) if q != j]))
+        angle = draw(turns) if kind.axis is not None else None
+        entries = None
+        if kind.axis is None and kind.fixed is None:
+            entries = draw(unitary_entries() | diagonal_entries())
+        stmts.append(GateStmt(0, name, j, i=i, angle=angle, entries=entries))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return bind(CircuitTemplate(n, tuple(stmts))), StateVector(n, amps / np.linalg.norm(amps))
+
+
+@PROPERTY
+@given(bound_circuits())
+def test_engine_matches_dense_chain(case):
+    circuit, state = case
+    want = dense_circuit_unitary(circuit) @ state.amps
+    out = run_circuit(circuit, state)
+    assert np.max(np.abs(out.amps - want)) <= 1e-12
 
 
 @PROPERTY
