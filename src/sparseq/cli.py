@@ -66,11 +66,33 @@ def _dense_json(m: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in m]
 
 
-def _write(text: str, path: str | None):
+def _write(chunks, path: str | None):
+    """Write text pieces to path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
+
+
+def _ended(chunks):
+    """The text pieces, then a closing newline."""
+    yield from chunks
+    yield "\n"
+
+
+def _circuit_json(n: int, groups):
+    """Schema-1 text of a circuit's Hamiltonian groups, in pieces:
+    {"schema": 1, "n": n, "groups": [{"kind": k, "hamiltonians": [...]}, ...]}."""
+    yield f'{{"schema": 1, "n": {n}, "groups": ['
+    for k, g in enumerate(groups):
+        yield f'{", " if k else ""}{{"kind": "{g.kind}", "hamiltonians": ['
+        for m, h in enumerate(g.hamiltonians):
+            if m:
+                yield ", "
+            yield from h.json_chunks()
+        yield "]}"
+    yield "]}"
 
 
 def _build_sparse(args):
@@ -85,7 +107,7 @@ def cmd_build_gate(args) -> int:
     payload = sparse.to_json_dict()
     if args.dense:
         payload["dense"] = _dense_json(sparse.to_dense())
-    _write(json.dumps(payload) + "\n", args.output)
+    _write([json.dumps(payload) + "\n"], args.output)
     return 0
 
 
@@ -100,7 +122,7 @@ def cmd_hamiltonian(args) -> int:
             h = embedded_gate_hamiltonian(args.n, args.j, u.eigenpairs())
         else:
             h = controlled_gate_hamiltonian(args.n, args.i, args.j, u)
-        _write(h.to_json() + "\n", args.output)
+        _write(_ended(h.json_chunks()), args.output)
         if args.check:
             error = frobenius_error(_build_sparse(args).to_dense(), exp_minus_ih(h))
             print(f"reconstruction_error={error!r}")
@@ -110,15 +132,7 @@ def cmd_hamiltonian(args) -> int:
     params = _load_params(args.params)
     circuit = bind(template, params)
     groups = circuit_hamiltonians(circuit)
-    payload = {
-        "schema": 1,
-        "n": circuit.n,
-        "groups": [
-            {"kind": g.kind, "hamiltonians": [h.to_json_dict() for h in g.hamiltonians]}
-            for g in groups
-        ],
-    }
-    _write(json.dumps(payload) + "\n", args.output)
+    _write(_ended(_circuit_json(circuit.n, groups)), args.output)
     if args.check:
         error = frobenius_error(
             dense_circuit_unitary(circuit), groups_unitary(groups, 1 << circuit.n)
@@ -166,9 +180,9 @@ def cmd_run(args) -> int:
             f"{k},{float(a.real) + 0.0!r},{float(a.imag) + 0.0!r}"
             for k, a in enumerate(result.amps)
         ]
-        _write("\n".join(lines) + "\n", args.output)
+        _write(["\n".join(lines) + "\n"], args.output)
     else:
-        _write(probabilities_csv(result), args.output)
+        _write([probabilities_csv(result)], args.output)
     if args.oracle:
         reference = dense_circuit_unitary(circuit) @ initial.amps
         deviation = float(np.max(np.abs(result.amps - reference)))

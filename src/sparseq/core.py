@@ -81,7 +81,8 @@ class OneQubitGate:
 
 @dataclass(frozen=True)
 class EigenPair2:
-    """Eigenvalue (unit modulus) and unit eigenvector of a one-qubit gate."""
+    """Eigenvalue (unit modulus) and unit eigenvector of a one-qubit gate.
+    Eigenpairs compare and hash by value."""
 
     value: complex
     vector: np.ndarray = field(repr=False)
@@ -90,6 +91,14 @@ class EigenPair2:
         v = np.array(self.vector, dtype=complex)
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EigenPair2):
+            return NotImplemented
+        return self.value == other.value and np.array_equal(self.vector, other.vector)
+
+    def __hash__(self) -> int:
+        return hash((complex(self.value), tuple(self.vector.tolist())))
 
 
 def rotation_gate(axis: str, theta: float) -> OneQubitGate:

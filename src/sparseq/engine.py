@@ -109,7 +109,8 @@ class StateVector:
             amps = np.array(amps, dtype=complex).reshape(-1)
             if amps.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got {amps.shape[0]}")
-            if abs(_norm(amps) - 1.0) > NORM_TOL:
+            # Written so that NaN or inf amplitudes fail the check too.
+            if not abs(_norm(amps) - 1.0) <= NORM_TOL:
                 raise ValueError("amplitudes are not normalized")
         self.n = n
         self.amps = amps
@@ -243,7 +244,7 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
     for op in circuit.ops:
         apply_op(state, op)
     drift = abs(state.norm() - 1.0)
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise RuntimeError(f"circuit broke normalization: |norm - 1| = {drift:.3e}")
     return state
 

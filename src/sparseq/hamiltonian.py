@@ -6,6 +6,12 @@ the two gate-eigenvector components at a basis slot and its target partner.
 H is then the weighted sum of rank-1 projectors over the non-unit
 eigendirections, with weights z = phase of the eigenvalue; unit eigenvalues
 contribute nothing and are dropped.
+
+Every term vector therefore has at most two nonzero entries, and a
+LocalHamiltonian stores its T terms packed: weights z (T,), two slot indices
+per term (T, 2) and the two slot values (T, 2). Dense vectors exist only in
+the capped oracle path (to_dense, gram_defect, exp_minus_ih) and in the
+`terms` view.
 """
 from __future__ import annotations
 
@@ -21,6 +27,19 @@ from .qindex import pair_lows
 #: Pairwise-orthogonality tolerance for projector term vectors.
 ORTHO_TOL = 1e-10
 
+#: Allowed |norm - 1| of a projector term vector.
+UNIT_TOL = 1e-12
+
+
+def _check_terms(z: np.ndarray, norms: np.ndarray):
+    """Reject weights outside (-pi, pi] or zero, and term vectors that are not
+    unit vectors. Written so that NaN fails every comparison."""
+    bad = ~((z > -math.pi) & (z <= math.pi) & (z != 0.0))
+    if bad.any():
+        raise ValueError(f"term weight {z[bad][0]} outside (-pi, pi] or zero")
+    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
+        raise ValueError("term vector is not a finite unit vector")
+
 
 @dataclass(frozen=True)
 class ProjectorTerm:
@@ -33,60 +52,129 @@ class ProjectorTerm:
         w = np.array(self.w, dtype=complex)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        if not (-math.pi < self.z <= math.pi) or self.z == 0.0:
-            raise ValueError(f"term weight {self.z} outside (-pi, pi] or zero")
-        if abs(np.linalg.norm(w) - 1.0) > 1e-12:
-            raise ValueError("term vector is not unit norm")
+        _check_terms(np.array([self.z], dtype=float), np.array([np.linalg.norm(w)]))
 
 
-@dataclass(frozen=True)
+def _pack(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot indices (ascending) and slot values of the 2-sparse rows of w.
+
+    A row's slots are its nonzero entries, then its signed zeros (so that a
+    -0.0 survives a round trip through JSON), then its first plain zeros.
+    """
+    if w.shape[0] and w.shape[1] < 2:
+        raise ValueError("term vectors need at least two entries")
+    nonzero = w != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 2):
+        raise ValueError("term vector has more than two nonzero entries")
+    signed = np.signbit(w.real) | np.signbit(w.imag)
+    rank = np.where(nonzero, 0, np.where(signed, 1, 2))
+    slots = np.sort(np.argsort(rank, axis=1, kind="stable")[:, :2], axis=1)
+    return slots, np.take_along_axis(w, slots, axis=1)
+
+
 class LocalHamiltonian:
-    """Sum of real-weighted rank-1 projectors onto orthonormal vectors."""
+    """Sum of real-weighted rank-1 projectors onto orthonormal vectors.
 
-    dim: int
-    terms: tuple[ProjectorTerm, ...]
+    Term k is z[k] * |w_k><w_k| where w_k holds values[k] at the indices
+    slots[k] (ascending) and zeros elsewhere. Built from explicit terms, each
+    term vector may have at most two nonzero entries.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            if t.w.shape != (self.dim,):
+    __slots__ = ("dim", "z", "slots", "values")
+
+    def __init__(self, dim: int, terms):
+        terms = tuple(terms)
+        w = np.zeros((len(terms), dim), dtype=complex)
+        for k, t in enumerate(terms):
+            if t.w.shape != (dim,):
                 raise ValueError("term vector length does not match dim")
+            w[k] = t.w
+        self._store(dim, [t.z for t in terms], *_pack(w))
+
+    @classmethod
+    def from_arrays(cls, dim: int, z, slots, values) -> "LocalHamiltonian":
+        """From packed arrays: weights (T,), slot indices and values (T, 2)."""
+        h = cls.__new__(cls)
+        h._store(dim, z, slots, values)
+        return h
+
+    def _store(self, dim, z, slots, values):
+        z = np.array(z, dtype=float).reshape(-1)
+        slots = np.array(slots, dtype=np.int64).reshape(-1, 2)
+        values = np.array(values, dtype=complex).reshape(-1, 2)
+        if not len(z) == len(slots) == len(values):
+            raise ValueError("weights, slots and values differ in term count")
+        if not np.all((0 <= slots[:, 0]) & (slots[:, 0] < slots[:, 1]) & (slots[:, 1] < dim)):
+            raise ValueError(f"term slots must be ascending indices in 0..{dim - 1}")
+        _check_terms(z, np.linalg.norm(values, axis=1))
+        for a in (z, slots, values):
+            a.setflags(write=False)
+        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LocalHamiltonian is immutable")
+
+    def __repr__(self) -> str:
+        return f"LocalHamiltonian(dim={self.dim}, terms={len(self.z)})"
+
+    @property
+    def terms(self) -> tuple[ProjectorTerm, ...]:
+        """The terms as dense ProjectorTerms, in storage order."""
+        return tuple(ProjectorTerm(z, w) for z, w in zip(self.z.tolist(), self._columns().T))
+
+    def _columns(self) -> np.ndarray:
+        """The (dim x T) matrix W whose column k is term vector k."""
+        w = np.zeros((self.dim, len(self.z)), dtype=complex)
+        np.put_along_axis(w, self.slots.T, self.values.T, axis=0)
+        return w
 
     def to_dense(self) -> np.ndarray:
         """Realize sum z * w w† as a dense Hermitian matrix."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for t in self.terms:
-            m += t.z * np.outer(t.w, t.w.conj())
-        return m
+        w = self._columns()
+        return (w * self.z) @ w.conj().T
 
     def gram_defect(self) -> float:
         """max |W†W - I| over the term-vector Gram matrix (0 if no terms)."""
-        if not self.terms:
+        if not len(self.z):
             return 0.0
-        w = np.column_stack([t.w for t in self.terms])
+        w = self._columns()
         g = w.conj().T @ w
-        return float(np.max(np.abs(g - np.eye(len(self.terms)))))
+        return float(np.max(np.abs(g - np.eye(len(self.z)))))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "dim": self.dim,
-            "terms": [
-                {"z": t.z, "w": [[float(c.real), float(c.imag)] for c in t.w]}
-                for t in self.terms
-            ],
-        }
+    def json_chunks(self):
+        """Schema-1 JSON text in pieces, one per term. Joined, they equal
+        json.dumps of {"schema": 1, "dim": D, "terms": [{"z": z, "w": [[re, im],
+        ...]}, ...]} with every entry of every term vector written out."""
+        yield f'{{"schema": 1, "dim": {self.dim}, "terms": ['
+        zero = "[0.0, 0.0], "
+        sep = ""
+        for z, (a, b), (va, vb) in zip(
+            self.z.tolist(), self.slots.tolist(), self.values.tolist()
+        ):
+            yield (
+                f'{sep}{{"z": {z!r}, "w": [{zero * a}[{va.real!r}, {va.imag!r}], '
+                f'{zero * (b - a - 1)}[{vb.real!r}, {vb.imag!r}]'
+                f'{", [0.0, 0.0]" * (self.dim - b - 1)}]}}'
+            )
+            sep = ", "
+        yield "]}"
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return "".join(self.json_chunks())
+
+    def to_json_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LocalHamiltonian":
-        terms = tuple(
-            ProjectorTerm(t["z"], np.array([complex(re, im) for re, im in t["w"]]))
-            for t in data["terms"]
-        )
-        return cls(data["dim"], terms)
+        dim, terms = data["dim"], data["terms"]
+        pairs = np.array([t["w"] for t in terms], dtype=float).reshape(len(terms), dim, 2)
+        # Viewing the [re, im] pairs as complex keeps every signed zero.
+        w = pairs.view(complex)[..., 0]
+        return cls.from_arrays(dim, [t["z"] for t in terms], *_pack(w))
 
     @classmethod
     def from_json(cls, text: str) -> "LocalHamiltonian":
@@ -184,15 +272,14 @@ def _lift(
 ) -> LocalHamiltonian:
     """Projector terms for every non-unit gate eigenvalue, one per target pair
     of pair_lows(n, j, i), in ascending order of the pair's low index."""
-    dim = 1 << n
     lows = pair_lows(n, j, i)
-    stride = 1 << (n - j)
-    terms = []
-    for p in pairs:
-        z = phase_of(p.value)
-        if z != 0.0:
-            terms += [ProjectorTerm(z, w) for w in _lifted_vectors(dim, lows, stride, p.vector)]
-    return LocalHamiltonian(dim, tuple(terms))
+    kept = [(z, p.vector) for p in pairs if (z := phase_of(p.value)) != 0.0]
+    return LocalHamiltonian.from_arrays(
+        1 << n,
+        np.repeat([z for z, _ in kept], len(lows)),
+        np.tile(np.column_stack((lows, lows + (1 << (n - j)))), (len(kept), 1)),
+        np.repeat([v for _, v in kept], len(lows), axis=0),
+    )
 
 
 def hamiltonian_control_above(
@@ -262,11 +349,10 @@ def exp_minus_ih(h: LocalHamiltonian, ortho_tol: float = ORTHO_TOL) -> np.ndarra
     whose term vectors are not orthonormal within ortho_tol.
     """
     out = np.eye(h.dim, dtype=complex)
-    if not h.terms:
+    if not len(h.z):
         return out
     if h.gram_defect() > ortho_tol:
         raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
-    w = np.column_stack([t.w for t in h.terms])
-    coef = np.array([np.exp(-1j * t.z) - 1.0 for t in h.terms])
-    out += (w * coef) @ w.conj().T
+    w = h._columns()
+    out += (w * (np.exp(-1j * h.z) - 1.0)) @ w.conj().T
     return out

@@ -195,6 +195,17 @@ class TestRunCommand:
         assert main(["run", circuit, "--input", state]) == 3
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[[NaN, 0.0], [0.0, 0.0]]", "[[1.0, 0.0], [NaN, 0.0]]", "[[Infinity, 0.0], [0.0, 0.0]]",
+    ])
+    def test_non_finite_input_state_exits_3(self, tmp_path, capsys, text):
+        circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")
+        state = write(tmp_path, "s.json", text)
+        assert main(["run", circuit, "--input", state]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation error" in captured.err
+
 
 class TestImpossibleRegister:
     """2^44 amplitudes ask for 128-256 TiB, which numpy refuses before

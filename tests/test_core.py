@@ -87,6 +87,16 @@ class TestGateEquality:
         assert a != "rx"
         assert len({a, b, rotation_gate("Y", 0.1)}) == 2
 
+    def test_eigenpairs_compare_and_hash_by_value(self):
+        a, b = rotation_gate("X", 0.1).eigenpairs(), rotation_gate("X", 0.1).eigenpairs()
+        assert a[0] is not b[0]
+        assert a[0] == b[0] and hash(a[0]) == hash(b[0])
+        assert a == b and hash(a) == hash(b)
+        assert a[0] != a[1]
+        assert a[0] != rotation_gate("X", 0.2).eigenpairs()[0]
+        assert a[0] != "pair"
+        assert len({*a, *b}) == 2
+
     def test_holders_of_gates_compare_and_hash(self):
         template = parse_circuit("qubits 2\nrx q1 $a\ncu q1 q2 0 1 1 0\n")
         one, two = bind(template, {"a": 0.3}), bind(template, {"a": 0.3})

@@ -39,6 +39,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    def test_rejects_non_finite_amplitudes(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                StateVector(1, np.array([bad, 0.0]))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
@@ -266,6 +271,12 @@ class TestRunCircuit:
     def test_broken_norm_raises_after_circuit(self):
         s = StateVector.zero(2)
         s.amps *= 2.0  # tampered after the construction-time check
+        with pytest.raises(RuntimeError, match="normalization"):
+            run_circuit(Circuit(2, (GateOp(1, H),)), s)
+
+    def test_nan_state_raises_after_circuit(self):
+        s = StateVector.zero(2)
+        s.amps[3] = math.nan
         with pytest.raises(RuntimeError, match="normalization"):
             run_circuit(Circuit(2, (GateOp(1, H),)), s)
 

@@ -300,6 +300,50 @@ class TestExponentialAndDense:
         with pytest.raises(ValueError):
             ProjectorTerm(1.0, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("z, w", [
+        (math.nan, [1.0, 0.0]), (math.inf, [1.0, 0.0]),
+        (1.0, [math.nan, 0.0]), (1.0, [1.0, math.nan]), (1.0, [math.inf, 0.0]),
+        (1.0, [complex(1.0, math.nan), 0.0]),
+    ])
+    def test_non_finite_terms_rejected(self, z, w):
+        with pytest.raises(ValueError):
+            ProjectorTerm(z, np.array(w))
+        with pytest.raises(ValueError):
+            LocalHamiltonian.from_arrays(2, [z], [[0, 1]], [w])
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": 1, "dim": 2, "terms": [{"z": 1.0, "w": [[NaN, 0.0], [0.0, 0.0]]}]}',
+        '{"schema": 1, "dim": 2, "terms": [{"z": 1.0, "w": [[1.0, 0.0], [0.0, Infinity]]}]}',
+        '{"schema": 1, "dim": 2, "terms": [{"z": NaN, "w": [[1.0, 0.0], [0.0, 0.0]]}]}',
+        '{"schema": 1, "dim": 3, "terms": [{"z": 1.0, "w": [[0.6, 0.0], [0.0, 0.0]]}]}',
+    ])
+    def test_bad_json_terms_rejected(self, text):
+        with pytest.raises(ValueError):
+            LocalHamiltonian.from_json(text)
+
+    def test_more_than_two_nonzero_entries_rejected(self):
+        w = np.array([1.0, 1.0, 1.0, 0.0]) / math.sqrt(3)
+        with pytest.raises(ValueError, match="more than two"):
+            LocalHamiltonian(4, (ProjectorTerm(1.0, w),))
+
+    def test_bad_packed_slots_rejected(self):
+        for slots in ([[1, 1]], [[1, 0]], [[0, 4]], [[-1, 2]]):
+            with pytest.raises(ValueError):
+                LocalHamiltonian.from_arrays(4, [1.0], slots, [[1.0, 0.0]])
+
+    def test_explicit_terms_are_packed_in_order(self):
+        w1 = np.array([0.0, -0.0, 0.6, 0.8j])
+        w2 = np.array([0.0, 1.0, 0.0, 0.0])
+        w3 = np.array([-0.0, 0.0, 0.0, -1.0])
+        h = LocalHamiltonian(4, (ProjectorTerm(0.5, w1), ProjectorTerm(-1.0, w2), ProjectorTerm(2.0, w3)))
+        assert h.slots.tolist() == [[2, 3], [0, 1], [0, 3]]
+        assert [t.z for t in h.terms] == [0.5, -1.0, 2.0]
+        for t, w in zip(h.terms, (w1, w2, w3)):
+            assert np.array_equal(t.w, w)
+        # a signed zero in a slot survives the round trip through JSON
+        assert h.to_json().count("-0.0") == 1
+        assert LocalHamiltonian.from_json(h.to_json()).to_json() == h.to_json()
+
     def test_json_round_trip(self, generic_gate):
         h = controlled_gate_hamiltonian(3, 3, 1, generic_gate)
         parsed = LocalHamiltonian.from_json(h.to_json())

@@ -1,0 +1,152 @@
+"""Schema-1 Hamiltonian JSON against the reference serializer.
+
+The reference builds every term as a dense length-2^n vector, one per pair
+low, and writes the schema-1 dict with json.dumps. The packed writer must
+produce the same bytes, the same term order and the same e^{-iH}.
+"""
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import sparseq
+from sparseq import (
+    LocalHamiltonian,
+    controlled_gate_hamiltonian,
+    embedded_gate_hamiltonian,
+    exp_minus_ih,
+    phase_of,
+    rotation_gate,
+)
+from sparseq.circuit_ir import GATES, bind, circuit_hamiltonians, hea_template
+from sparseq.cli import main
+from sparseq.qindex import pair_lows
+
+# rx:0.7 has a -0.0 eigenvector component; z, s and rz have exact zeros.
+GATE_SPECS = {
+    "x": GATES["x"].fixed,
+    "h": GATES["h"].fixed,
+    "s": GATES["s"].fixed,
+    "z": GATES["z"].fixed,
+    "rx": rotation_gate("X", 0.7),
+    "ry": rotation_gate("Y", -2.1),
+    "rz": rotation_gate("Z", 2.5),
+}
+
+
+def reference_terms(n, j, i, pairs):
+    """(z, dense w) for every non-unit eigenpair and every pair low a, with
+    the gate-eigenvector components at a and a + 2^(n-j)."""
+    stride = 1 << (n - j)
+    terms = []
+    for p in pairs:
+        z = phase_of(p.value)
+        if z != 0.0:
+            for a in pair_lows(n, j, i).tolist():
+                w = np.zeros(1 << n, dtype=complex)
+                w[a] = p.vector[0]
+                w[a + stride] = p.vector[1]
+                terms.append((z, w))
+    return terms
+
+
+def reference_dict(dim, terms):
+    return {
+        "schema": 1,
+        "dim": dim,
+        "terms": [
+            {"z": z, "w": [[float(c.real), float(c.imag)] for c in w]} for z, w in terms
+        ],
+    }
+
+
+def reference_exp(dim, terms):
+    out = np.eye(dim, dtype=complex)
+    if terms:
+        w = np.column_stack([w for _, w in terms])
+        coef = np.array([np.exp(-1j * z) - 1.0 for z, _ in terms])
+        out += (w * coef) @ w.conj().T
+    return out
+
+
+def placements(max_n):
+    for n in range(1, max_n + 1):
+        for j in range(1, n + 1):
+            yield n, j, None
+            for i in range(1, n + 1):
+                if i != j:
+                    yield n, j, i
+
+
+def build(n, j, i, u):
+    if i is None:
+        return embedded_gate_hamiltonian(n, j, u.eigenpairs())
+    return controlled_gate_hamiltonian(n, i, j, u)
+
+
+@pytest.mark.parametrize("name", [*GATE_SPECS, "generic"])
+def test_bytes_order_and_exponential_match_reference(name, generic_gate):
+    u = generic_gate if name == "generic" else GATE_SPECS[name]
+    for n, j, i in placements(7):
+        h = build(n, j, i, u)
+        ref = reference_terms(n, j, i, u.eigenpairs())
+        text = h.to_json()
+        assert text == json.dumps(reference_dict(1 << n, ref)), (n, j, i)
+        assert LocalHamiltonian.from_json(text).to_json() == text
+        got = h.terms
+        assert [t.z for t in got] == [z for z, _ in ref]
+        assert all(np.array_equal(t.w, w) for t, (_, w) in zip(got, ref))
+        assert np.max(np.abs(exp_minus_ih(h) - reference_exp(1 << n, ref)), initial=0) <= 1e-15
+
+
+def test_circuit_payload_matches_reference(tmp_path, rng):
+    template = hea_template(6, 1)
+    params = {name: float(rng.uniform(-math.pi, math.pi)) for name in template.param_names()}
+    (tmp_path / "c.sq").write_text(sparseq.circuit_ir.serialize(template), encoding="utf-8")
+    (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
+    out = tmp_path / "h.json"
+    argv = ["hamiltonian", "--circuit", str(tmp_path / "c.sq"), "--params", str(tmp_path / "p.json")]
+    assert main([*argv, "-o", str(out)]) == 0
+    groups = circuit_hamiltonians(bind(template, params))
+    payload = {
+        "schema": 1,
+        "n": 6,
+        "groups": [
+            {
+                "kind": g.kind,
+                "hamiltonians": [
+                    reference_dict(h.dim, [(t.z, t.w) for t in h.terms]) for h in g.hamiltonians
+                ],
+            }
+            for g in groups
+        ],
+    }
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(payload) + "\n"
+    for g, ref in zip(groups, json.loads(text)["groups"]):
+        for h, entry in zip(g.hamiltonians, ref["hamiltonians"]):
+            assert LocalHamiltonian.from_json_dict(entry).to_json() == h.to_json()
+
+
+def test_n11_output_is_unchanged_and_small(tmp_path):
+    """The dense writer peaked at 420 MB here; the packed one needs a fraction."""
+    out = tmp_path / "h.json"
+    src = str(Path(sparseq.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from sparseq.cli import main; sys.exit(main(sys.argv[1:]))",
+         "hamiltonian", "-n", "11", "-j", "2", "--gate", "x", "-o", str(out)],
+        env=env,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9594c4be6b4b9f76da141a461ee100561b2b2cd08916e672998d92b0371e0d5a"
