@@ -346,9 +346,9 @@ class HamiltonianGroup:
     pauli_terms: tuple[PauliStringTerm, ...] = ()
 
     def unitary(self) -> np.ndarray:
-        """Dense product of the factor's exponentials."""
-        mats = [exp_minus_ih(h) for h in reversed(self.hamiltonians)]
-        return reduce(np.matmul, mats)
+        """Dense product of the factor's exponentials, built one factor at a
+        time so that at most two of them are alive at once."""
+        return reduce(np.matmul, map(exp_minus_ih, reversed(self.hamiltonians)))
 
 
 def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:

@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 verification exceedance, 2 usage or parse error,
 3 validation error, a register too large for memory included. The QSIM_TOL
 environment variable overrides the default tolerance of 1e-12; an explicit
 --tol beats both.
+
+Before a command allocates its state, packed Hamiltonians or dense check
+matrices, it estimates their peak bytes and refuses (exit 3) when the
+estimate exceeds MemAvailable in /proc/meminfo. Estimates up to
+BUDGET_FREE_BYTES skip that read.
 """
 from __future__ import annotations
 
@@ -39,11 +44,56 @@ from .verify import (
 
 DEFAULT_TOL = 1e-12
 
+#: Allocation estimates up to this many bytes run without reading MemAvailable.
+BUDGET_FREE_BYTES = 256 << 20
+
+# Peak memory per unit of work, measured with child ru_maxrss (CPython 3.11,
+# numpy 2.4) and rounded up. `run` holds about 200 bytes per amplitude: the
+# state and the Python text of its output line. A packed Hamiltonian keeps 56
+# bytes per term and needs about 110 more while one is built. Counted in
+# complex 2^n x 2^n matrices alive at once: 6 for a gate's --check or the run
+# oracle, 12 for a circuit's --check and for the float lists of --dense.
+RUN_BYTES_PER_AMP = 208
+SPARSE_BYTES_PER_ROW = 80
+TERM_BYTES = 56
+TERM_BUILD_BYTES = 112
+CHECK_MATRICES = 6
+CIRCUIT_CHECK_MATRICES = 12
+DENSE_JSON_MATRICES = 12
+
 
 def _tolerance(args) -> float:
     if args.tol is not None:
         return args.tol
     return float(os.environ.get("QSIM_TOL", DEFAULT_TOL))
+
+
+def _mem_available(path: str = "/proc/meminfo") -> int | None:
+    """MemAvailable from a meminfo file in bytes, None where it cannot be read."""
+    try:
+        with open(path, encoding="ascii") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    return None
+
+
+def _require_memory(what: str, n: int, per_amp: int, matrices: int = 0):
+    """Refuse with MemoryError (exit 3), before allocating, when per_amp
+    bytes per amplitude plus `matrices` dense complex matrices on n qubits
+    exceed MemAvailable. n is clamped to 0..64 so that a hostile register
+    size stays a small integer: 2^64 of anything exceeds every memory."""
+    dim = 1 << min(max(n, 0), 64)
+    nbytes = dim * per_amp + matrices * 16 * dim * dim
+    if nbytes <= BUDGET_FREE_BYTES:
+        return
+    available = _mem_available()
+    if available is not None and nbytes > available:
+        raise MemoryError(
+            f"{what} needs about {nbytes >> 20} MiB, {available >> 20} MiB available"
+        )
 
 
 def parse_gate_spec(spec: str) -> OneQubitGate:
@@ -103,10 +153,15 @@ def _build_sparse(args):
 
 
 def cmd_build_gate(args) -> int:
+    _require_memory(
+        "build-gate", args.n, SPARSE_BYTES_PER_ROW, DENSE_JSON_MATRICES if args.dense else 0
+    )
     sparse = _build_sparse(args)
+    if not args.dense:
+        _write(_ended(sparse.json_chunks()), args.output)
+        return 0
     payload = sparse.to_json_dict()
-    if args.dense:
-        payload["dense"] = _dense_json(sparse.to_dense())
+    payload["dense"] = _dense_json(sparse.to_dense())
     _write([json.dumps(payload) + "\n"], args.output)
     return 0
 
@@ -117,6 +172,9 @@ def cmd_hamiltonian(args) -> int:
         if args.gate is None or args.n is None or args.j is None:
             print("hamiltonian: need --gate with -n/-j, or --circuit", file=sys.stderr)
             return 2
+        _require_memory(
+            "hamiltonian", args.n, TERM_BYTES + TERM_BUILD_BYTES, CHECK_MATRICES if args.check else 0
+        )
         u = parse_gate_spec(args.gate)
         if args.i is None:
             h = embedded_gate_hamiltonian(args.n, args.j, u.eigenpairs())
@@ -131,6 +189,10 @@ def cmd_hamiltonian(args) -> int:
     template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     params = _load_params(args.params)
     circuit = bind(template, params)
+    _require_memory(
+        "hamiltonian --circuit", circuit.n, TERM_BYTES * len(circuit.ops) + TERM_BUILD_BYTES,
+        CIRCUIT_CHECK_MATRICES if args.check else 0,
+    )
     groups = circuit_hamiltonians(circuit)
     _write(_ended(_circuit_json(circuit.n, groups)), args.output)
     if args.check:
@@ -164,6 +226,7 @@ def cmd_run(args) -> int:
     tol = _tolerance(args)
     template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     circuit = bind(template, _load_params(args.params))
+    _require_memory("run", circuit.n, RUN_BYTES_PER_AMP, CHECK_MATRICES if args.oracle else 0)
     if args.input is not None:
         state = StateVector.from_json(Path(args.input).read_text(encoding="utf-8"))
         if state.n != circuit.n:
@@ -172,7 +235,7 @@ def cmd_run(args) -> int:
             )
     else:
         state = StateVector.zero(circuit.n)
-    initial = state.copy()
+    initial = state.copy() if args.oracle else None
     result = run_circuit(circuit, state)
     if args.amplitudes:
         lines = ["index,re,im"]

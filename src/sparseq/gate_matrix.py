@@ -22,6 +22,9 @@ from .qindex import pair_lows
 #: Dense constructions are O(4^n); refuse beyond this register size.
 DENSE_MAX_QUBITS = 12
 
+#: Rows per text piece of SparseUnitary.json_chunks.
+JSON_CHUNK_ROWS = 4096
+
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
@@ -125,15 +128,41 @@ class SparseUnitary:
         present = self.cols >= 0
         return np.bincount(self.cols[present].ravel(), minlength=self.dim)
 
-    def to_json_dict(self) -> dict:
-        rows = [
-            [[int(c), float(v.real), float(v.imag)] for c, v in self.row(k)]
-            for k in range(self.dim)
-        ]
-        return {"schema": 1, "dim": self.dim, "rows": rows}
+    def json_chunks(self):
+        """Schema-1 JSON text in pieces of up to JSON_CHUNK_ROWS rows. Joined,
+        they equal json.dumps of {"schema": 1, "dim": D, "rows": [[[c, re,
+        im], ...], ...]} with the stored slots of every row.
+
+        Few distinct value rows repeat across the matrix, so each is
+        formatted once, keyed on its bit pattern (-0.0 and 0.0 stay apart).
+        """
+        yield f'{{"schema": 1, "dim": {self.dim}, "rows": ['
+        texts: dict[bytes, tuple[str, str]] = {}
+        for start in range(0, self.dim, JSON_CHUNK_ROWS):
+            stop = start + JSON_CHUNK_ROWS
+            vals = np.ascontiguousarray(self.vals[start:stop])
+            keys = vals.view(np.dtype((np.void, vals.itemsize * 2))).ravel().tolist()
+            parts = []
+            for k, (key, (c0, c1)) in enumerate(zip(keys, self.cols[start:stop].tolist())):
+                text = texts.get(key)
+                if text is None:
+                    # json.dumps writes each float as the dict dump would,
+                    # NaN and Infinity included.
+                    text = texts[key] = tuple(
+                        json.dumps([v.real, v.imag])[1:-1] for v in vals[k].tolist()
+                    )
+                if c1 < 0:
+                    parts.append(f"[[{c0}, {text[0]}]]")
+                else:
+                    parts.append(f"[[{c0}, {text[0]}], [{c1}, {text[1]}]]")
+            yield (", " if start else "") + ", ".join(parts)
+        yield "]}"
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return "".join(self.json_chunks())
+
+    def to_json_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SparseUnitary":
@@ -244,8 +273,15 @@ def _check_dense_cap(n: int, max_qubits: int):
         raise ValueError(f"dense construction capped at {max_qubits} qubits, got n={n}")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices as one broadcast outer product: the
+    same entrywise products as np.kron, without its per-call overhead."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def kron_chain(factors: list[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, factors)
+    return reduce(_kron, factors)
 
 
 def kron_embedded_dense(

@@ -12,6 +12,11 @@ LocalHamiltonian stores its T terms packed: weights z (T,), two slot indices
 per term (T, 2) and the two slot values (T, 2). Dense vectors exist only in
 the capped oracle path (to_dense, gram_defect, exp_minus_ih) and in the
 `terms` view.
+
+The schema-1 JSON writer (json_chunks) streams one term at a time. A lifted
+Hamiltonian repeats at most two (z, slot values) rows over all its slot
+pairs, so the text of each distinct row is formatted once, memoized on the
+row's bit pattern, and each term is zero padding around cached strings.
 """
 from __future__ import annotations
 
@@ -39,6 +44,11 @@ def _check_terms(z: np.ndarray, norms: np.ndarray):
         raise ValueError(f"term weight {z[bad][0]} outside (-pi, pi] or zero")
     if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
         raise ValueError("term vector is not a finite unit vector")
+
+
+def _gram_defect(w: np.ndarray, wh: np.ndarray) -> float:
+    """max |W†W - I| for W and its conjugate transpose W†."""
+    return float(np.max(np.abs(wh @ w - np.eye(w.shape[1]))))
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,9 @@ class LocalHamiltonian:
     def _columns(self) -> np.ndarray:
         """The (dim x T) matrix W whose column k is term vector k."""
         w = np.zeros((self.dim, len(self.z)), dtype=complex)
-        np.put_along_axis(w, self.slots.T, self.values.T, axis=0)
+        terms = np.arange(len(self.z))
+        w[self.slots[:, 0], terms] = self.values[:, 0]
+        w[self.slots[:, 1], terms] = self.values[:, 1]
         return w
 
     def to_dense(self) -> np.ndarray:
@@ -141,23 +153,36 @@ class LocalHamiltonian:
         if not len(self.z):
             return 0.0
         w = self._columns()
-        g = w.conj().T @ w
-        return float(np.max(np.abs(g - np.eye(len(self.z)))))
+        return _gram_defect(w, w.conj().T)
 
     def json_chunks(self):
         """Schema-1 JSON text in pieces, one per term. Joined, they equal
         json.dumps of {"schema": 1, "dim": D, "terms": [{"z": z, "w": [[re, im],
-        ...]}, ...]} with every entry of every term vector written out."""
+        ...]}, ...]} with every entry of every term vector written out.
+
+        Each distinct (z, slot values) row is formatted once, keyed on its
+        bit pattern rather than float equality, so -0.0 and 0.0 keep their
+        own text.
+        """
         yield f'{{"schema": 1, "dim": {self.dim}, "terms": ['
-        zero = "[0.0, 0.0], "
+        bits = np.column_stack((self.z.view(np.uint64), self.values.view(np.uint64)))
+        keys = bits.view(np.dtype((np.void, bits.itemsize * 5))).ravel().tolist()
+        texts: dict[bytes, tuple[str, str, str]] = {}
+        zero, tail = "[0.0, 0.0], ", ", [0.0, 0.0]"
         sep = ""
-        for z, (a, b), (va, vb) in zip(
-            self.z.tolist(), self.slots.tolist(), self.values.tolist()
-        ):
+        for k, (key, (a, b)) in enumerate(zip(keys, self.slots.tolist())):
+            text = texts.get(key)
+            if text is None:
+                (va, vb), z = self.values[k].tolist(), float(self.z[k])
+                text = texts[key] = (
+                    f'{{"z": {z!r}, "w": [',
+                    f"[{va.real!r}, {va.imag!r}], ",
+                    f"[{vb.real!r}, {vb.imag!r}]",
+                )
+            head, low, high = text
             yield (
-                f'{sep}{{"z": {z!r}, "w": [{zero * a}[{va.real!r}, {va.imag!r}], '
-                f'{zero * (b - a - 1)}[{vb.real!r}, {vb.imag!r}]'
-                f'{", [0.0, 0.0]" * (self.dim - b - 1)}]}}'
+                f"{sep}{head}{zero * a}{low}{zero * (b - a - 1)}"
+                f"{high}{tail * (self.dim - b - 1)}]}}"
             )
             sep = ", "
         yield "]}"
@@ -346,13 +371,15 @@ def exp_minus_ih(h: LocalHamiltonian, ortho_tol: float = ORTHO_TOL) -> np.ndarra
 
     Exact rank-1 update: I + sum (e^{-iz} - 1) w w†, valid because every
     direction outside the terms carries eigenvalue 1. Rejects Hamiltonians
-    whose term vectors are not orthonormal within ortho_tol.
+    whose term vectors are not orthonormal within ortho_tol. W is built once
+    and serves both the check and the update.
     """
     out = np.eye(h.dim, dtype=complex)
     if not len(h.z):
         return out
-    if h.gram_defect() > ortho_tol:
-        raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
     w = h._columns()
-    out += (w * (np.exp(-1j * h.z) - 1.0)) @ w.conj().T
+    wh = w.conj().T
+    if _gram_defect(w, wh) > ortho_tol:
+        raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
+    out += (w * (np.exp(-1j * h.z) - 1.0)) @ wh
     return out

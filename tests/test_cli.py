@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sparseq import LocalHamiltonian, SparseUnitary
+from sparseq import LocalHamiltonian, SparseUnitary, cli
+from sparseq.circuit_ir import hea_template, serialize
 from sparseq.cli import main, parse_gate_spec
 
 BELL = "qubits 2\nu q1 h\ncx q1 q2\n"
@@ -222,6 +223,79 @@ class TestImpossibleRegister:
         err = capsys.readouterr().err
         assert err.startswith("validation error: register too large for memory")
         assert err.count("\n") == 1
+
+
+class TestMemoryBudget:
+    """The estimates are checked against a monkeypatched MemAvailable, and
+    the builders are patched to fail, so nothing large is ever allocated."""
+
+    REFUSED = {
+        "run": ("qubits 21\nrx q1 0.1\n", ["run", "{c}"]),
+        "run_oracle": ("qubits 11\nrx q1 0.1\n", ["run", "{c}", "--oracle"]),
+        "hamiltonian": (None, ["hamiltonian", "-n", "21", "-j", "1", "--gate", "x"]),
+        "hamiltonian_check": (None, ["hamiltonian", "-n", "11", "-i", "2", "-j", "1",
+                                     "--gate", "x", "--check"]),
+        "circuit_check": ("qubits 11\nrx q1 0.1\ncx q1 q2\n",
+                          ["hamiltonian", "--circuit", "{c}", "--check"]),
+        "build_gate_dense": (None, ["build-gate", "-n", "11", "-j", "1", "--gate", "x", "--dense"]),
+    }
+
+    @pytest.fixture
+    def no_builders(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past a refused budget")
+
+        for name in ("_build_sparse", "embedded_gate_hamiltonian", "controlled_gate_hamiltonian",
+                     "circuit_hamiltonians", "run_circuit"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.StateVector, "zero", refuse)
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_estimate_above_available_exits_3(self, tmp_path, capsys, monkeypatch, no_builders, case):
+        text, argv = self.REFUSED[case]
+        if text is not None:
+            argv = [a.format(c=write(tmp_path, "c.sq", text)) for a in argv]
+        monkeypatch.setattr(cli, "_mem_available", lambda: 64 << 20)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: register too large for memory: ")
+        assert captured.err.endswith(" 64 MiB available\n")
+        assert captured.err.count("\n") == 1
+
+    def test_small_runs_never_read_meminfo(self, tmp_path, capsys, monkeypatch):
+        def unread():
+            raise AssertionError("MemAvailable read for a small estimate")
+
+        monkeypatch.setattr(cli, "_mem_available", unread)
+        hea = write(tmp_path, "c.sq", serialize(hea_template(6, 1)))
+        params = write(tmp_path, "p.json", json.dumps(
+            {name: 0.3 for name in hea_template(6, 1).param_names()}))
+        out = str(tmp_path / "out")
+        for argv in (
+            ["hamiltonian", "--circuit", hea, "--params", params, "--check", "-o", out],
+            ["run", hea, "--params", params, "--oracle", "-o", out],
+            ["hamiltonian", "-n", "10", "-j", "1", "--gate", "h", "--check", "-o", out],
+            ["build-gate", "-n", "8", "-i", "1", "-j", "2", "--gate", "x", "--dense", "-o", out],
+        ):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+
+    def test_estimate_within_available_passes(self, monkeypatch):
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)
+        cli._require_memory("test", 4, 1 << 30, 1 << 20)
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 20)
+        cli._require_memory("test", 0, cli.BUDGET_FREE_BYTES)
+        with pytest.raises(MemoryError):
+            cli._require_memory("test", 0, cli.BUDGET_FREE_BYTES + 1)
+        with pytest.raises(MemoryError):
+            cli._require_memory("test", 10 ** 9, 1)
+
+    def test_meminfo_parsing(self, tmp_path):
+        info = write(tmp_path, "meminfo", "MemTotal:  8000 kB\nMemAvailable:   1234 kB\n")
+        assert cli._mem_available(info) == 1234 * 1024
+        assert cli._mem_available(write(tmp_path, "other", "MemTotal: 1 kB\n")) is None
+        assert cli._mem_available(str(tmp_path / "missing")) is None
 
 
 class TestVerifyCommand:

@@ -1,3 +1,6 @@
+import json
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from sparseq import (
     straddled_pair_block,
     target_pair_block,
 )
-from sparseq.gate_matrix import dense_gate
+from sparseq.gate_matrix import _P0, _P1, JSON_CHUNK_ROWS, dense_gate
 from sparseq.verify import random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
@@ -301,4 +304,80 @@ class TestDenseGateDispatch:
         np.testing.assert_array_equal(
             dense_gate(3, 2, generic_gate, i=1),
             kron_controlled_dense(3, 1, 2, generic_gate),
+        )
+
+
+def np_kron_dense(n, j, u, i=None):
+    """dense_gate's factors, reduced with np.kron itself."""
+    m = np.asarray(u.matrix)
+    if i is None:
+        return reduce(np.kron, [np.eye(1 << (j - 1)), m, np.eye(1 << (n - j))])
+    eye2 = np.eye(2)
+    idle = [_P0 if q == i else eye2 for q in range(1, n + 1)]
+    active = [_P1 if q == i else (m if q == j else eye2) for q in range(1, n + 1)]
+    return reduce(np.kron, idle) + reduce(np.kron, active)
+
+
+class TestKronChainBits:
+    """The broadcast Kronecker product forms the same entrywise products as
+    np.kron, so the dense oracle keeps every bit, signed zeros included."""
+
+    def test_dense_gate_matches_np_kron_bit_for_bit(self, rng):
+        gates = [random_gate(rng) for _ in range(3)]
+        # Negative real and imaginary entries make -0.0 products with the
+        # zeros of the identity and projector factors.
+        gates += [OneQubitGate(np.array([[0, -1j], [-1j, 0]])),
+                  OneQubitGate(np.array([[-1, 0], [0, 1j]])),
+                  rotation_gate("Y", -2.0)]
+        signed = 0
+        for n in range(1, 7):
+            for j in range(1, n + 1):
+                for i in [None, *(q for q in range(1, n + 1) if q != j)]:
+                    for u in gates:
+                        got, want = dense_gate(n, j, u, i), np_kron_dense(n, j, u, i)
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, j, i)
+                        signed += int(np.count_nonzero(np.signbit(want.view(float)) & (want.view(float) == 0)))
+        assert signed > 0
+
+
+def reference_sparse_json(sparse):
+    """The former to_json_dict: one [column, re, im] per stored slot."""
+    rows = [
+        [[int(c), float(v.real), float(v.imag)] for c, v in sparse.row(k)]
+        for k in range(sparse.dim)
+    ]
+    return json.dumps({"schema": 1, "dim": sparse.dim, "rows": rows})
+
+
+class TestSparseUnitaryJson:
+    def test_chunks_match_json_dumps_for_every_placement(self, generic_gate):
+        gates = [generic_gate, X, rotation_gate("X", 0.7), rotation_gate("Z", -2.5)]
+        for n in range(1, 6):
+            for j in range(1, n + 1):
+                for u in gates:
+                    sparse = embedded_sparse(n, j, u)
+                    assert sparse.to_json() == reference_sparse_json(sparse)
+                    for i in range(1, n + 1):
+                        if i != j:
+                            sparse = controlled_sparse(ControlledGateSpec(n, i, j, u))
+                            assert sparse.to_json() == reference_sparse_json(sparse)
+
+    def test_chunks_past_one_piece(self):
+        sparse = controlled_sparse(ControlledGateSpec(13, 13, 2, rotation_gate("X", 0.7)))
+        pieces = list(sparse.json_chunks())
+        assert len(pieces) == 2 + (1 << 13) // JSON_CHUNK_ROWS
+        assert "".join(pieces) == reference_sparse_json(sparse)
+
+    def test_signed_zeros_and_non_finite_values(self):
+        cols = np.array([[0, 1], [0, 1], [2, -1], [3, -1]])
+        vals = np.array([[0.0, 1.0], [-0.0, 1.0], [complex(1, -0.0), 0], [1.0, 0]])
+        sparse = SparseUnitary(4, cols, vals)
+        text = reference_sparse_json(sparse)
+        assert "-0.0" in text
+        assert sparse.to_json() == text
+        assert sparse.to_json_dict() == json.loads(text)
+        odd = SparseUnitary(2, np.array([[0, -1], [1, -1]]), np.array([[np.nan, 0], [np.inf, 0]]))
+        assert odd.to_json() == reference_sparse_json(odd) == (
+            '{"schema": 1, "dim": 2, "rows": [[[0, NaN, 0.0]], [[1, Infinity, 0.0]]]}'
         )

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from sparseq import (
 from sparseq.circuit_ir import GATES, bind, circuit_hamiltonians, hea_template
 from sparseq.cli import main
 from sparseq.qindex import pair_lows
+from sparseq.verify import dense_circuit_unitary, frobenius_error
 
 # rx:0.7 has a -0.0 eigenvector component; z, s and rz have exact zeros.
 GATE_SPECS = {
@@ -150,3 +152,109 @@ def test_n11_output_is_unchanged_and_small(tmp_path):
     assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "9594c4be6b4b9f76da141a461ee100561b2b2cd08916e672998d92b0371e0d5a"
+
+
+def dense_rows(dim, z, slots, values):
+    """(z, dense w) per packed term, scattered here rather than by the class."""
+    terms = []
+    for zk, (a, b), (va, vb) in zip(z, slots, values):
+        w = np.zeros(dim, dtype=complex)
+        w[a], w[b] = va, vb
+        terms.append((zk, w))
+    return terms
+
+
+SIGNED_ZERO_ROWS = {
+    # Repeated rows, rows that differ only in the sign of a zero, and equal
+    # weights over different vectors, all on one dim-8 Hamiltonian.
+    "z": [0.5, 0.5, 0.5, 0.5, -1.25, 0.5, 0.5],
+    "slots": [[0, 4], [1, 5], [2, 6], [3, 7], [0, 1], [0, 2], [1, 3]],
+    "values": [
+        [1.0, 0.0],
+        [1.0, -0.0],
+        [1.0, 0.0],
+        [complex(0.0, -1.0), complex(-0.0, 0.0)],
+        [1.0, complex(0.0, -0.0)],
+        [complex(-0.0, -0.0), 1.0],
+        [math.sqrt(0.5), -math.sqrt(0.5)],
+    ],
+}
+
+
+def test_memoized_writer_keeps_signed_zeros_from_arrays():
+    h = LocalHamiltonian.from_arrays(8, **SIGNED_ZERO_ROWS)
+    text = h.to_json()
+    ref = json.dumps(reference_dict(8, dense_rows(8, *SIGNED_ZERO_ROWS.values())))
+    assert text == ref
+    assert text.count("-0.0") == 5
+    assert LocalHamiltonian.from_json(text).to_json() == text
+
+
+def test_memoized_writer_keeps_signed_zeros_from_json():
+    rows = dense_rows(8, *SIGNED_ZERO_ROWS.values())
+    text = json.dumps(reference_dict(8, rows))
+    h = LocalHamiltonian.from_json(text)
+    assert h.to_json() == text
+    # from_json packs every -0.0 into a slot, so the bit keys see them too.
+    parts = h.values.view(float)
+    assert np.count_nonzero((parts == 0) & np.signbit(parts)) == 5
+
+
+def test_exp_minus_ih_builds_w_once(monkeypatch):
+    calls = []
+    columns = LocalHamiltonian._columns
+
+    def counted(self):
+        calls.append(self)
+        return columns(self)
+
+    monkeypatch.setattr(LocalHamiltonian, "_columns", counted)
+    h = controlled_gate_hamiltonian(4, 3, 1, rotation_gate("Y", 0.9))
+    exp_minus_ih(h)
+    assert calls == [h]
+    skewed = LocalHamiltonian.from_arrays(
+        4, [1.0, 1.0], [[0, 1], [0, 2]], [[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]]
+    )
+    with pytest.raises(ValueError, match="not orthonormal"):
+        exp_minus_ih(skewed)
+    assert calls == [h, skewed]
+
+
+def double_scatter_exp(h):
+    """exp_minus_ih as first written: put_along_axis, and W scattered once
+    for the orthonormality check and again for the update."""
+
+    def columns():
+        w = np.zeros((h.dim, len(h.z)), dtype=complex)
+        np.put_along_axis(w, h.slots.T, h.values.T, axis=0)
+        return w
+
+    out = np.eye(h.dim, dtype=complex)
+    if not len(h.z):
+        return out
+    w = columns()
+    assert np.max(np.abs(w.conj().T @ w - np.eye(len(h.z)))) <= 1e-10
+    w = columns()
+    out += (w * (np.exp(-1j * h.z) - 1.0)) @ w.conj().T
+    return out
+
+
+def test_hea_check_line_matches_np_kron_route(tmp_path, rng, capsys, monkeypatch):
+    template = hea_template(6, 1)
+    params = {name: float(rng.uniform(-math.pi, math.pi)) for name in template.param_names()}
+    (tmp_path / "c.sq").write_text(sparseq.circuit_ir.serialize(template), encoding="utf-8")
+    (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
+    argv = ["hamiltonian", "--circuit", str(tmp_path / "c.sq"), "--params",
+            str(tmp_path / "p.json"), "--check", "-o", str(tmp_path / "h.json")]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+
+    circuit = bind(template, params)
+    reconstructed = np.eye(64, dtype=complex)
+    for g in reversed(circuit_hamiltonians(circuit)):
+        reconstructed = reconstructed @ reduce(
+            np.matmul, [double_scatter_exp(h) for h in reversed(g.hamiltonians)]
+        )
+    monkeypatch.setattr(sparseq.gate_matrix, "kron_chain", lambda factors: reduce(np.kron, factors))
+    error = frobenius_error(dense_circuit_unitary(circuit), reconstructed)
+    assert printed == f"reconstruction_error={error!r}\n"
