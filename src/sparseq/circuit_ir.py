@@ -400,21 +400,3 @@ def groups_unitary(groups: list[HamiltonianGroup], dim: int) -> np.ndarray:
         out = out @ g.unitary()
     return out
 
-
-def circuit_to_json_dict(circuit: Circuit) -> dict:
-    ops = []
-    for op in circuit.ops:
-        entry = {
-            "kind": "controlled" if op.is_controlled else "single",
-            "j": op.j,
-            "name": op.name,
-            "u": [
-                [[float(c.real), float(c.imag)] for c in row] for row in op.u.matrix
-            ],
-        }
-        if op.is_controlled:
-            entry["i"] = op.i
-        if op.theta is not None:
-            entry["theta"] = op.theta
-        ops.append(entry)
-    return {"schema": 1, "n": circuit.n, "ops": ops}

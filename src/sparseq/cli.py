@@ -35,6 +35,7 @@ from .engine import StateVector, probabilities_csv, run_circuit
 from .gate_matrix import ControlledGateSpec, controlled_sparse, embedded_sparse
 from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian, exp_minus_ih
 from .verify import (
+    dense_chain,
     dense_circuit_unitary,
     engine_equivalence_deviations,
     frobenius_error,
@@ -247,8 +248,8 @@ def cmd_run(args) -> int:
     else:
         _write([probabilities_csv(result)], args.output)
     if args.oracle:
-        reference = dense_circuit_unitary(circuit) @ initial.amps
-        deviation = float(np.max(np.abs(result.amps - reference)))
+        reference = dense_chain(circuit, initial)
+        deviation = float(np.max(np.abs(result.amps - reference.amps)))
         print(f"oracle_deviation={deviation!r}")
         return 0 if deviation <= tol else 1
     return 0
@@ -306,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--gate", required=True, help="gate spec, e.g. x or rx:0.5")
     build.add_argument("--dense", action="store_true", help="also embed the dense matrix")
     build.add_argument("-o", "--output", default=None)
-    build.add_argument("--tol", type=float, default=None)
     build.set_defaults(func=cmd_build_gate)
 
     ham = sub.add_parser("hamiltonian", help="extract the local Hamiltonian as JSON")

@@ -21,13 +21,13 @@ PAULI = {
 }
 
 
-def validate_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max entry of |M†M - I| <= tol. M must be square."""
+def validate_unitary(m: np.ndarray) -> bool:
+    """True iff max entry of |M†M - I| <= DEFAULT_TOL. M must be square."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     defect = m.conj().T @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(defect))) <= tol
+    return float(np.max(np.abs(defect))) <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)

@@ -249,10 +249,6 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
     return state
 
 
-def probabilities(state: StateVector) -> np.ndarray:
-    return state.probabilities()
-
-
 def probabilities_csv(state: StateVector) -> str:
     lines = ["index,probability"]
     lines += [f"{k},{float(p)!r}" for k, p in enumerate(state.probabilities())]

@@ -73,6 +73,8 @@ class SparseUnitary:
             raise ValueError("columns within a row must be strictly increasing")
         if np.any(vals[~present] != 0):
             raise ValueError("absent slots must carry value 0")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("gate values must be finite")
         counts = np.bincount(cols[present].ravel(), minlength=dim)
         if np.any(counts > 2):
             raise ValueError("a column carries more than 2 entries")
@@ -81,14 +83,6 @@ class SparseUnitary:
         self.vals = vals
         cols.setflags(write=False)
         vals.setflags(write=False)
-
-    @classmethod
-    def identity(cls, dim: int) -> "SparseUnitary":
-        cols = np.full((dim, 2), -1, dtype=np.int64)
-        cols[:, 0] = np.arange(dim)
-        vals = np.zeros((dim, 2), dtype=complex)
-        vals[:, 0] = 1.0
-        return cls(dim, cols, vals)
 
     def row(self, k: int) -> list[tuple[int, complex]]:
         """Stored (column, value) pairs of row k, structural zeros included."""
@@ -146,8 +140,7 @@ class SparseUnitary:
             for k, (key, (c0, c1)) in enumerate(zip(keys, self.cols[start:stop].tolist())):
                 text = texts.get(key)
                 if text is None:
-                    # json.dumps writes each float as the dict dump would,
-                    # NaN and Infinity included.
+                    # json.dumps writes each float as the dict dump would.
                     text = texts[key] = tuple(
                         json.dumps([v.real, v.imag])[1:-1] for v in vals[k].tolist()
                     )
@@ -268,9 +261,9 @@ def embedded_sparse(n: int, j: int, u: OneQubitGate) -> SparseUnitary:
     return _pair_sparse(n, j, u)
 
 
-def _check_dense_cap(n: int, max_qubits: int):
-    if n > max_qubits:
-        raise ValueError(f"dense construction capped at {max_qubits} qubits, got n={n}")
+def _check_dense_cap(n: int):
+    if n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense construction capped at {DENSE_MAX_QUBITS} qubits, got n={n}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -284,24 +277,20 @@ def kron_chain(factors: list[np.ndarray]) -> np.ndarray:
     return reduce(_kron, factors)
 
 
-def kron_embedded_dense(
-    n: int, j: int, u: OneQubitGate, max_qubits: int = DENSE_MAX_QUBITS
-) -> np.ndarray:
+def kron_embedded_dense(n: int, j: int, u: OneQubitGate) -> np.ndarray:
     """Reference dense matrix I_{2^(j-1)} ⊗ u ⊗ I_{2^(n-j)}."""
     if not 1 <= j <= n:
         raise ValueError(f"target position {j} out of range 1..{n}")
-    _check_dense_cap(n, max_qubits)
+    _check_dense_cap(n)
     return kron_chain([np.eye(1 << (j - 1)), np.asarray(u.matrix), np.eye(1 << (n - j))])
 
 
-def kron_controlled_dense(
-    n: int, i: int, j: int, u: OneQubitGate, max_qubits: int = DENSE_MAX_QUBITS
-) -> np.ndarray:
+def kron_controlled_dense(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
     """Reference dense controlled gate as a projector sum: |0><0| branch at
     the control carries the identity, the |1><1| branch carries u at the
     target."""
     spec = ControlledGateSpec(n, i, j, u)  # reuse validation
-    _check_dense_cap(n, max_qubits)
+    _check_dense_cap(n)
     eye2 = np.eye(2)
     idle = [_P0 if q == spec.i else eye2 for q in range(1, n + 1)]
     active = [
@@ -311,14 +300,8 @@ def kron_controlled_dense(
     return kron_chain(idle) + kron_chain(active)
 
 
-def dense_gate(
-    n: int,
-    j: int,
-    u: OneQubitGate,
-    i: int | None = None,
-    max_qubits: int = DENSE_MAX_QUBITS,
-) -> np.ndarray:
+def dense_gate(n: int, j: int, u: OneQubitGate, i: int | None = None) -> np.ndarray:
     """Dense Kronecker oracle for one gate description (i=None: single-qubit)."""
     if i is None:
-        return kron_embedded_dense(n, j, u, max_qubits)
-    return kron_controlled_dense(n, i, j, u, max_qubits)
+        return kron_embedded_dense(n, j, u)
+    return kron_controlled_dense(n, i, j, u)

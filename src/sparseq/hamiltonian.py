@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EigenPair2, OneQubitGate, PAULI, eigenpairs_2x2, phase_of
+from .gate_matrix import kron_embedded_dense
 from .qindex import pair_lows
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
@@ -85,30 +86,14 @@ def _pack(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class LocalHamiltonian:
     """Sum of real-weighted rank-1 projectors onto orthonormal vectors.
 
-    Term k is z[k] * |w_k><w_k| where w_k holds values[k] at the indices
-    slots[k] (ascending) and zeros elsewhere. Built from explicit terms, each
-    term vector may have at most two nonzero entries.
+    Built from packed arrays: term k is z[k] * |w_k><w_k| where w_k holds
+    values[k] (T, 2) at the indices slots[k] (T, 2, ascending) and zeros
+    elsewhere.
     """
 
     __slots__ = ("dim", "z", "slots", "values")
 
-    def __init__(self, dim: int, terms):
-        terms = tuple(terms)
-        w = np.zeros((len(terms), dim), dtype=complex)
-        for k, t in enumerate(terms):
-            if t.w.shape != (dim,):
-                raise ValueError("term vector length does not match dim")
-            w[k] = t.w
-        self._store(dim, [t.z for t in terms], *_pack(w))
-
-    @classmethod
-    def from_arrays(cls, dim: int, z, slots, values) -> "LocalHamiltonian":
-        """From packed arrays: weights (T,), slot indices and values (T, 2)."""
-        h = cls.__new__(cls)
-        h._store(dim, z, slots, values)
-        return h
-
-    def _store(self, dim, z, slots, values):
+    def __init__(self, dim: int, z, slots, values):
         z = np.array(z, dtype=float).reshape(-1)
         slots = np.array(slots, dtype=np.int64).reshape(-1, 2)
         values = np.array(values, dtype=complex).reshape(-1, 2)
@@ -199,7 +184,7 @@ class LocalHamiltonian:
         pairs = np.array([t["w"] for t in terms], dtype=float).reshape(len(terms), dim, 2)
         # Viewing the [re, im] pairs as complex keeps every signed zero.
         w = pairs.view(complex)[..., 0]
-        return cls.from_arrays(dim, [t["z"] for t in terms], *_pack(w))
+        return cls(dim, [t["z"] for t in terms], *_pack(w))
 
     @classmethod
     def from_json(cls, text: str) -> "LocalHamiltonian":
@@ -223,20 +208,17 @@ class PauliStringTerm:
         if not math.isfinite(self.coefficient):
             raise ValueError("coefficient must be finite")
 
+    def _pauli(self) -> np.ndarray:
+        """I ⊗ sigma_axis ⊗ I as a dense matrix."""
+        return kron_embedded_dense(self.n, self.position, OneQubitGate(PAULI[self.axis]))
+
     def to_dense(self) -> np.ndarray:
-        left = np.eye(1 << (self.position - 1))
-        right = np.eye(1 << (self.n - self.position))
-        return self.coefficient * np.kron(np.kron(left, PAULI[self.axis]), right)
+        return self.coefficient * self._pauli()
 
     def exp_minus_i(self) -> np.ndarray:
         """e^{-i c P} = cos(c) I - i sin(c) P, since P is an involution."""
-        p = np.kron(
-            np.kron(np.eye(1 << (self.position - 1)), PAULI[self.axis]),
-            np.eye(1 << (self.n - self.position)),
-        )
-        dim = 1 << self.n
         c = self.coefficient
-        return math.cos(c) * np.eye(dim) - 1j * math.sin(c) * p
+        return math.cos(c) * np.eye(1 << self.n) - 1j * math.sin(c) * self._pauli()
 
 
 def _lifted_vectors(dim: int, lows: np.ndarray, stride: int, vector: np.ndarray):
@@ -299,39 +281,12 @@ def _lift(
     of pair_lows(n, j, i), in ascending order of the pair's low index."""
     lows = pair_lows(n, j, i)
     kept = [(z, p.vector) for p in pairs if (z := phase_of(p.value)) != 0.0]
-    return LocalHamiltonian.from_arrays(
+    return LocalHamiltonian(
         1 << n,
         np.repeat([z for z, _ in kept], len(lows)),
         np.tile(np.column_stack((lows, lows + (1 << (n - j)))), (len(kept), 1)),
         np.repeat([v for _, v in kept], len(lows), axis=0),
     )
-
-
-def hamiltonian_control_above(
-    n: int, i: int, j: int, pairs: tuple[EigenPair2, EigenPair2]
-) -> LocalHamiltonian:
-    """H with C = e^{-iH} for a controlled gate with control before target.
-
-    Term vectors live on the control-selected blocks: block offset from an
-    odd control branch, sub-block offset l, then the target-pair placement
-    (r, r + 2^(n-j)).
-    """
-    if not (1 <= i < j <= n):
-        raise ValueError(f"requires 1 <= i < j <= n, got n={n}, i={i}, j={j}")
-    return _lift(n, j, i, pairs)
-
-
-def hamiltonian_control_below(
-    n: int, i: int, j: int, pairs: tuple[EigenPair2, EigenPair2]
-) -> LocalHamiltonian:
-    """H with C = e^{-iH} for a controlled gate with control after target.
-
-    Straddled-block eigenvectors are prefixed by the untouched identity block
-    of length 2^(n-i) and repeated across the 2^(j-1) pair spans.
-    """
-    if not (1 <= j < i <= n):
-        raise ValueError(f"requires 1 <= j < i <= n, got n={n}, i={i}, j={j}")
-    return _lift(n, j, i, pairs)
 
 
 def embedded_gate_hamiltonian(
@@ -344,11 +299,15 @@ def embedded_gate_hamiltonian(
 
 
 def controlled_gate_hamiltonian(n: int, i: int, j: int, u: OneQubitGate) -> LocalHamiltonian:
-    """Dispatch on qubit ordering, computing the gate eigenpairs internally."""
-    pairs = eigenpairs_2x2(u)
-    if i < j:
-        return hamiltonian_control_above(n, i, j, pairs)
-    return hamiltonian_control_below(n, i, j, pairs)
+    """H with C = e^{-iH} for a controlled gate, control i and target j in
+    either order. Term vectors sit on the target pairs whose control bit is
+    1: the control-selected blocks when the control comes first, the
+    straddled blocks repeated across the pair spans when it comes second.
+    """
+    if not (1 <= i < j <= n or 1 <= j < i <= n):
+        order = "i < j" if i < j else "j < i"
+        raise ValueError(f"requires 1 <= {order} <= n, got n={n}, i={i}, j={j}")
+    return _lift(n, j, i, eigenpairs_2x2(u))
 
 
 def rotation_string_hamiltonians(
@@ -366,12 +325,12 @@ def rotation_string_hamiltonians(
     ]
 
 
-def exp_minus_ih(h: LocalHamiltonian, ortho_tol: float = ORTHO_TOL) -> np.ndarray:
+def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:
     """e^{-iH} for a projector-sum H with orthonormal term vectors.
 
     Exact rank-1 update: I + sum (e^{-iz} - 1) w w†, valid because every
     direction outside the terms carries eigenvalue 1. Rejects Hamiltonians
-    whose term vectors are not orthonormal within ortho_tol. W is built once
+    whose term vectors are not orthonormal within ORTHO_TOL. W is built once
     and serves both the check and the update.
     """
     out = np.eye(h.dim, dtype=complex)
@@ -379,7 +338,7 @@ def exp_minus_ih(h: LocalHamiltonian, ortho_tol: float = ORTHO_TOL) -> np.ndarra
         return out
     w = h._columns()
     wh = w.conj().T
-    if _gram_defect(w, wh) > ortho_tol:
+    if _gram_defect(w, wh) > ORTHO_TOL:
         raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
     out += (w * (np.exp(-1j * h.z) - 1.0)) @ wh
     return out

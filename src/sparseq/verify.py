@@ -15,7 +15,6 @@ import numpy as np
 from .core import OneQubitGate, eigenpairs_2x2, rotation_gate
 from .engine import Circuit, GateOp, StateVector, run_circuit
 from .gate_matrix import (
-    DENSE_MAX_QUBITS,
     ControlledGateSpec,
     controlled_sparse,
     dense_gate,
@@ -27,11 +26,14 @@ from .hamiltonian import (
     exp_minus_ih,
 )
 
-#: Default verification tolerance; observed errors sit near 1e-15.
-DEFAULT_TOLERANCE = 1e-12
-
-#: Default number of theta samples per sweep.
+#: Number of theta samples per sweep.
 GRID_POINTS = 100
+
+#: Allowed max |H - H†| entry of exp_oracle's input.
+HERM_TOL = 1e-10
+
+#: Share of controlled gates in a random circuit.
+CONTROLLED_FRACTION = 0.5
 
 
 def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -43,8 +45,8 @@ def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
 
 
-def theta_grid(points: int = GRID_POINTS) -> np.ndarray:
-    return np.linspace(-math.pi, math.pi, points)
+def theta_grid() -> np.ndarray:
+    return np.linspace(-math.pi, math.pi, GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -116,21 +118,29 @@ def dense_apply_oracle(m: np.ndarray, state: StateVector) -> StateVector:
     return StateVector(state.n, m @ state.amps)
 
 
-def exp_oracle(h_dense: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
+def exp_oracle(h_dense: np.ndarray) -> np.ndarray:
     """e^{-iH} through a full Hermitian eigendecomposition."""
     h_dense = np.asarray(h_dense, dtype=complex)
-    if float(np.max(np.abs(h_dense - h_dense.conj().T))) > herm_tol:
+    if float(np.max(np.abs(h_dense - h_dense.conj().T))) > HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     eigvals, eigvecs = np.linalg.eigh(h_dense)
     return (eigvecs * np.exp(-1j * eigvals)) @ eigvecs.conj().T
 
 
-def dense_circuit_unitary(circuit: Circuit, max_qubits: int = DENSE_MAX_QUBITS) -> np.ndarray:
+def dense_circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense product of per-gate Kronecker oracles, rightmost op first."""
     out = np.eye(1 << circuit.n, dtype=complex)
     for op in circuit.ops:
-        out = dense_gate(circuit.n, op.j, op.u, op.i, max_qubits) @ out
+        out = dense_gate(circuit.n, op.j, op.u, op.i) @ out
     return out
+
+
+def dense_chain(circuit: Circuit, state: StateVector) -> StateVector:
+    """The circuit applied to state as a dense matrix-vector chain of
+    per-gate Kronecker oracles, O(K 4^n). The input state is never modified."""
+    for op in circuit.ops:
+        state = dense_apply_oracle(dense_gate(circuit.n, op.j, op.u, op.i), state)
+    return state
 
 
 def random_gate(rng: np.random.Generator) -> OneQubitGate:
@@ -144,14 +154,12 @@ def random_gate(rng: np.random.Generator) -> OneQubitGate:
     return OneQubitGate(np.exp(1j * d) * m)
 
 
-def random_circuit(
-    rng: np.random.Generator, n: int, gates: int, controlled_fraction: float = 0.5
-) -> Circuit:
+def random_circuit(rng: np.random.Generator, n: int, gates: int) -> Circuit:
     """Random mix of single-qubit and controlled gates on random positions."""
     ops = []
     for _ in range(gates):
         u = random_gate(rng)
-        if n >= 2 and rng.random() < controlled_fraction:
+        if n >= 2 and rng.random() < CONTROLLED_FRACTION:
             i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             ops.append(GateOp(int(j), u, i=int(i)))
         else:
@@ -171,9 +179,7 @@ def engine_equivalence_deviations(
         k = int(rng.integers(1, max_gates + 1))
         circuit = random_circuit(rng, n, k)
         state = StateVector.zero(n)
-        reference = state.copy()
-        for op in circuit.ops:
-            reference = dense_apply_oracle(dense_gate(n, op.j, op.u, op.i), reference)
+        reference = dense_chain(circuit, state)
         result = run_circuit(circuit, state)
         deviations.append(float(np.max(np.abs(result.amps - reference.amps))))
     return deviations

@@ -17,7 +17,7 @@ from sparseq import (
     run_circuit,
     serialize,
 )
-from sparseq.circuit_ir import circuit_to_json_dict, groups_unitary, hea_source
+from sparseq.circuit_ir import groups_unitary, hea_source
 from sparseq.core import PAULI
 from sparseq.verify import dense_circuit_unitary
 
@@ -245,13 +245,3 @@ class TestCircuitHamiltonians:
         backward = mats[2] @ mats[1] @ mats[0]
         assert frobenius_error(forward, backward) <= 1e-13
 
-
-class TestCircuitJson:
-    def test_export_fields(self):
-        circuit = bind(parse_circuit("qubits 2\nrx q1 0.5\ncx q1 q2\n"))
-        data = circuit_to_json_dict(circuit)
-        assert data["schema"] == 1 and data["n"] == 2
-        single, controlled = data["ops"]
-        assert single["kind"] == "single" and single["theta"] == 0.5
-        assert controlled["kind"] == "controlled" and controlled["i"] == 1
-        assert len(controlled["u"]) == 2 and len(controlled["u"][0]) == 2

@@ -68,6 +68,11 @@ class TestBuildGate:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["build-gate", "--frobnicate"]) == 2
 
+    def test_tol_is_not_an_option(self, capsys):
+        # build-gate checks nothing, so it takes no tolerance.
+        assert main(["build-gate", "-n", "2", "-j", "1", "--gate", "x", "--tol", "1e-9"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_bad_gate_spec_exits_3(self, capsys):
         assert main(["build-gate", "-n", "2", "-i", "1", "-j", "2", "--gate", "nope"]) == 3
 
@@ -163,6 +168,19 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "oracle_deviation=" in out
+
+    def test_oracle_is_a_chain_not_a_circuit_unitary(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run --oracle built the full circuit unitary")
+
+        monkeypatch.setattr(cli, "dense_circuit_unitary", refuse)
+        circuit = write(tmp_path, "c.sq", serialize(hea_template(4, 1)))
+        params = write(tmp_path, "p.json", json.dumps(
+            {name: 0.3 + 0.1 * k for k, name in enumerate(hea_template(4, 1).param_names())}))
+        assert main(["run", circuit, "--params", params, "--oracle"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("oracle_deviation=")
+        assert float(line.partition("=")[2]) <= 1e-12
 
     def test_custom_input_state(self, tmp_path, capsys):
         circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")

@@ -42,18 +42,18 @@ class TestRotationGate:
     def test_random_rotations_are_unitary(self, rng):
         for theta in rng.uniform(-math.pi, math.pi, size=1000):
             for axis in "XYZ":
-                assert validate_unitary(rotation_gate(axis, theta).matrix, 1e-12)
+                assert validate_unitary(rotation_gate(axis, theta).matrix)
 
 
 class TestValidateUnitary:
     def test_identity(self):
-        assert validate_unitary(np.eye(2), 1e-12)
+        assert validate_unitary(np.eye(2))
 
     def test_scaled_column_fails(self):
-        assert not validate_unitary(np.array([[1, 0], [0, 2]]), 1e-12)
+        assert not validate_unitary(np.array([[1, 0], [0, 2]]))
 
     def test_rotation_passes(self):
-        assert validate_unitary(rotation_gate("Y", 0.7).matrix, 1e-12)
+        assert validate_unitary(rotation_gate("Y", 0.7).matrix)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

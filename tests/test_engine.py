@@ -10,7 +10,6 @@ from sparseq import (
     StateVector,
     apply_controlled,
     apply_single_qubit,
-    probabilities,
     rotation_gate,
     run_circuit,
 )
@@ -312,17 +311,17 @@ class TestCircuitValidation:
 
 class TestProbabilities:
     def test_basis_state(self):
-        p = probabilities(StateVector.zero(3))
+        p = StateVector.zero(3).probabilities()
         assert p[0] == 1.0 and p.sum() == 1.0
 
     def test_uniform_superposition(self):
         n = 3
         s = StateVector(n, np.full(1 << n, 1 / math.sqrt(1 << n), dtype=complex))
-        np.testing.assert_allclose(probabilities(s), np.full(1 << n, 1 / (1 << n)))
+        np.testing.assert_allclose(s.probabilities(), np.full(1 << n, 1 / (1 << n)))
 
     def test_sums_to_one(self, rng):
         s = random_state(rng, 6)
-        assert abs(probabilities(s).sum() - 1.0) <= 1e-10
+        assert abs(s.probabilities().sum() - 1.0) <= 1e-10
 
     def test_csv_format(self):
         text = probabilities_csv(StateVector.zero(1))

@@ -278,11 +278,6 @@ class TestSparseUnitaryFormat:
         assert data["dim"] == 4
         assert len(data["rows"]) == 4
 
-    def test_identity_constructor(self):
-        eye = SparseUnitary.identity(8)
-        assert np.array_equal(eye.to_dense(), np.eye(8))
-        assert eye.row(3) == [(3, (1 + 0j))]
-
     def test_rejects_column_overflow(self):
         cols = np.array([[0, 1], [0, 1], [0, 1], [2, 3]])
         vals = np.ones((4, 2), dtype=complex)
@@ -377,7 +372,13 @@ class TestSparseUnitaryJson:
         assert "-0.0" in text
         assert sparse.to_json() == text
         assert sparse.to_json_dict() == json.loads(text)
-        odd = SparseUnitary(2, np.array([[0, -1], [1, -1]]), np.array([[np.nan, 0], [np.inf, 0]]))
-        assert odd.to_json() == reference_sparse_json(odd) == (
-            '{"schema": 1, "dim": 2, "rows": [[[0, NaN, 0.0]], [[1, Infinity, 0.0]]]}'
-        )
+        # Non-finite values never reach the writer: construction rejects them.
+        for bad in ([[np.nan, 0], [1.0, 0]], [[1.0, 0], [np.inf, 0]], [[complex(1, np.nan), 0], [1.0, 0]]):
+            with pytest.raises(ValueError, match="finite"):
+                SparseUnitary(2, np.array([[0, -1], [1, -1]]), np.array(bad))
+        for text in (
+            '{"schema": 1, "dim": 2, "rows": [[[0, NaN, 0.0]], [[1, 1.0, 0.0]]]}',
+            '{"schema": 1, "dim": 2, "rows": [[[0, 1.0, 0.0]], [[1, 1.0, -Infinity]]]}',
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                SparseUnitary.from_json(text)

@@ -1,3 +1,4 @@
+import json
 import math
 from functools import reduce
 
@@ -18,8 +19,6 @@ from sparseq import (
     exp_minus_ih,
     exp_oracle,
     frobenius_error,
-    hamiltonian_control_above,
-    hamiltonian_control_below,
     rotation_gate,
     rotation_string_hamiltonians,
     straddled_pair_block,
@@ -27,6 +26,8 @@ from sparseq import (
     target_pair_block,
     target_pair_eigenpairs,
 )
+from sparseq.core import PAULI
+from sparseq.hamiltonian import _pack
 from sparseq.verify import random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
@@ -115,7 +116,7 @@ class TestStraddledPairEigenpairs:
 class TestControlledHamiltonians:
     def test_two_qubit_control_first_structure(self, generic_gate):
         pairs = eigenpairs_2x2(generic_gate)
-        h = hamiltonian_control_above(2, 1, 2, pairs)
+        h = controlled_gate_hamiltonian(2, 1, 2, generic_gate)
         assert h.dim == 4
         assert len(h.terms) == 2
         for term, src in zip(h.terms, pairs):
@@ -124,7 +125,7 @@ class TestControlledHamiltonians:
 
     def test_two_qubit_target_first_structure(self, generic_gate):
         pairs = eigenpairs_2x2(generic_gate)
-        h = hamiltonian_control_below(2, 2, 1, pairs)
+        h = controlled_gate_hamiltonian(2, 2, 1, generic_gate)
         assert len(h.terms) == 2
         for term, src in zip(h.terms, pairs):
             assert np.array_equal(term.w, [0, src.vector[0], 0, src.vector[1]])
@@ -186,11 +187,20 @@ class TestControlledHamiltonians:
             assert frobenius_error(dense, exp_minus_ih(h)) <= 1e-12
 
     def test_ordering_preconditions(self, generic_gate):
-        pairs = eigenpairs_2x2(generic_gate)
-        with pytest.raises(ValueError):
-            hamiltonian_control_above(3, 3, 1, pairs)
-        with pytest.raises(ValueError):
-            hamiltonian_control_below(3, 1, 3, pairs)
+        # `sparseq hamiltonian -i/-j` prints these texts on stderr.
+        cases = {
+            (2, 2): "requires 1 <= j < i <= n, got n=3, i=2, j=2",
+            (4, 1): "requires 1 <= j < i <= n, got n=3, i=4, j=1",
+            (5, 4): "requires 1 <= j < i <= n, got n=3, i=5, j=4",
+            (2, 0): "requires 1 <= j < i <= n, got n=3, i=2, j=0",
+            (1, 4): "requires 1 <= i < j <= n, got n=3, i=1, j=4",
+            (4, 5): "requires 1 <= i < j <= n, got n=3, i=4, j=5",
+            (0, 2): "requires 1 <= i < j <= n, got n=3, i=0, j=2",
+        }
+        for (i, j), message in cases.items():
+            with pytest.raises(ValueError) as info:
+                controlled_gate_hamiltonian(3, i, j, generic_gate)
+            assert str(info.value) == message
 
 
 class TestEmbeddedGateHamiltonian:
@@ -221,6 +231,17 @@ class TestEmbeddedGateHamiltonian:
 
 
 class TestRotationStrings:
+    def test_dense_terms_match_np_kron_bit_for_bit(self):
+        for n in range(1, 5):
+            for position in range(1, n + 1):
+                for axis in PAULI:
+                    t = PauliStringTerm(-1.2, axis, position, n)
+                    p = np.kron(np.kron(np.eye(1 << (position - 1)), PAULI[axis]),
+                                np.eye(1 << (n - position)))
+                    want_exp = math.cos(-1.2) * np.eye(1 << n) - 1j * math.sin(-1.2) * p
+                    assert t.to_dense().tobytes() == (-1.2 * p).tobytes()
+                    assert t.exp_minus_i().tobytes() == want_exp.tobytes()
+
     def test_zero_angles_exponentiate_to_identity(self):
         for term in rotation_string_hamiltonians(["Z"] * 3, [0.0] * 3):
             assert np.array_equal(term.exp_minus_i(), np.eye(8))
@@ -260,16 +281,15 @@ class TestRotationStrings:
 
 class TestExponentialAndDense:
     def test_empty_hamiltonian_is_identity(self):
-        assert np.array_equal(exp_minus_ih(LocalHamiltonian(4, ())), np.eye(4))
+        assert np.array_equal(exp_minus_ih(LocalHamiltonian(4, [], [], [])), np.eye(4))
 
     def test_single_projector_flips_sign(self):
-        h = LocalHamiltonian(2, (ProjectorTerm(math.pi, np.array([1.0, 0.0])),))
+        h = LocalHamiltonian(2, [math.pi], [[0, 1]], [[1.0, 0.0]])
         np.testing.assert_allclose(exp_minus_ih(h), np.diag([-1, 1]), atol=1e-15)
 
     def test_non_orthonormal_terms_rejected(self):
-        v1 = np.array([1.0, 0.0])
-        v2 = np.array([1.0, 1.0]) / math.sqrt(2)
-        h = LocalHamiltonian(2, (ProjectorTerm(1.0, v1), ProjectorTerm(1.0, v2)))
+        s = 1 / math.sqrt(2)
+        h = LocalHamiltonian(2, [1.0, 1.0], [[0, 1], [0, 1]], [[1.0, 0.0], [s, s]])
         with pytest.raises(ValueError):
             exp_minus_ih(h)
 
@@ -283,7 +303,7 @@ class TestExponentialAndDense:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
     def test_empty_dense_is_zero(self):
-        assert np.array_equal(LocalHamiltonian(4, ()).to_dense(), np.zeros((4, 4)))
+        assert np.array_equal(LocalHamiltonian(4, [], [], []).to_dense(), np.zeros((4, 4)))
 
     def test_cnot_dense_realization(self):
         h = controlled_gate_hamiltonian(2, 1, 2, X)
@@ -309,7 +329,7 @@ class TestExponentialAndDense:
         with pytest.raises(ValueError):
             ProjectorTerm(z, np.array(w))
         with pytest.raises(ValueError):
-            LocalHamiltonian.from_arrays(2, [z], [[0, 1]], [w])
+            LocalHamiltonian(2, [z], [[0, 1]], [w])
 
     @pytest.mark.parametrize("text", [
         '{"schema": 1, "dim": 2, "terms": [{"z": 1.0, "w": [[NaN, 0.0], [0.0, 0.0]]}]}',
@@ -322,20 +342,22 @@ class TestExponentialAndDense:
             LocalHamiltonian.from_json(text)
 
     def test_more_than_two_nonzero_entries_rejected(self):
-        w = np.array([1.0, 1.0, 1.0, 0.0]) / math.sqrt(3)
+        c = 1 / math.sqrt(3)
+        w = [[c, 0.0], [c, 0.0], [c, 0.0], [0.0, 0.0]]
+        text = json.dumps({"schema": 1, "dim": 4, "terms": [{"z": 1.0, "w": w}]})
         with pytest.raises(ValueError, match="more than two"):
-            LocalHamiltonian(4, (ProjectorTerm(1.0, w),))
+            LocalHamiltonian.from_json(text)
 
     def test_bad_packed_slots_rejected(self):
         for slots in ([[1, 1]], [[1, 0]], [[0, 4]], [[-1, 2]]):
             with pytest.raises(ValueError):
-                LocalHamiltonian.from_arrays(4, [1.0], slots, [[1.0, 0.0]])
+                LocalHamiltonian(4, [1.0], slots, [[1.0, 0.0]])
 
     def test_explicit_terms_are_packed_in_order(self):
         w1 = np.array([0.0, -0.0, 0.6, 0.8j])
         w2 = np.array([0.0, 1.0, 0.0, 0.0])
         w3 = np.array([-0.0, 0.0, 0.0, -1.0])
-        h = LocalHamiltonian(4, (ProjectorTerm(0.5, w1), ProjectorTerm(-1.0, w2), ProjectorTerm(2.0, w3)))
+        h = LocalHamiltonian(4, [0.5, -1.0, 2.0], *_pack(np.array([w1, w2, w3])))
         assert h.slots.tolist() == [[2, 3], [0, 1], [0, 3]]
         assert [t.z for t in h.terms] == [0.5, -1.0, 2.0]
         for t, w in zip(h.terms, (w1, w2, w3)):

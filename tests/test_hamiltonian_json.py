@@ -182,7 +182,7 @@ SIGNED_ZERO_ROWS = {
 
 
 def test_memoized_writer_keeps_signed_zeros_from_arrays():
-    h = LocalHamiltonian.from_arrays(8, **SIGNED_ZERO_ROWS)
+    h = LocalHamiltonian(8, **SIGNED_ZERO_ROWS)
     text = h.to_json()
     ref = json.dumps(reference_dict(8, dense_rows(8, *SIGNED_ZERO_ROWS.values())))
     assert text == ref
@@ -212,7 +212,7 @@ def test_exp_minus_ih_builds_w_once(monkeypatch):
     h = controlled_gate_hamiltonian(4, 3, 1, rotation_gate("Y", 0.9))
     exp_minus_ih(h)
     assert calls == [h]
-    skewed = LocalHamiltonian.from_arrays(
+    skewed = LocalHamiltonian(
         4, [1.0, 1.0], [[0, 1], [0, 2]], [[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]]
     )
     with pytest.raises(ValueError, match="not orthonormal"):

@@ -117,6 +117,10 @@ def corpus():
     yield ["hamiltonian", "--check"]
     yield ["build-gate", "-n", "3", "-i", "2", "-j", "2", "--gate", "x"]
     yield ["build-gate", "-n", "3", "-j", "1", "--gate", "frob"]
+    yield ["build-gate", "-n", "2", "-j", "1", "--gate", "x", "--tol", "1e-9"]
+    for placement in (["-i", "2", "-j", "2"], ["-i", "4", "-j", "1"], ["-i", "1", "-j", "4"],
+                      ["-j", "4"]):
+        yield ["hamiltonian", "-n", "3", *placement, "--gate", "x"]
     yield ["run", "missing.sq"]
 
 
