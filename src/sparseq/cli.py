@@ -2,9 +2,9 @@
 execution, and verification sweeps with stable file outputs.
 
 Exit codes: 0 success, 1 verification exceedance, 2 usage or parse error,
-3 validation error, a register too large for memory included. The QSIM_TOL
-environment variable overrides the default tolerance of 1e-12; an explicit
---tol beats both.
+3 validation error, a register too large for memory or a tolerance that is
+not a finite number >= 0 included. The QSIM_TOL environment variable
+overrides the default tolerance of 1e-12; an explicit --tol beats both.
 
 Before a command allocates its state, packed Hamiltonians or dense check
 matrices, it estimates their peak bytes and refuses (exit 3) when the
@@ -14,7 +14,9 @@ BUDGET_FREE_BYTES skip that read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,9 +66,12 @@ DENSE_JSON_MATRICES = 12
 
 
 def _tolerance(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    return float(os.environ.get("QSIM_TOL", DEFAULT_TOL))
+    """--tol, else QSIM_TOL, else DEFAULT_TOL. A value that is not a finite
+    number >= 0 would decide the verdict by itself, so it is refused."""
+    tol = args.tol if args.tol is not None else float(os.environ.get("QSIM_TOL", DEFAULT_TOL))
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _mem_available(path: str = "/proc/meminfo") -> int | None:
@@ -293,7 +298,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. Parsing never
+    mutates it: each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sparseq",
         description="2-sparse gate builder, Hamiltonian extractor and state-vector simulator",
@@ -307,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--gate", required=True, help="gate spec, e.g. x or rx:0.5")
     build.add_argument("--dense", action="store_true", help="also embed the dense matrix")
     build.add_argument("-o", "--output", default=None)
-    build.set_defaults(func=cmd_build_gate)
 
     ham = sub.add_parser("hamiltonian", help="extract the local Hamiltonian as JSON")
     ham.add_argument("-n", type=int, default=None)
@@ -319,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     ham.add_argument("--check", action="store_true", help="print the reconstruction error")
     ham.add_argument("-o", "--output", default=None)
     ham.add_argument("--tol", type=float, default=None)
-    ham.set_defaults(func=cmd_hamiltonian)
 
     run = sub.add_parser("run", help="simulate a circuit file")
     run.add_argument("circuit")
@@ -329,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", action="store_true", help="cross-check against the dense chain")
     run.add_argument("-o", "--output", default=None)
     run.add_argument("--tol", type=float, default=None)
-    run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="run an error-sweep suite, write CSVs")
     ver.add_argument("--suite", choices=("crx", "strings", "engine"), required=True)
@@ -338,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--out-dir", default=".")
     ver.add_argument("--tol", type=float, default=None)
-    ver.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -349,8 +353,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Looked up at call time, so that a replaced cmd_* takes effect.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (CircuitParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

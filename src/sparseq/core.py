@@ -2,6 +2,7 @@
 and eigenvalue phases on the principal branch."""
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -13,6 +14,9 @@ DEFAULT_TOL = 1e-12
 #: Below this eigenvalue gap a 2x2 unitary is treated as a scalar multiple of
 #: the identity and the canonical basis is returned.
 DEGENERACY_GAP = 1e-10
+
+_E1 = np.array([1, 0], dtype=complex)
+_E2 = np.array([0, 1], dtype=complex)
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -30,6 +34,20 @@ def validate_unitary(m: np.ndarray) -> bool:
     return float(np.max(np.abs(defect))) <= DEFAULT_TOL
 
 
+def _unitary_2x2(a: complex, b: complex, c: complex, d: complex) -> bool:
+    """validate_unitary of [[a, b], [c, d]] in closed form on Python scalars.
+
+    The entries of M†M - I are the two column norms less 1 and the column
+    overlap (the other off-diagonal entry is its conjugate), each summed in
+    the order of the matrix product.
+    """
+    return (
+        abs(a.conjugate() * a + c.conjugate() * c - 1.0) <= DEFAULT_TOL
+        and abs(b.conjugate() * b + d.conjugate() * d - 1.0) <= DEFAULT_TOL
+        and abs(a.conjugate() * b + c.conjugate() * d) <= DEFAULT_TOL
+    )
+
+
 @dataclass(frozen=True)
 class OneQubitGate:
     """A validated 2x2 unitary. The entries u11..u22 are row-major. Gates
@@ -43,9 +61,10 @@ class OneQubitGate:
         object.__setattr__(self, "matrix", m)
         if m.shape != (2, 2):
             raise ValueError(f"one-qubit gate must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        (a, b), (c, d) = m.tolist()
+        if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError("one-qubit gate has non-finite entries")
-        if not validate_unitary(m):
+        if not _unitary_2x2(a, b, c, d):
             raise ValueError("matrix is not unitary within 1e-12")
 
     @property
@@ -114,12 +133,12 @@ def rotation_gate(axis: str, theta: float) -> OneQubitGate:
         m = [[c - 1j * s, 0], [0, c + 1j * s]]
     else:
         raise ValueError(f"unknown rotation axis {axis!r}, expected X, Y or Z")
-    return OneQubitGate(np.array(m, dtype=complex))
+    return OneQubitGate(m)
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
     """Rescale a unit vector so its largest-magnitude entry is real positive."""
-    k = int(np.argmax(np.abs(v)))
+    k = np.abs(v).argmax()
     p = v[k] / abs(v[k])
     return v * p.conjugate()
 
@@ -133,22 +152,21 @@ def eigenpairs_2x2(u: OneQubitGate) -> tuple[EigenPair2, EigenPair2]:
     spectrum (gap < 1e-10) also falls back to it, since then U = lambda*I.
     """
     m = u.matrix
-    e1 = np.array([1, 0], dtype=complex)
-    e2 = np.array([0, 1], dtype=complex)
-    if abs(m[0, 1]) == 0.0 and abs(m[1, 0]) == 0.0:
-        return EigenPair2(m[0, 0], e1), EigenPair2(m[1, 1], e2)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    u11, u12, u21, u22 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    if u12 == 0 and u21 == 0:
+        return EigenPair2(u11, _E1), EigenPair2(u22, _E2)
+    tr = u11 + u22
+    det = u11 * u22 - u12 * u21
     disc = np.sqrt(complex(tr * tr - 4 * det))
     lam1 = (tr + disc) / 2
     lam2 = (tr - disc) / 2
     if abs(lam1 - lam2) < DEGENERACY_GAP:
-        return EigenPair2(lam1, e1), EigenPair2(lam2, e2)
+        return EigenPair2(lam1, _E1), EigenPair2(lam2, _E2)
     # Columns of (U - lam2*I) span the lam1 eigenspace; take the larger one.
-    c1 = np.array([m[0, 0] - lam2, m[1, 0]])
-    c2 = np.array([m[0, 1], m[1, 1] - lam2])
-    v1 = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    v1 = _phase_normalize(v1 / np.linalg.norm(v1))
+    c1 = np.array([u11 - lam2, u21])
+    c2 = np.array([u12, u22 - lam2])
+    n1, n2 = np.linalg.norm(c1), np.linalg.norm(c2)
+    v1 = _phase_normalize(c1 / n1 if n1 >= n2 else c2 / n2)
     v2 = _phase_normalize(np.array([-v1[1].conjugate(), v1[0].conjugate()]))
     return EigenPair2(lam1, v1), EigenPair2(lam2, v2)
 

@@ -277,27 +277,32 @@ def kron_chain(factors: list[np.ndarray]) -> np.ndarray:
     return reduce(_kron, factors)
 
 
+def _kron_placed(n: int, placed: dict[int, np.ndarray]) -> np.ndarray:
+    """I ⊗ f ⊗ I ⊗ g ⊗ I for 2x2 factors at 1-based positions of an n-qubit
+    register, each run of identity factors merged into one identity block."""
+    factors, q = [], 1
+    for pos in sorted(placed):
+        factors += [np.eye(1 << (pos - q)), placed[pos]]
+        q = pos + 1
+    factors.append(np.eye(1 << (n - q + 1)))
+    return kron_chain(factors)
+
+
 def kron_embedded_dense(n: int, j: int, u: OneQubitGate) -> np.ndarray:
     """Reference dense matrix I_{2^(j-1)} ⊗ u ⊗ I_{2^(n-j)}."""
     if not 1 <= j <= n:
         raise ValueError(f"target position {j} out of range 1..{n}")
     _check_dense_cap(n)
-    return kron_chain([np.eye(1 << (j - 1)), np.asarray(u.matrix), np.eye(1 << (n - j))])
+    return _kron_placed(n, {j: np.asarray(u.matrix)})
 
 
 def kron_controlled_dense(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
     """Reference dense controlled gate as a projector sum: |0><0| branch at
     the control carries the identity, the |1><1| branch carries u at the
     target."""
-    spec = ControlledGateSpec(n, i, j, u)  # reuse validation
+    ControlledGateSpec(n, i, j, u)  # reuse validation
     _check_dense_cap(n)
-    eye2 = np.eye(2)
-    idle = [_P0 if q == spec.i else eye2 for q in range(1, n + 1)]
-    active = [
-        _P1 if q == spec.i else (np.asarray(u.matrix) if q == spec.j else eye2)
-        for q in range(1, n + 1)
-    ]
-    return kron_chain(idle) + kron_chain(active)
+    return _kron_placed(n, {i: _P0}) + _kron_placed(n, {i: _P1, j: np.asarray(u.matrix)})
 
 
 def dense_gate(n: int, j: int, u: OneQubitGate, i: int | None = None) -> np.ndarray:

@@ -13,10 +13,11 @@ per term (T, 2) and the two slot values (T, 2). Dense vectors exist only in
 the capped oracle path (to_dense, gram_defect, exp_minus_ih) and in the
 `terms` view.
 
-The schema-1 JSON writer (json_chunks) streams one term at a time. A lifted
-Hamiltonian repeats at most two (z, slot values) rows over all its slot
-pairs, so the text of each distinct row is formatted once, memoized on the
-row's bit pattern, and each term is zero padding around cached strings.
+The schema-1 JSON writer (json_chunks) streams a bounded batch of terms at a
+time. A lifted Hamiltonian repeats at most two (z, slot values) rows over
+all its slot pairs, so the text of each distinct row is formatted once,
+memoized on the row's bit pattern, and each term is zero padding around
+cached strings.
 """
 from __future__ import annotations
 
@@ -36,20 +37,28 @@ ORTHO_TOL = 1e-10
 #: Allowed |norm - 1| of a projector term vector.
 UNIT_TOL = 1e-12
 
+#: Vector entries per text piece of LocalHamiltonian.json_chunks, about 48 KB
+#: of text: few enough writes per Hamiltonian, and a piece small enough to
+#: stay in cache while it is joined, encoded and written (at 64 Ki entries
+#: `hamiltonian -n 12 -j 2 --gate x` ran 2.8x slower).
+_JSON_PIECE_ENTRIES = 1 << 12
+
 
 def _check_terms(z: np.ndarray, norms: np.ndarray):
     """Reject weights outside (-pi, pi] or zero, and term vectors that are not
     unit vectors. Written so that NaN fails every comparison."""
-    bad = ~((z > -math.pi) & (z <= math.pi) & (z != 0.0))
-    if bad.any():
-        raise ValueError(f"term weight {z[bad][0]} outside (-pi, pi] or zero")
-    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):
+    good = (z > -math.pi) & (z <= math.pi) & (z != 0.0)
+    if not good.all():
+        raise ValueError(f"term weight {z[~good][0]} outside (-pi, pi] or zero")
+    if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
         raise ValueError("term vector is not a finite unit vector")
 
 
 def _gram_defect(w: np.ndarray, wh: np.ndarray) -> float:
     """max |W†W - I| for W and its conjugate transpose W†."""
-    return float(np.max(np.abs(wh @ w - np.eye(w.shape[1]))))
+    gram = wh @ w
+    gram.reshape(-1)[:: w.shape[1] + 1] -= 1.0
+    return float(np.max(np.abs(gram)))
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,11 @@ class LocalHamiltonian:
         values = np.array(values, dtype=complex).reshape(-1, 2)
         if not len(z) == len(slots) == len(values):
             raise ValueError("weights, slots and values differ in term count")
-        if not np.all((0 <= slots[:, 0]) & (slots[:, 0] < slots[:, 1]) & (slots[:, 1] < dim)):
+        low, high = slots.T
+        if not ((0 <= low) & (low < high) & (high < dim)).all():
             raise ValueError(f"term slots must be ascending indices in 0..{dim - 1}")
-        _check_terms(z, np.linalg.norm(values, axis=1))
+        # The row norms as np.linalg.norm(values, axis=1) sums them.
+        _check_terms(z, np.sqrt((values.conj() * values).real.sum(axis=1)))
         for a in (z, slots, values):
             a.setflags(write=False)
         object.__setattr__(self, "dim", int(dim))
@@ -122,10 +133,10 @@ class LocalHamiltonian:
 
     def _columns(self) -> np.ndarray:
         """The (dim x T) matrix W whose column k is term vector k."""
-        w = np.zeros((self.dim, len(self.z)), dtype=complex)
-        terms = np.arange(len(self.z))
-        w[self.slots[:, 0], terms] = self.values[:, 0]
-        w[self.slots[:, 1], terms] = self.values[:, 1]
+        count = len(self.z)
+        w = np.zeros((self.dim, count), dtype=complex)
+        # Entry (row r, column k) sits at r * count + k of the flat buffer.
+        w.reshape(-1)[self.slots * count + np.arange(count)[:, None]] = self.values
         return w
 
     def to_dense(self) -> np.ndarray:
@@ -141,9 +152,11 @@ class LocalHamiltonian:
         return _gram_defect(w, w.conj().T)
 
     def json_chunks(self):
-        """Schema-1 JSON text in pieces, one per term. Joined, they equal
-        json.dumps of {"schema": 1, "dim": D, "terms": [{"z": z, "w": [[re, im],
-        ...]}, ...]} with every entry of every term vector written out.
+        """Schema-1 JSON text in pieces: the opening, runs of up to max(1,
+        _JSON_PIECE_ENTRIES // dim) terms with a ", " piece between runs, and
+        the closing. Joined, they equal json.dumps of {"schema": 1, "dim": D,
+        "terms": [{"z": z, "w": [[re, im], ...]}, ...]} with every entry of
+        every term vector written out.
 
         Each distinct (z, slot values) row is formatted once, keyed on its
         bit pattern rather than float equality, so -0.0 and 0.0 keep their
@@ -152,24 +165,29 @@ class LocalHamiltonian:
         yield f'{{"schema": 1, "dim": {self.dim}, "terms": ['
         bits = np.column_stack((self.z.view(np.uint64), self.values.view(np.uint64)))
         keys = bits.view(np.dtype((np.void, bits.itemsize * 5))).ravel().tolist()
+        slots = self.slots.tolist()
         texts: dict[bytes, tuple[str, str, str]] = {}
         zero, tail = "[0.0, 0.0], ", ", [0.0, 0.0]"
-        sep = ""
-        for k, (key, (a, b)) in enumerate(zip(keys, self.slots.tolist())):
-            text = texts.get(key)
-            if text is None:
-                (va, vb), z = self.values[k].tolist(), float(self.z[k])
-                text = texts[key] = (
-                    f'{{"z": {z!r}, "w": [',
-                    f"[{va.real!r}, {va.imag!r}], ",
-                    f"[{vb.real!r}, {vb.imag!r}]",
+        per_piece = max(1, _JSON_PIECE_ENTRIES // self.dim)
+        for start in range(0, len(keys), per_piece):
+            parts = []
+            for k in range(start, min(start + per_piece, len(keys))):
+                text = texts.get(keys[k])
+                if text is None:
+                    (va, vb), z = self.values[k].tolist(), float(self.z[k])
+                    text = texts[keys[k]] = (
+                        f'{{"z": {z!r}, "w": [',
+                        f"[{va.real!r}, {va.imag!r}], ",
+                        f"[{vb.real!r}, {vb.imag!r}]",
+                    )
+                head, low, high = text
+                a, b = slots[k]
+                parts.append(
+                    f"{head}{zero * a}{low}{zero * (b - a - 1)}{high}{tail * (self.dim - b - 1)}]}}"
                 )
-            head, low, high = text
-            yield (
-                f"{sep}{head}{zero * a}{low}{zero * (b - a - 1)}"
-                f"{high}{tail * (self.dim - b - 1)}]}}"
-            )
-            sep = ", "
+            if start:
+                yield ", "
+            yield ", ".join(parts)
         yield "]}"
 
     def to_json(self) -> str:
@@ -281,11 +299,12 @@ def _lift(
     of pair_lows(n, j, i), in ascending order of the pair's low index."""
     lows = pair_lows(n, j, i)
     kept = [(z, p.vector) for p in pairs if (z := phase_of(p.value)) != 0.0]
+    spans = (lows[:, None] + np.array([0, 1 << (n - j)]))[None]
     return LocalHamiltonian(
         1 << n,
-        np.repeat([z for z, _ in kept], len(lows)),
-        np.tile(np.column_stack((lows, lows + (1 << (n - j)))), (len(kept), 1)),
-        np.repeat([v for _, v in kept], len(lows), axis=0),
+        np.array([z for z, _ in kept], dtype=float).repeat(len(lows)),
+        spans.repeat(len(kept), axis=0).reshape(-1, 2),
+        np.array([v for _, v in kept], dtype=complex).reshape(-1, 2).repeat(len(lows), axis=0),
     )
 
 
@@ -331,14 +350,15 @@ def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:
     Exact rank-1 update: I + sum (e^{-iz} - 1) w w†, valid because every
     direction outside the terms carries eigenvalue 1. Rejects Hamiltonians
     whose term vectors are not orthonormal within ORTHO_TOL. W is built once
-    and serves both the check and the update.
+    and serves both the check and the update, and the identity is added on
+    the diagonal of the update, never built.
     """
-    out = np.eye(h.dim, dtype=complex)
     if not len(h.z):
-        return out
+        return np.eye(h.dim, dtype=complex)
     w = h._columns()
     wh = w.conj().T
     if _gram_defect(w, wh) > ORTHO_TOL:
         raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
-    out += (w * (np.exp(-1j * h.z) - 1.0)) @ wh
+    out = (w * (np.exp(-1j * h.z) - 1.0)) @ wh
+    out.reshape(-1)[:: h.dim + 1] += 1.0
     return out

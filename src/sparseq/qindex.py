@@ -18,14 +18,21 @@ def pair_lows(n: int, j: int, i: int | None = None) -> np.ndarray:
     """Ascending indices k with qubit j = 0 (and qubit i = 1 if i is given).
 
     Each k is the low member of the target pair (k, k + 2^(n-j)); there are
-    2^(n-1) of them, or 2^(n-2) with a control.
+    2^(n-1) of them, or 2^(n-2) with a control. They are built by inserting
+    the fixed bits into a count over the free ones, lowest bit first, which
+    keeps the count's order.
     """
     if not 1 <= j <= n:
         raise ValueError(f"target position {j} out of range 1..{n}")
-    k = np.arange(1 << n)
-    selected = (k >> (n - j)) & 1 == 0
+    bits = [n - j]
     if i is not None:
         if not 1 <= i <= n or i == j:
             raise ValueError(f"control position {i} invalid for target {j} of 1..{n}")
-        selected &= (k >> (n - i)) & 1 == 1
-    return k[selected]
+        bits.append(n - i)
+    k = np.arange(1 << (n - len(bits)))
+    for bit in sorted(bits):
+        # A zero at `bit`: the bits from `bit` up move one place up.
+        k += k >> bit << bit
+    if i is not None:
+        k |= 1 << (n - i)
+    return k

@@ -360,3 +360,69 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "strings", "-n", "2", "--tol", "1e-12",
                      "--out-dir", str(tmp_path)])
         assert code == 0
+
+
+class TestTolerance:
+    """A tolerance that is NaN, infinite or negative would decide a check by
+    itself, so every checking command refuses it with exit 3 before any
+    output, whether it comes from --tol or from QSIM_TOL."""
+
+    def argv(self, tmp_path, command):
+        if command == "run":
+            return ["run", write(tmp_path, "bell.sq", BELL), "--oracle",
+                    "-o", str(tmp_path / "out")]
+        if command == "hamiltonian":
+            return ["hamiltonian", "-n", "2", "-i", "1", "-j", "2", "--gate", "x", "--check",
+                    "-o", str(tmp_path / "out")]
+        return ["verify", "--suite", "strings", "-n", "2", "--out-dir", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command", ["run", "hamiltonian", "verify"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bad_tolerance_exits_3(self, tmp_path, capsys, monkeypatch, command, value, source):
+        argv = self.argv(tmp_path, command)
+        if source == "flag":
+            argv += [f"--tol={value}"]
+        else:
+            monkeypatch.setenv("QSIM_TOL", value)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: tolerance must be a finite number >= 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "hamiltonian", "verify"])
+    def test_non_numeric_env_tolerance_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("QSIM_TOL", "abc")
+        assert main(self.argv(tmp_path, command)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("validation error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "hamiltonian", "verify"])
+    def test_zero_tolerance_is_a_tolerance(self, tmp_path, capsys, command):
+        # The Bell circuit's oracle deviation is exactly 0.0; the others exceed 0.
+        want = 0 if command == "run" else 1
+        assert main(self.argv(tmp_path, command) + ["--tol", "0"]) == want
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; calls must not share options."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        circuit = write(tmp_path, "bell.sq", BELL)
+        assert main(["run", circuit, "--amplitudes"]) == 0
+        assert capsys.readouterr().out.startswith("index,re,im\n")
+        assert main(["run", circuit]) == 0
+        assert capsys.readouterr().out.startswith("index,probability\n")
+        gate = ["hamiltonian", "-n", "2", "-j", "1", "--gate", "h"]
+        assert main([*gate, "--check", "-o", str(tmp_path / "h.json")]) == 0
+        assert capsys.readouterr().out.startswith("reconstruction_error=")
+        assert main([*gate, "-o", str(tmp_path / "h.json")]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_a_replaced_command_takes_effect(self, tmp_path, capsys, monkeypatch):
+        circuit = write(tmp_path, "bell.sq", BELL)
+        assert main(["run", circuit]) == 0
+        monkeypatch.setattr(cli, "cmd_run", lambda args: 7)
+        assert main(["run", circuit]) == 7

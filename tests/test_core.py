@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseq import (
     OneQubitGate,
@@ -60,10 +61,71 @@ class TestValidateUnitary:
             validate_unitary(np.ones((2, 3)))
 
 
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+
+#: Signed zeros, subnormal, tiny and huge angles, and ±π.
+EDGE_ANGLES = (0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, math.pi, -math.pi, 1e16)
+
+
+def perturbations():
+    """Fixed unitaries with one entry moved by 1e-13 .. 1e-11, in a fixed
+    direction, on either side of the 1e-12 bound."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for size in np.geomspace(1e-13, 1e-11, 41):
+        u = random_gate(rng).matrix
+        for entry in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for direction in (1.0, -1.0, 1j, -1j, np.exp(0.7j)):
+                m = u.copy()
+                m[entry] += size * direction
+                cases.append(m)
+    return cases
+
+
 class TestOneQubitGate:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             OneQubitGate(np.array([[1, 0], [0, 2]]))
+
+    @PROPERTY
+    @given(
+        st.sampled_from("XYZ"),
+        st.one_of(st.sampled_from(EDGE_ANGLES), st.floats(allow_nan=False, allow_infinity=False)),
+    )
+    def test_every_rotation_is_accepted(self, axis, theta):
+        u = rotation_gate(axis, theta)
+        assert validate_unitary(u.matrix)
+
+    def test_perturbed_entries_rejected_with_the_same_text(self):
+        u = rotation_gate("Y", 0.9).matrix
+        for entry in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            m = u.copy()
+            m[entry] += 1e-11
+            with pytest.raises(ValueError, match=r"^matrix is not unitary within 1e-12$"):
+                OneQubitGate(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                     complex(math.inf, 0)])
+    def test_non_finite_entries_rejected_with_the_same_text(self, bad):
+        for entry in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            m = np.eye(2, dtype=complex)
+            m[entry] = bad
+            with pytest.raises(ValueError, match=r"^one-qubit gate has non-finite entries$"):
+                OneQubitGate(m)
+
+    def test_accepts_exactly_what_validate_unitary_accepts(self):
+        cases = perturbations()
+        verdicts = []
+        for m in cases:
+            try:
+                OneQubitGate(m)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == validate_unitary(m)
+            verdicts.append(accepted)
+        # The corpus straddles the bound: both verdicts occur.
+        assert any(verdicts) and not all(verdicts)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):

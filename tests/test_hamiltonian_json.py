@@ -107,6 +107,28 @@ def test_bytes_order_and_exponential_match_reference(name, generic_gate):
         assert np.max(np.abs(exp_minus_ih(h) - reference_exp(1 << n, ref)), initial=0) <= 1e-15
 
 
+@pytest.mark.parametrize("entries", [1, 100, 1 << 9, None])
+def test_pieces_are_bounded_and_join_to_the_reference(entries, generic_gate, monkeypatch):
+    """Between the opening and the closing text, pieces of terms alternate
+    with ", " separators, and each holds at most max(1, _JSON_PIECE_ENTRIES //
+    dim) terms; small constants split every Hamiltonian with n <= 7 into
+    many pieces."""
+    if entries is not None:
+        monkeypatch.setattr(sparseq.hamiltonian, "_JSON_PIECE_ENTRIES", entries)
+    limit = sparseq.hamiltonian._JSON_PIECE_ENTRIES
+    for n, j, i in placements(7):
+        h = build(n, j, i, generic_gate)
+        pieces = list(h.json_chunks())
+        per_piece = max(1, limit // h.dim)
+        body = pieces[1:-1]
+        assert all(piece == ", " for piece in body[1::2]), (n, j, i)
+        counts = [piece.count('{"z": ') for piece in body[::2]]
+        assert all(0 < c <= per_piece for c in counts), (n, j, i)
+        assert sum(counts) == len(h.z) and len(counts) == -(-len(h.z) // per_piece)
+        ref = reference_terms(n, j, i, generic_gate.eigenpairs())
+        assert "".join(pieces) == json.dumps(reference_dict(1 << n, ref)), (n, j, i)
+
+
 def test_circuit_payload_matches_reference(tmp_path, rng):
     template = hea_template(6, 1)
     params = {name: float(rng.uniform(-math.pi, math.pi)) for name in template.param_names()}

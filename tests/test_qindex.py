@@ -126,6 +126,16 @@ class TestControlBlocks:
             ]
             assert pair_lows(n, j, i).tolist() == want, (n, j, i)
 
+    def test_n20_equals_the_mask_over_all_indices(self):
+        n = 20
+        k = np.arange(1 << n)
+        for j, i in [(1, None), (20, None), (7, None), (3, 17), (17, 3), (1, 20), (20, 1)]:
+            mask = (k >> (n - j)) & 1 == 0
+            if i is not None:
+                mask &= (k >> (n - i)) & 1 == 1
+            got = pair_lows(n, j, i)
+            assert got.dtype == k.dtype and np.array_equal(got, k[mask]), (j, i)
+
     def test_total_length_is_half_the_basis(self):
         for n, j, i in placements():
             count = len(pair_lows(n, j, i))

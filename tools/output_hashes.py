@@ -69,7 +69,7 @@ def write_inputs(work: Path):
     (work / "bell.sq").write_text("qubits 2\nu q1 h\ncx q1 q2\n", encoding="utf-8")
     (work / "mixed.sq").write_text(MIXED, encoding="utf-8")
     (work / "mixed.json").write_text(json.dumps({"a": 0.9, "b": -1.3}), encoding="utf-8")
-    for n, layers in ((3, 2), (6, 1), (10, 1)):
+    for n, layers in ((3, 2), (6, 1), (9, 1), (10, 1)):
         (work / f"hea{n}.sq").write_text(hea_source(n, layers), encoding="utf-8")
         (work / f"hea{n}.json").write_text(json.dumps(hea_params(n, layers)), encoding="utf-8")
     amps = [[math.cos(k + 0.5) / 2.0, math.sin(k + 0.5) / 2.0] for k in range(4)]
@@ -122,6 +122,13 @@ def corpus():
                       ["-j", "4"]):
         yield ["hamiltonian", "-n", "3", *placement, "--gate", "x"]
     yield ["run", "missing.sq"]
+    # Hamiltonian text on stdout, and Hamiltonians that span several pieces.
+    yield ["hamiltonian", "--circuit", "hea6.sq", "--params", "hea6.json"]
+    yield ["hamiltonian", "--circuit", "hea6.sq", "--params", "hea6.json", "--check"]
+    yield ["hamiltonian", "--circuit", "hea9.sq", "--params", "hea9.json", "--check", "-o", "out"]
+    # Tolerances that are not a finite number >= 0.
+    yield ["run", "bell.sq", "--oracle", "--tol", "nan", "-o", "out"]
+    yield ["run", "bell.sq", "--oracle", "--tol", "-1", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
