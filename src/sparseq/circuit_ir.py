@@ -394,9 +394,8 @@ def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
 
 
 def groups_unitary(groups: list[HamiltonianGroup], dim: int) -> np.ndarray:
-    """Dense circuit unitary reconstructed from the Hamiltonian groups."""
-    out = np.eye(dim, dtype=complex)
-    for g in reversed(groups):
-        out = out @ g.unitary()
-    return out
+    """Dense circuit unitary from the Hamiltonian groups, last group leftmost."""
+    if not groups:
+        return np.eye(dim, dtype=complex)
+    return reduce(np.matmul, (g.unitary() for g in reversed(groups)))
 

@@ -55,14 +55,15 @@ BUDGET_FREE_BYTES = 256 << 20
 # state and the Python text of its output line. A packed Hamiltonian keeps 56
 # bytes per term and needs about 110 more while one is built. Counted in
 # complex 2^n x 2^n matrices alive at once: 6 for a gate's --check or the run
-# oracle, 12 for a circuit's --check and for the float lists of --dense.
+# oracle, 12 for a circuit's --check, 2 for --dense: it streams its rows, but
+# a caller that captures stdout holds all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56
 TERM_BUILD_BYTES = 112
 CHECK_MATRICES = 6
 CIRCUIT_CHECK_MATRICES = 12
-DENSE_JSON_MATRICES = 12
+DENSE_JSON_MATRICES = 2
 
 
 def _tolerance(args) -> float:
@@ -118,10 +119,6 @@ def parse_gate_spec(spec: str) -> OneQubitGate:
     raise ValueError(f"unknown gate spec {spec!r}")
 
 
-def _dense_json(m: np.ndarray) -> list:
-    return [[[float(c.real), float(c.imag)] for c in row] for row in m]
-
-
 def _write(chunks, path: str | None):
     """Write text pieces to path, or to stdout when path is None."""
     if path is None:
@@ -135,6 +132,23 @@ def _ended(chunks):
     """The text pieces, then a closing newline."""
     yield from chunks
     yield "\n"
+
+
+def _with_dense(sparse):
+    """The gate's text with "dense": to_dense() as rows of [re, im] pairs, as
+    json.dumps writes them. Each row is zeros around the row's stored slots,
+    so no dense matrix is built."""
+    *head, tail = sparse.json_chunks()
+    yield from head
+    yield tail[:-1] + ', "dense": ['
+    zero = "[0.0, 0.0]"
+    for k, (cols, vals) in enumerate(zip(sparse.cols.tolist(), sparse.vals.tolist())):
+        row = [zero] * sparse.dim
+        for c, v in zip(cols, vals):
+            if c >= 0:
+                row[c] = json.dumps([v.real, v.imag])
+        yield ("[" if k == 0 else ", [") + ", ".join(row) + "]"
+    yield "]}"
 
 
 def _circuit_json(n: int, groups):
@@ -163,12 +177,7 @@ def cmd_build_gate(args) -> int:
         "build-gate", args.n, SPARSE_BYTES_PER_ROW, DENSE_JSON_MATRICES if args.dense else 0
     )
     sparse = _build_sparse(args)
-    if not args.dense:
-        _write(_ended(sparse.json_chunks()), args.output)
-        return 0
-    payload = sparse.to_json_dict()
-    payload["dense"] = _dense_json(sparse.to_dense())
-    _write([json.dumps(payload) + "\n"], args.output)
+    _write(_ended(_with_dense(sparse) if args.dense else sparse.json_chunks()), args.output)
     return 0
 
 

@@ -1,9 +1,10 @@
 """O(2^n)-per-gate state-vector kernels and circuit execution.
 
-Gates update amplitude pairs (k, k +- 2^(n-j)) in place: both new values of a
-pair depend only on the pair's old values, so reading both slices before
-writing them back is safe and avoids a second buffer. Controlled gates touch
-only the half of the register whose control bit is 1. A diagonal gate (rz, s,
+Gates update amplitude pairs (k, k + 2^(n-j)) in place, through the strided
+views that qindex.pair_views gives of the state: both new values of a pair
+depend only on the pair's old values, so reading both views before writing
+them back is safe and avoids a second buffer. Controlled gates touch only
+the half of the register whose control bit is 1. A diagonal gate (rz, s,
 t, z, cz, crz, or any u whose off-diagonal entries are exactly 0) is one
 in-place multiply per half, and a half whose entry is exactly 1 is not
 touched at all. The sign of an exact zero amplitude is therefore not
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OneQubitGate
+from .qindex import pair_views
 
 #: Norm tolerance at construction and after a whole circuit.
 NORM_TOL = 1e-10
@@ -196,39 +198,19 @@ class Circuit:
 
 def apply_single_qubit(state: StateVector, j: int, u: OneQubitGate) -> StateVector:
     """Apply u to qubit j in place: one pass of paired multiply-adds."""
-    n = state.n
-    if not 1 <= j <= n:
-        raise ValueError(f"target position {j} out of range 1..{n}")
-    t = state.amps.reshape(1 << (j - 1), 2, -1)
-    _mix_pairs(t[:, 0, :], t[:, 1, :], u)
+    _mix_pairs(*pair_views(state.amps, state.n, j), u)
     return state
 
 
 def apply_controlled(state: StateVector, i: int, j: int, u: OneQubitGate) -> StateVector:
-    """Apply a controlled-u gate (control i, target j) in place.
-
-    Amplitudes with control bit 0 are untouched; within the control-selected
-    half, pairs at offset 2^(n-j) mix through u. Both qubit orderings run
-    through the same slicing schedule.
-    """
-    n = state.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"positions ({i}, {j}) out of range 1..{n}")
-    if i == j:
-        raise ValueError("control equals target")
-    a, b = (i, j) if i < j else (j, i)
-    t = state.amps.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, -1)
-    if i < j:  # axis 1 = control, axis 3 = target
-        _mix_pairs(t[:, 1, :, 0, :], t[:, 1, :, 1, :], u)
-    else:  # axis 1 = target, axis 3 = control
-        _mix_pairs(t[:, 0, :, 1, :], t[:, 1, :, 1, :], u)
+    """Apply controlled-u (control i, target j) in place; control-0 amplitudes stay."""
+    _mix_pairs(*pair_views(state.amps, state.n, j, i), u)
     return state
 
 
 def apply_op(state: StateVector, op: GateOp) -> StateVector:
-    if op.i is None:
-        return apply_single_qubit(state, op.j, op.u)
-    return apply_controlled(state, op.i, op.j, op.u)
+    _mix_pairs(*pair_views(state.amps, state.n, op.j, op.i), op.u)
+    return state
 
 
 def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVector:

@@ -6,33 +6,41 @@ index k decomposes as k = sum_alpha k_alpha * 2^(n-alpha). Basis indices are
 
 A single-qubit gate on qubit j couples index k only with its target partner
 k + 2^(n-j), for every k whose qubit j is 0; a controlled gate does so only
-where the control qubit i is 1 as well. Sparse gates, lifted eigenvectors and
-projector Hamiltonians all sit on these pairs.
+where the control qubit i is 1 as well. pair_views is the only encoding of
+that rule: the engine kernels mix its views of the state in place, and
+pair_lows, the index form behind sparse gates, lifted eigenvectors and
+projector Hamiltonians, is its low view of the basis indices.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def pair_lows(n: int, j: int, i: int | None = None) -> np.ndarray:
-    """Ascending indices k with qubit j = 0 (and qubit i = 1 if i is given).
+def pair_views(
+    a: np.ndarray, n: int, j: int, i: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (low, high) strided views of a contiguous length-2^n array a.
 
-    Each k is the low member of the target pair (k, k + 2^(n-j)); there are
-    2^(n-1) of them, or 2^(n-2) with a control. They are built by inserting
-    the fixed bits into a count over the free ones, lowest bit first, which
-    keeps the count's order.
+    low holds the entries at indices k with qubit j = 0 (and qubit i = 1 if i
+    is given), high those at the partners k + 2^(n-j), both in ascending
+    order of k. They share a's memory, so writing them updates a in place.
     """
     if not 1 <= j <= n:
         raise ValueError(f"target position {j} out of range 1..{n}")
-    bits = [n - j]
-    if i is not None:
-        if not 1 <= i <= n or i == j:
-            raise ValueError(f"control position {i} invalid for target {j} of 1..{n}")
-        bits.append(n - i)
-    k = np.arange(1 << (n - len(bits)))
-    for bit in sorted(bits):
-        # A zero at `bit`: the bits from `bit` up move one place up.
-        k += k >> bit << bit
-    if i is not None:
-        k |= 1 << (n - i)
-    return k
+    if i is None:
+        t = a.reshape(1 << (j - 1), 2, -1)
+        return t[:, 0, :], t[:, 1, :]
+    if not 1 <= i <= n or i == j:
+        raise ValueError(f"control position {i} invalid for target {j} of 1..{n}")
+    p, q = sorted((i, j))
+    t = a.reshape(1 << (p - 1), 2, 1 << (q - p - 1), 2, -1)
+    if i < j:  # axis 1 = control, axis 3 = target
+        return t[:, 1, :, 0, :], t[:, 1, :, 1, :]
+    return t[:, 0, :, 1, :], t[:, 1, :, 1, :]  # axis 1 = target, axis 3 = control
+
+
+def pair_lows(n: int, j: int, i: int | None = None) -> np.ndarray:
+    """Ascending indices k with qubit j = 0 (and qubit i = 1 if i is given):
+    the low members of the target pairs (k, k + 2^(n-j)), 2^(n-1) of them,
+    or 2^(n-2) with a control."""
+    return pair_views(np.arange(1 << n), n, j, i)[0].ravel()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -101,9 +102,9 @@ def string_hamiltonian_sweep(
         u = rotation_gate(axis, float(theta))
         target = kron_chain([np.asarray(u.matrix)] * n)
         pairs = eigenpairs_2x2(u)
-        product = np.eye(1 << n, dtype=complex)
-        for j in range(1, n + 1):
-            product = product @ exp_minus_ih(embedded_gate_hamiltonian(n, j, pairs))
+        product = reduce(np.matmul, (
+            exp_minus_ih(embedded_gate_hamiltonian(n, j, pairs)) for j in range(1, n + 1)
+        ))
         errors.append(frobenius_error(target, product))
     return ErrorSweep(
         f"strings_{axis.lower()}_n{n}", tuple(float(t) for t in thetas), tuple(errors)
@@ -129,10 +130,10 @@ def exp_oracle(h_dense: np.ndarray) -> np.ndarray:
 
 def dense_circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense product of per-gate Kronecker oracles, rightmost op first."""
-    out = np.eye(1 << circuit.n, dtype=complex)
-    for op in circuit.ops:
-        out = dense_gate(circuit.n, op.j, op.u, op.i) @ out
-    return out
+    if not circuit.ops:
+        return np.eye(1 << circuit.n, dtype=complex)
+    gates = (dense_gate(circuit.n, op.j, op.u, op.i) for op in circuit.ops)
+    return reduce(lambda out, g: g @ out, gates)
 
 
 def dense_chain(circuit: Circuit, state: StateVector) -> StateVector:

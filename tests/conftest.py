@@ -1,7 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparseq
 from sparseq import OneQubitGate, rotation_gate
+
+#: Starts argv[1:] as a child and prints its exit code and ru_maxrss.
+_PROBE = (
+    "import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+    "_, status, usage = os.wait4(p.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
 
 
 @pytest.fixture
@@ -17,3 +30,23 @@ def generic_gate() -> OneQubitGate:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def cli_maxrss():
+    """Runs the sparseq CLI on argv in a grandchild and returns its exit code
+    and peak RSS (ru_maxrss, kilobytes on Linux). A child started straight
+    from the test process would report at least the test process's own peak,
+    which exec carries over, so a small Python process starts it instead."""
+    src = str(Path(sparseq.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cli = "import sys; from sparseq.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def run(argv):
+        probe = [sys.executable, "-c", _PROBE, sys.executable, "-c", cli, *argv]
+        code, maxrss = subprocess.run(
+            probe, env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        return int(code), int(maxrss)
+
+    return run

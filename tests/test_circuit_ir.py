@@ -228,6 +228,12 @@ class TestCircuitHamiltonians:
             want = dense_circuit_unitary(circuit)
             assert frobenius_error(got, want) <= 1e-11 * max(1, len(circuit.ops))
 
+    def test_empty_circuit_is_the_identity(self):
+        circuit = bind(parse_circuit("qubits 3\n"), {})
+        groups = circuit_hamiltonians(circuit)
+        assert np.array_equal(groups_unitary(groups, 8), np.eye(8))
+        assert np.array_equal(dense_circuit_unitary(circuit), np.eye(8))
+
     def test_hea_reconstruction(self):
         template = hea_template(4, 1)
         circuit = bind(template, {p: math.pi / 4 for p in template.param_names()})

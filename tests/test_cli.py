@@ -44,6 +44,40 @@ class TestBuildGate:
         assert np.array_equal(sparse.to_dense(), want)
         assert np.array_equal(dense, want)
 
+    @staticmethod
+    def dict_route(argv):
+        """The --dense text as a dict dumped whole: to_json_dict() plus the
+        dense matrix as float lists, the route the streamed rows replaced."""
+        sparse = cli._build_sparse(cli.build_parser().parse_args(argv))
+        payload = sparse.to_json_dict()
+        payload["dense"] = [
+            [[float(c.real), float(c.imag)] for c in row] for row in sparse.to_dense()
+        ]
+        return json.dumps(payload) + "\n"
+
+    def test_dense_text_equals_the_dict_route(self, capsys):
+        for n in range(1, 6):
+            for j in range(1, n + 1):
+                for i in [None, *range(1, n + 1)]:
+                    if i == j:
+                        continue
+                    for spec in ("x", "y", "h", "s", "rx:0.7", "ry:-2.1", "rz:2.5"):
+                        argv = ["build-gate", "-n", str(n), "-j", str(j), "--gate", spec]
+                        argv += [] if i is None else ["-i", str(i)]
+                        assert main(argv + ["--dense"]) == 0
+                        assert capsys.readouterr().out == self.dict_route(argv), argv
+
+    def test_dense_n10_streams_in_bounded_memory(self, tmp_path, cli_maxrss):
+        """The dict route peaked at 209 MB here; the streamed rows hold no
+        dense matrix."""
+        out = tmp_path / "g.json"
+        code, maxrss = cli_maxrss(
+            ["build-gate", "-n", "10", "-i", "1", "-j", "2", "--gate", "x", "--dense", "-o", str(out)]
+        )
+        assert code == 0
+        assert maxrss < 64 * 1024
+        assert out.stat().st_size == 12613106
+
     def test_known_pair_pattern(self, capsys):
         code = main(["build-gate", "-n", "5", "-i", "2", "-j", "4", "--gate", "rx:0.5"])
         assert code == 0
@@ -255,7 +289,7 @@ class TestMemoryBudget:
                                      "--gate", "x", "--check"]),
         "circuit_check": ("qubits 11\nrx q1 0.1\ncx q1 q2\n",
                           ["hamiltonian", "--circuit", "{c}", "--check"]),
-        "build_gate_dense": (None, ["build-gate", "-n", "11", "-j", "1", "--gate", "x", "--dense"]),
+        "build_gate_dense": (None, ["build-gate", "-n", "12", "-j", "1", "--gate", "x", "--dense"]),
     }
 
     @pytest.fixture

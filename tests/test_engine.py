@@ -157,6 +157,16 @@ class TestApplyControlled:
         with pytest.raises(ValueError):
             apply_controlled(StateVector.zero(2), 1, 1, X)
 
+    def test_invalid_placement_names_the_position(self):
+        s = StateVector.zero(3)
+        with pytest.raises(ValueError, match=r"^control position 2 invalid for target 2 of 1\.\.3$"):
+            apply_controlled(s, 2, 2, X)
+        with pytest.raises(ValueError, match=r"^control position 4 invalid for target 1 of 1\.\.3$"):
+            apply_controlled(s, 4, 1, X)
+        with pytest.raises(ValueError, match=r"^target position 0 out of range 1\.\.3$"):
+            apply_controlled(s, 1, 0, X)
+        assert np.array_equal(s.amps, StateVector.zero(3).amps)
+
 
 def _diagonal_gates(rng):
     """Every exactly diagonal gate kind: fixed, rotation, explicit phases."""

@@ -229,6 +229,10 @@ class TestEmbeddedGateHamiltonian:
         with pytest.raises(ValueError):
             embedded_gate_hamiltonian(2, 3, eigenpairs_2x2(generic_gate))
 
+    def test_position_out_of_range_names_the_target(self, generic_gate):
+        with pytest.raises(ValueError, match=r"^target position 4 out of range 1\.\.3$"):
+            embedded_gate_hamiltonian(3, 4, eigenpairs_2x2(generic_gate))
+
 
 class TestRotationStrings:
     def test_dense_terms_match_np_kron_bit_for_bit(self):

@@ -7,11 +7,7 @@ produce the same bytes, the same term order and the same e^{-iH}.
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,20 +154,12 @@ def test_circuit_payload_matches_reference(tmp_path, rng):
             assert LocalHamiltonian.from_json_dict(entry).to_json() == h.to_json()
 
 
-def test_n11_output_is_unchanged_and_small(tmp_path):
+def test_n11_output_is_unchanged_and_small(tmp_path, cli_maxrss):
     """The dense writer peaked at 420 MB here; the packed one needs a fraction."""
     out = tmp_path / "h.json"
-    src = str(Path(sparseq.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from sparseq.cli import main; sys.exit(main(sys.argv[1:]))",
-         "hamiltonian", "-n", "11", "-j", "2", "--gate", "x", "-o", str(out)],
-        env=env,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss < 200 * 1024  # kilobytes on Linux
+    code, maxrss = cli_maxrss(["hamiltonian", "-n", "11", "-j", "2", "--gate", "x", "-o", str(out)])
+    assert code == 0
+    assert maxrss < 200 * 1024  # kilobytes on Linux
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "9594c4be6b4b9f76da141a461ee100561b2b2cd08916e672998d92b0371e0d5a"
 

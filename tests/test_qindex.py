@@ -1,9 +1,10 @@
-"""pair_lows against the nested placement loops it replaced, and the pair
-properties every gate builder and Hamiltonian lifter relies on."""
+"""pair_lows against the nested placement loops it replaced, the pair
+properties every gate builder and Hamiltonian lifter relies on, and the
+pair views that the engine kernels mix in place."""
 import numpy as np
 import pytest
 
-from sparseq.qindex import pair_lows
+from sparseq.qindex import pair_lows, pair_views
 
 MAX_N = 8
 
@@ -169,3 +170,39 @@ class TestBlockLayout:
         for n, j, i in [(2, 1, 0), (2, 1, 3), (4, 2, 5), (4, 4, -1), (4, 5, 1)]:
             with pytest.raises(ValueError):
                 pair_lows(n, j, i)
+
+
+class TestPairViews:
+    """pair_views is the rule itself: pair_lows is its low view of the basis
+    indices, and the engine kernels write both views of the state."""
+
+    def test_high_view_is_low_view_plus_partner_offset(self):
+        for n, j, i in placements():
+            low, high = pair_views(np.arange(1 << n), n, j, i)
+            assert low.shape == high.shape, (n, j, i)
+            assert np.array_equal(high, low + (1 << (n - j))), (n, j, i)
+
+    def test_low_view_is_pair_lows(self):
+        for n, j, i in placements():
+            low, _ = pair_views(np.arange(1 << n), n, j, i)
+            assert low.ravel().tolist() == pair_lows(n, j, i).tolist(), (n, j, i)
+
+    def test_views_write_through_to_the_array(self):
+        for n, j, i in placements():
+            a = np.zeros(1 << n, dtype=int)
+            low, high = pair_views(a, n, j, i)
+            low[...] = 1
+            high[...] = 2
+            want = np.zeros(1 << n, dtype=int)
+            lows = pair_lows(n, j, i)
+            want[lows], want[lows + (1 << (n - j))] = 1, 2
+            assert np.array_equal(a, want), (n, j, i)
+
+    def test_placement_errors_name_the_position(self):
+        a = np.arange(8)
+        with pytest.raises(ValueError, match=r"^target position 4 out of range 1\.\.3$"):
+            pair_views(a, 3, 4)
+        with pytest.raises(ValueError, match=r"^control position 2 invalid for target 2 of 1\.\.3$"):
+            pair_views(a, 3, 2, 2)
+        with pytest.raises(ValueError, match=r"^control position 0 invalid"):
+            pair_views(a, 3, 2, 0)

@@ -49,6 +49,31 @@ u q3 0.6,0.0 0.0,0.8 0.0,0.8 0.6,0.0
 cu q2 q4 0.0,1.0 0.0,0.0 0.0,0.0 -1.0,0.0
 """
 
+#: 12 qubits, so that targets q10..q12 give pair views with an inner axis of
+#: length 4, 2 and 1: general, diagonal and fixed gates there, and controls
+#: below their targets (i > j), after a spread over every qubit.
+WIDE = "qubits 12\n" + "".join(f"ry q{q} {0.1 * q + 0.3}\n" for q in range(1, 13)) + """\
+rx q10 0.7
+ry q11 -2.1
+u q12 h
+u q12 0.6,0.0 0.0,0.8 0.0,0.8 0.6,0.0
+rz q10 2.5
+u q11 s
+u q12 t
+u q10 z
+u q11 x
+u q12 y
+cx q12 q10
+crx q11 q10 0.3
+cry q12 q1 0.25
+ch q11 q2
+cz q12 q3
+crz q10 q4 -0.9
+cu q12 q11 0.0,1.0 0.0,0.0 0.0,0.0 -1.0,0.0
+cy q1 q12
+cx q10 q11
+"""
+
 
 def hea_source(n: int, layers: int) -> str:
     lines = [f"qubits {n}"]
@@ -69,6 +94,7 @@ def write_inputs(work: Path):
     (work / "bell.sq").write_text("qubits 2\nu q1 h\ncx q1 q2\n", encoding="utf-8")
     (work / "mixed.sq").write_text(MIXED, encoding="utf-8")
     (work / "mixed.json").write_text(json.dumps({"a": 0.9, "b": -1.3}), encoding="utf-8")
+    (work / "wide.sq").write_text(WIDE, encoding="utf-8")
     for n, layers in ((3, 2), (6, 1), (9, 1), (10, 1)):
         (work / f"hea{n}.sq").write_text(hea_source(n, layers), encoding="utf-8")
         (work / f"hea{n}.json").write_text(json.dumps(hea_params(n, layers)), encoding="utf-8")
@@ -84,6 +110,8 @@ def corpus():
         yield base + ["-o", "out"]
         yield base + ["--amplitudes", "-o", "out"]
         yield base + ["--oracle", "-o", "out"]
+    yield ["run", "wide.sq", "-o", "out"]
+    yield ["run", "wide.sq", "--amplitudes", "-o", "out"]
     yield ["run", "bell.sq", "--input", "state.json", "--amplitudes"]
     yield ["run", "bell.sq"]
     for spec in GATE_SPECS:
