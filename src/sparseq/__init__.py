@@ -7,7 +7,6 @@ from .core import (
     eigenpairs_2x2,
     phase_of,
     rotation_gate,
-    validate_unitary,
 )
 from .gate_matrix import (
     ControlledGateSpec,
@@ -34,8 +33,7 @@ from .engine import (
     Circuit,
     GateOp,
     StateVector,
-    apply_controlled,
-    apply_single_qubit,
+    apply_op,
     run_circuit,
 )
 from .circuit_ir import (
@@ -76,8 +74,7 @@ __all__ = [
     "ProjectorTerm",
     "SparseUnitary",
     "StateVector",
-    "apply_controlled",
-    "apply_single_qubit",
+    "apply_op",
     "bind",
     "circuit_hamiltonians",
     "controlled_gate_hamiltonian",
@@ -104,5 +101,4 @@ __all__ = [
     "string_hamiltonian_sweep",
     "target_pair_block",
     "target_pair_eigenpairs",
-    "validate_unitary",
 ]

@@ -25,11 +25,10 @@ from functools import reduce
 
 import numpy as np
 
-from .core import OneQubitGate, PAULI, eigenpairs_2x2, rotation_gate
+from .core import OneQubitGate, PAULI, rotation_gate
 from .engine import Circuit, GateOp
 from .hamiltonian import (
     LocalHamiltonian,
-    PauliStringTerm,
     controlled_gate_hamiltonian,
     embedded_gate_hamiltonian,
     exp_minus_ih,
@@ -294,7 +293,6 @@ def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> C
     ops = []
     for s in template.stmts:
         kind = GATES[s.name]
-        theta = None
         if kind.axis is not None:
             theta = float(params[s.angle.name]) if isinstance(s.angle, ParamRef) else s.angle
             u = rotation_gate(kind.axis, theta)
@@ -302,7 +300,7 @@ def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> C
             u = kind.fixed
         else:
             u = OneQubitGate(np.array(s.entries, dtype=complex).reshape(2, 2))
-        ops.append(GateOp(s.j, u, i=s.i, name=s.name, theta=theta))
+        ops.append(GateOp(s.j, u, i=s.i, name=s.name))
     return Circuit(template.n, tuple(ops))
 
 
@@ -343,7 +341,6 @@ class HamiltonianGroup:
 
     kind: str  # "string" | "controlled"
     hamiltonians: tuple[LocalHamiltonian, ...]
-    pauli_terms: tuple[PauliStringTerm, ...] = ()
 
     def unitary(self) -> np.ndarray:
         """Dense product of the factor's exponentials, built one factor at a
@@ -357,8 +354,7 @@ def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
     Consecutive single-qubit gates on distinct qubits merge into one string
     factor; every controlled gate is its own factor. Groups come back in
     circuit order, so the circuit unitary is the reversed product of the
-    group unitaries. Strings made purely of rotations also report their
-    Pauli-string generators.
+    group unitaries.
     """
     groups: list[HamiltonianGroup] = []
     run: list[GateOp] = []
@@ -366,18 +362,8 @@ def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
     def flush():
         if not run:
             return
-        hams = tuple(
-            embedded_gate_hamiltonian(circuit.n, op.j, eigenpairs_2x2(op.u))
-            for op in run
-        )
-        axes = [getattr(GATES.get(op.name), "axis", None) for op in run]
-        paulis: tuple[PauliStringTerm, ...] = ()
-        if all(axes):
-            paulis = tuple(
-                PauliStringTerm(op.theta / 2.0, axis, op.j, circuit.n)
-                for op, axis in zip(run, axes)
-            )
-        groups.append(HamiltonianGroup("string", hams, paulis))
+        hams = tuple(embedded_gate_hamiltonian(circuit.n, op.j, op.u) for op in run)
+        groups.append(HamiltonianGroup("string", hams))
         run.clear()
 
     for op in circuit.ops:

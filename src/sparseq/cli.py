@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 verification exceedance, 2 usage or parse error,
 not a finite number >= 0 included. The QSIM_TOL environment variable
 overrides the default tolerance of 1e-12; an explicit --tol beats both.
 
-Before a command allocates its state, packed Hamiltonians or dense check
-matrices, it estimates their peak bytes and refuses (exit 3) when the
-estimate exceeds MemAvailable in /proc/meminfo. Estimates up to
+Dense checks above DENSE_MAX_QUBITS and verify sizes out of range exit 3
+before any output. Before a command allocates its state, packed Hamiltonians
+or dense check matrices, it estimates their peak bytes and refuses (exit 3)
+when the estimate exceeds MemAvailable in /proc/meminfo. Estimates up to
 BUDGET_FREE_BYTES skip that read.
 """
 from __future__ import annotations
@@ -34,7 +35,13 @@ from .circuit_ir import (
 )
 from .core import OneQubitGate, rotation_gate
 from .engine import StateVector, probabilities_csv, run_circuit
-from .gate_matrix import ControlledGateSpec, controlled_sparse, embedded_sparse
+from .gate_matrix import (
+    DENSE_MAX_QUBITS,
+    ControlledGateSpec,
+    check_dense_cap,
+    controlled_sparse,
+    embedded_sparse,
+)
 from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian, exp_minus_ih
 from .verify import (
     dense_chain,
@@ -54,9 +61,10 @@ BUDGET_FREE_BYTES = 256 << 20
 # numpy 2.4) and rounded up. `run` holds about 200 bytes per amplitude: the
 # state and the Python text of its output line. A packed Hamiltonian keeps 56
 # bytes per term and needs about 110 more while one is built. Counted in
-# complex 2^n x 2^n matrices alive at once: 6 for a gate's --check or the run
-# oracle, 12 for a circuit's --check, 2 for --dense: it streams its rows, but
-# a caller that captures stdout holds all of its text.
+# complex 2^n x 2^n matrices alive at once: 6 for a gate's --check, the run
+# oracle or a crx or engine sweep, 12 for a circuit's --check or a strings
+# sweep, 2 for --dense: it streams its rows, but a caller that captures
+# stdout holds all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56
@@ -192,7 +200,7 @@ def cmd_hamiltonian(args) -> int:
         )
         u = parse_gate_spec(args.gate)
         if args.i is None:
-            h = embedded_gate_hamiltonian(args.n, args.j, u.eigenpairs())
+            h = embedded_gate_hamiltonian(args.n, args.j, u)
         else:
             h = controlled_gate_hamiltonian(args.n, args.i, args.j, u)
         _write(_ended(h.json_chunks()), args.output)
@@ -204,6 +212,8 @@ def cmd_hamiltonian(args) -> int:
     template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     params = _load_params(args.params)
     circuit = bind(template, params)
+    if args.check:
+        check_dense_cap(circuit.n)
     _require_memory(
         "hamiltonian --circuit", circuit.n, TERM_BYTES * len(circuit.ops) + TERM_BUILD_BYTES,
         CIRCUIT_CHECK_MATRICES if args.check else 0,
@@ -241,6 +251,8 @@ def cmd_run(args) -> int:
     tol = _tolerance(args)
     template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     circuit = bind(template, _load_params(args.params))
+    if args.oracle:
+        check_dense_cap(circuit.n)
     _require_memory("run", circuit.n, RUN_BYTES_PER_AMP, CHECK_MATRICES if args.oracle else 0)
     if args.input is not None:
         state = StateVector.from_json(Path(args.input).read_text(encoding="utf-8"))
@@ -271,6 +283,14 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
+    low = 1 if args.suite == "strings" else 2
+    if not low <= args.n <= DENSE_MAX_QUBITS:
+        raise ValueError(f"--suite {args.suite} needs -n in {low}..{DENSE_MAX_QUBITS}, got {args.n}")
+    if args.circuits < 1:
+        raise ValueError(f"--circuits must be at least 1, got {args.circuits}")
+    _require_memory(
+        "verify", args.n, 0, CIRCUIT_CHECK_MATRICES if args.suite == "strings" else CHECK_MATRICES
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = []

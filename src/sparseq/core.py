@@ -25,17 +25,9 @@ PAULI = {
 }
 
 
-def validate_unitary(m: np.ndarray) -> bool:
-    """True iff max entry of |M†M - I| <= DEFAULT_TOL. M must be square."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    defect = m.conj().T @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(defect))) <= DEFAULT_TOL
-
-
 def _unitary_2x2(a: complex, b: complex, c: complex, d: complex) -> bool:
-    """validate_unitary of [[a, b], [c, d]] in closed form on Python scalars.
+    """True iff max entry of |M†M - I| <= DEFAULT_TOL for M = [[a, b], [c, d]],
+    in closed form on Python scalars.
 
     The entries of M†M - I are the two column norms less 1 and the column
     overlap (the other off-diagonal entry is its conjugate), each summed in
@@ -93,9 +85,6 @@ class OneQubitGate:
 
     def __matmul__(self, other: "OneQubitGate") -> "OneQubitGate":
         return OneQubitGate(self.matrix @ other.matrix)
-
-    def eigenpairs(self) -> tuple["EigenPair2", "EigenPair2"]:
-        return eigenpairs_2x2(self)
 
 
 @dataclass(frozen=True)

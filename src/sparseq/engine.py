@@ -162,15 +162,14 @@ class StateVector:
 class GateOp:
     """One gate: single-qubit when i is None, controlled otherwise.
 
-    name/theta record where the matrix came from (rx/ry/rz keep their angle);
-    they never affect how the gate is applied.
+    name records the statement the matrix came from; it never affects how
+    the gate is applied.
     """
 
     j: int
     u: OneQubitGate
     i: int | None = None
     name: str = "u"
-    theta: float | None = None
 
     @property
     def is_controlled(self) -> bool:
@@ -196,19 +195,10 @@ class Circuit:
                     raise ValueError("control equals target")
 
 
-def apply_single_qubit(state: StateVector, j: int, u: OneQubitGate) -> StateVector:
-    """Apply u to qubit j in place: one pass of paired multiply-adds."""
-    _mix_pairs(*pair_views(state.amps, state.n, j), u)
-    return state
-
-
-def apply_controlled(state: StateVector, i: int, j: int, u: OneQubitGate) -> StateVector:
-    """Apply controlled-u (control i, target j) in place; control-0 amplitudes stay."""
-    _mix_pairs(*pair_views(state.amps, state.n, j, i), u)
-    return state
-
-
 def apply_op(state: StateVector, op: GateOp) -> StateVector:
+    """Apply op in place: one pass of paired multiply-adds over the pair
+    views of its placement; a controlled op leaves control-0 amplitudes as
+    they are."""
     _mix_pairs(*pair_views(state.amps, state.n, op.j, op.i), op.u)
     return state
 

@@ -154,11 +154,9 @@ class SparseUnitary:
     def to_json(self) -> str:
         return "".join(self.json_chunks())
 
-    def to_json_dict(self) -> dict:
-        return json.loads(self.to_json())
-
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SparseUnitary":
+    def from_json(cls, text: str) -> "SparseUnitary":
+        data = json.loads(text)
         dim = data["dim"]
         cols = np.full((dim, 2), -1, dtype=np.int64)
         vals = np.zeros((dim, 2), dtype=complex)
@@ -167,10 +165,6 @@ class SparseUnitary:
                 cols[k, slot] = c
                 vals[k, slot] = complex(re, im)
         return cls(dim, cols, vals)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparseUnitary":
-        return cls.from_json_dict(json.loads(text))
 
 
 def target_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
@@ -261,7 +255,8 @@ def embedded_sparse(n: int, j: int, u: OneQubitGate) -> SparseUnitary:
     return _pair_sparse(n, j, u)
 
 
-def _check_dense_cap(n: int):
+def check_dense_cap(n: int):
+    """Refuse (ValueError) a dense construction on more than DENSE_MAX_QUBITS."""
     if n > DENSE_MAX_QUBITS:
         raise ValueError(f"dense construction capped at {DENSE_MAX_QUBITS} qubits, got n={n}")
 
@@ -292,7 +287,7 @@ def kron_embedded_dense(n: int, j: int, u: OneQubitGate) -> np.ndarray:
     """Reference dense matrix I_{2^(j-1)} ⊗ u ⊗ I_{2^(n-j)}."""
     if not 1 <= j <= n:
         raise ValueError(f"target position {j} out of range 1..{n}")
-    _check_dense_cap(n)
+    check_dense_cap(n)
     return _kron_placed(n, {j: np.asarray(u.matrix)})
 
 
@@ -301,7 +296,7 @@ def kron_controlled_dense(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray
     the control carries the identity, the |1><1| branch carries u at the
     target."""
     ControlledGateSpec(n, i, j, u)  # reuse validation
-    _check_dense_cap(n)
+    check_dense_cap(n)
     return _kron_placed(n, {i: _P0}) + _kron_placed(n, {i: _P1, j: np.asarray(u.matrix)})
 
 

@@ -197,16 +197,13 @@ class LocalHamiltonian:
         return json.loads(self.to_json())
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LocalHamiltonian":
+    def from_json(cls, text: str) -> "LocalHamiltonian":
+        data = json.loads(text)
         dim, terms = data["dim"], data["terms"]
         pairs = np.array([t["w"] for t in terms], dtype=float).reshape(len(terms), dim, 2)
         # Viewing the [re, im] pairs as complex keeps every signed zero.
         w = pairs.view(complex)[..., 0]
         return cls(dim, [t["z"] for t in terms], *_pack(w))
-
-    @classmethod
-    def from_json(cls, text: str) -> "LocalHamiltonian":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -308,11 +305,9 @@ def _lift(
     )
 
 
-def embedded_gate_hamiltonian(
-    n: int, j: int, pairs: tuple[EigenPair2, EigenPair2]
-) -> LocalHamiltonian:
+def embedded_gate_hamiltonian(n: int, j: int, u: OneQubitGate) -> LocalHamiltonian:
     """H with I ⊗ u ⊗ I = e^{-iH} for a single-qubit gate at position j."""
-    return _lift(n, j, None, pairs)
+    return _lift(n, j, None, eigenpairs_2x2(u))
 
 
 def controlled_gate_hamiltonian(n: int, i: int, j: int, u: OneQubitGate) -> LocalHamiltonian:

@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import OneQubitGate, eigenpairs_2x2, rotation_gate
+from .core import OneQubitGate, rotation_gate
 from .engine import Circuit, GateOp, StateVector, run_circuit
 from .gate_matrix import (
     ControlledGateSpec,
@@ -101,9 +101,8 @@ def string_hamiltonian_sweep(
     for theta in thetas:
         u = rotation_gate(axis, float(theta))
         target = kron_chain([np.asarray(u.matrix)] * n)
-        pairs = eigenpairs_2x2(u)
         product = reduce(np.matmul, (
-            exp_minus_ih(embedded_gate_hamiltonian(n, j, pairs)) for j in range(1, n + 1)
+            exp_minus_ih(embedded_gate_hamiltonian(n, j, u)) for j in range(1, n + 1)
         ))
         errors.append(frobenius_error(target, product))
     return ErrorSweep(

@@ -10,8 +10,9 @@ import numpy as np
 
 from sparseq import (
     ControlledGateSpec,
+    GateOp,
     StateVector,
-    apply_controlled,
+    apply_op,
     bind,
     controlled_gate_hamiltonian,
     controlled_sparse,
@@ -142,11 +143,11 @@ def test_criterion_4_known_sparse_patterns_and_kernel_rows():
     amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     amps /= np.linalg.norm(amps)
     s = StateVector(5, amps.copy())
-    apply_controlled(s, 2, 3, u)
+    apply_op(s, GateOp(3, u, i=2))
     checks.append(s.amps[8] == (u.u11 * amps[[8]] + u.u12 * amps[[12]])[0])
     checks.append(s.amps[12] == (u.u21 * amps[[8]] + u.u22 * amps[[12]])[0])
     s = StateVector(5, amps.copy())
-    apply_controlled(s, 2, 4, u)
+    apply_op(s, GateOp(4, u, i=2))
     checks.append(s.amps[8] == (u.u11 * amps[[8]] + u.u12 * amps[[10]])[0])
     checks.append(s.amps[10] == (u.u21 * amps[[8]] + u.u22 * amps[[10]])[0])
 
@@ -156,16 +157,16 @@ def test_criterion_4_known_sparse_patterns_and_kernel_rows():
 
 def test_criterion_5_wall_time_doubles_per_qubit():
     sizes = list(range(16, 23))
-    u = random_gate(np.random.default_rng(42))
+    op = GateOp(2, random_gate(np.random.default_rng(42)), i=1)
     states = {n: StateVector.zero(n) for n in sizes}
     for n in sizes:  # touch pages before timing
-        apply_controlled(states[n], 1, 2, u)
-        apply_controlled(states[n], 1, 2, u)
+        apply_op(states[n], op)
+        apply_op(states[n], op)
     times = {n: [] for n in sizes}
     for _ in range(20):  # round-robin spreads system jitter across sizes
         for n in sizes:
             t0 = time.perf_counter()
-            apply_controlled(states[n], 1, 2, u)
+            apply_op(states[n], op)
             times[n].append(time.perf_counter() - t0)
     medians = {n: sorted(ts)[len(ts) // 2] for n, ts in times.items()}
     ratios = [medians[n + 1] / medians[n] for n in sizes[:-1]]

@@ -14,6 +14,7 @@ from sparseq import (
     frobenius_error,
     hea_template,
     parse_circuit,
+    rotation_gate,
     run_circuit,
     serialize,
 )
@@ -43,7 +44,7 @@ class TestParse:
         template = parse_circuit("qubits 4\nrx q1 $t1")
         circuit = bind(template, {"t1": math.pi / 4})
         (op,) = circuit.ops
-        assert op.j == 1 and op.theta == math.pi / 4 and op.name == "rx"
+        assert op.j == 1 and op.u == rotation_gate("X", math.pi / 4) and op.name == "rx"
 
     def test_qubit_out_of_range_reports_line(self):
         with pytest.raises(CircuitParseError) as err:
@@ -108,7 +109,7 @@ class TestParse:
 class TestBind:
     def test_empty_params_for_literal_circuit(self):
         template = parse_circuit("qubits 2\nrx q1 0.5\n")
-        assert bind(template, {}).ops[0].theta == 0.5
+        assert bind(template, {}).ops[0].u == rotation_gate("X", 0.5)
 
     def test_missing_name_reported(self):
         template = parse_circuit("qubits 2\nrx q1 $t1\n")
@@ -125,7 +126,7 @@ class TestBind:
     def test_extra_params_ignored(self):
         template = parse_circuit("qubits 2\nrx q1 $a\n")
         circuit = bind(template, {"a": 0.1, "unused": 9.0})
-        assert circuit.ops[0].theta == 0.1
+        assert circuit.ops[0].u == rotation_gate("X", 0.1)
 
 
 class TestSerializeRoundTrip:
@@ -201,18 +202,16 @@ class TestCircuitHamiltonians:
         assert [g.kind for g in groups] == ["string"] * 3 + ["controlled"] * 3
         for g in groups[:3]:
             assert len(g.hamiltonians) == 4
-            assert len(g.pauli_terms) == 4
 
     def test_repeated_target_splits_string(self):
         circuit = bind(parse_circuit("qubits 2\nrx q1 0.3\nrx q1 0.4\n"))
         groups = circuit_hamiltonians(circuit)
         assert [g.kind for g in groups] == ["string", "string"]
 
-    def test_non_rotation_string_has_no_pauli_terms(self):
+    def test_mixed_string_is_one_group(self):
         circuit = bind(parse_circuit("qubits 2\nu q1 h\nrx q2 0.1\n"))
         (group,) = circuit_hamiltonians(circuit)
         assert group.kind == "string"
-        assert group.pauli_terms == ()
         assert len(group.hamiltonians) == 2
 
     def test_reconstruction_over_corpus(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparseq import LocalHamiltonian, SparseUnitary, cli
+from sparseq import ErrorSweep, LocalHamiltonian, SparseUnitary, cli
 from sparseq.circuit_ir import hea_template, serialize
 from sparseq.cli import main, parse_gate_spec
 
@@ -36,9 +36,10 @@ class TestBuildGate:
         code = main(["build-gate", "-n", "2", "-i", "1", "-j", "2",
                      "--gate", "x", "--dense", "-o", str(out)])
         assert code == 0
-        data = json.loads(out.read_text())
+        text = out.read_text()
+        data = json.loads(text)
         assert data["schema"] == 1 and data["dim"] == 4
-        sparse = SparseUnitary.from_json_dict(data)
+        sparse = SparseUnitary.from_json(text)
         dense = np.array([[re + 1j * im for re, im in row] for row in data["dense"]])
         want = np.eye(4)[:, [0, 1, 3, 2]]
         assert np.array_equal(sparse.to_dense(), want)
@@ -46,10 +47,11 @@ class TestBuildGate:
 
     @staticmethod
     def dict_route(argv):
-        """The --dense text as a dict dumped whole: to_json_dict() plus the
-        dense matrix as float lists, the route the streamed rows replaced."""
+        """The --dense text as a dict dumped whole: the gate's JSON as a dict
+        plus the dense matrix as float lists, the route the streamed rows
+        replaced."""
         sparse = cli._build_sparse(cli.build_parser().parse_args(argv))
-        payload = sparse.to_json_dict()
+        payload = json.loads(sparse.to_json())
         payload["dense"] = [
             [[float(c.real), float(c.imag)] for c in row] for row in sparse.to_dense()
         ]
@@ -81,8 +83,7 @@ class TestBuildGate:
     def test_known_pair_pattern(self, capsys):
         code = main(["build-gate", "-n", "5", "-i", "2", "-j", "4", "--gate", "rx:0.5"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        sparse = SparseUnitary.from_json_dict(data)
+        sparse = SparseUnitary.from_json(capsys.readouterr().out)
         # active rows pair at offset 2 within control-selected blocks
         assert [c for c, _ in sparse.row(8)] == [8, 10]
         assert [c for c, _ in sparse.row(10)] == [8, 10]
@@ -115,7 +116,7 @@ class TestHamiltonianCommand:
     def test_cnot_terms(self, capsys):
         code = main(["hamiltonian", "-n", "2", "-i", "1", "-j", "2", "--gate", "x"])
         assert code == 0
-        h = LocalHamiltonian.from_json_dict(json.loads(capsys.readouterr().out))
+        h = LocalHamiltonian.from_json(capsys.readouterr().out)
         assert len(h.terms) == 1
         assert h.terms[0].z == math.pi
         s = 1 / math.sqrt(2)
@@ -290,6 +291,7 @@ class TestMemoryBudget:
         "circuit_check": ("qubits 11\nrx q1 0.1\ncx q1 q2\n",
                           ["hamiltonian", "--circuit", "{c}", "--check"]),
         "build_gate_dense": (None, ["build-gate", "-n", "12", "-j", "1", "--gate", "x", "--dense"]),
+        "verify": (None, ["verify", "--suite", "crx", "-n", "11"]),
     }
 
     @pytest.fixture
@@ -298,7 +300,7 @@ class TestMemoryBudget:
             raise AssertionError("allocated past a refused budget")
 
         for name in ("_build_sparse", "embedded_gate_hamiltonian", "controlled_gate_hamiltonian",
-                     "circuit_hamiltonians", "run_circuit"):
+                     "circuit_hamiltonians", "run_circuit", "gate_hamiltonian_sweep"):
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(cli.StateVector, "zero", refuse)
 
@@ -394,6 +396,79 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "strings", "-n", "2", "--tol", "1e-12",
                      "--out-dir", str(tmp_path)])
         assert code == 0
+
+
+class TestRefusedBeforeOutput:
+    """Inputs outside a command's range end in exit 3 with one stderr line
+    before any work: nothing on stdout, no -o file, no sweep directory. The
+    sweeps are patched to fail, so a refusal that comes too late shows."""
+
+    CAP = "validation error: dense construction capped at 12 qubits, got n=13\n"
+
+    @pytest.fixture
+    def no_sweeps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept an input that should be refused")
+
+        for name in ("gate_hamiltonian_sweep", "string_hamiltonian_sweep",
+                     "engine_equivalence_deviations"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("suite, flags, message", [
+        ("strings", ["-n", "0"], "--suite strings needs -n in 1..12, got 0"),
+        ("strings", ["-n", "13"], "--suite strings needs -n in 1..12, got 13"),
+        ("crx", ["-n", "1"], "--suite crx needs -n in 2..12, got 1"),
+        ("crx", ["-n", "13"], "--suite crx needs -n in 2..12, got 13"),
+        ("engine", ["-n", "1"], "--suite engine needs -n in 2..12, got 1"),
+        ("engine", ["-n", "13"], "--suite engine needs -n in 2..12, got 13"),
+        ("engine", ["--circuits", "0"], "--circuits must be at least 1, got 0"),
+        ("crx", ["--circuits", "-1"], "--circuits must be at least 1, got -1"),
+    ])
+    def test_verify_out_of_range_exits_3(self, tmp_path, capsys, no_sweeps, suite, flags, message):
+        out_dir = tmp_path / "sweeps"
+        assert main(["verify", "--suite", suite, *flags, "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("suite, n", [
+        ("strings", 1), ("strings", 12), ("crx", 2), ("crx", 12), ("engine", 2), ("engine", 12),
+    ])
+    def test_verify_range_is_inclusive(self, tmp_path, capsys, monkeypatch, suite, n):
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)
+        stub = ErrorSweep("stub", (0.0,), (0.0,))
+        monkeypatch.setattr(cli, "gate_hamiltonian_sweep", lambda *args: stub)
+        monkeypatch.setattr(cli, "string_hamiltonian_sweep", lambda *args: stub)
+        monkeypatch.setattr(cli, "engine_equivalence_deviations", lambda *args, **kw: [0.0])
+        assert main(["verify", "--suite", suite, "-n", str(n), "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_run_oracle_above_the_cap_writes_nothing(self, tmp_path, capsys, monkeypatch, to_file):
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)
+        circuit = write(tmp_path, "c.sq", "qubits 13\nu q1 h\ncx q1 q13\nry q7 0.3\n")
+        out = tmp_path / "out.csv"
+        argv = ["run", circuit, "--oracle"] + (["-o", str(out)] if to_file else [])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.CAP
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_circuit_check_above_the_cap_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                        to_file):
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)
+        circuit = write(tmp_path, "c.sq", "qubits 13\nu q1 i\n")
+        out = tmp_path / "h.json"
+        argv = ["hamiltonian", "--circuit", circuit, "--check"]
+        assert main(argv + (["-o", str(out)] if to_file else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.CAP
+        assert not out.exists()
 
 
 class TestTolerance:

@@ -11,10 +11,19 @@ from sparseq import (
     parse_circuit,
     phase_of,
     rotation_gate,
-    validate_unitary,
 )
 from sparseq.circuit_ir import GATES, GateKind
 from sparseq.verify import random_gate
+
+
+def validate_unitary(m: np.ndarray) -> bool:
+    """Reference check by matrix product: True iff max entry of |M†M - I| <=
+    1e-12. OneQubitGate must accept exactly the 2x2 matrices that pass."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    defect = m.conj().T @ m - np.eye(m.shape[0])
+    return float(np.max(np.abs(defect))) <= 1e-12
 
 
 class TestRotationGate:
@@ -150,12 +159,12 @@ class TestGateEquality:
         assert len({a, b, rotation_gate("Y", 0.1)}) == 2
 
     def test_eigenpairs_compare_and_hash_by_value(self):
-        a, b = rotation_gate("X", 0.1).eigenpairs(), rotation_gate("X", 0.1).eigenpairs()
+        a, b = eigenpairs_2x2(rotation_gate("X", 0.1)), eigenpairs_2x2(rotation_gate("X", 0.1))
         assert a[0] is not b[0]
         assert a[0] == b[0] and hash(a[0]) == hash(b[0])
         assert a == b and hash(a) == hash(b)
         assert a[0] != a[1]
-        assert a[0] != rotation_gate("X", 0.2).eigenpairs()[0]
+        assert a[0] != eigenpairs_2x2(rotation_gate("X", 0.2))[0]
         assert a[0] != "pair"
         assert len({*a, *b}) == 2
 

@@ -8,14 +8,13 @@ from sparseq import (
     GateOp,
     OneQubitGate,
     StateVector,
-    apply_controlled,
-    apply_single_qubit,
+    apply_op,
     rotation_gate,
     run_circuit,
 )
 from sparseq import engine
 from sparseq.circuit_ir import GATES
-from sparseq.engine import apply_op, probabilities_csv
+from sparseq.engine import probabilities_csv
 from sparseq.gate_matrix import dense_gate
 from sparseq.verify import dense_apply_oracle, random_gate
 
@@ -82,14 +81,14 @@ class TestStateVector:
 
 class TestApplySingleQubit:
     def test_first_column_lands_on_zero_state(self, generic_gate):
-        s = apply_single_qubit(StateVector.zero(1), 1, generic_gate)
+        s = apply_op(StateVector.zero(1), GateOp(1, generic_gate))
         assert s.amps[0] == generic_gate.u11
         assert s.amps[1] == generic_gate.u21
 
     def test_identity_leaves_state_bitwise_unchanged(self, rng):
         s = random_state(rng, 4)
         before = s.amps.copy()
-        apply_single_qubit(s, 2, EYE)
+        apply_op(s, GateOp(2, EYE))
         assert np.array_equal(s.amps, before)
 
     def test_matches_dense_oracle(self, rng):
@@ -99,18 +98,18 @@ class TestApplySingleQubit:
             u = random_gate(rng)
             s = random_state(rng, n)
             want = dense_gate(n, j, u) @ s.amps
-            apply_single_qubit(s, j, u)
+            apply_op(s, GateOp(j, u))
             assert np.max(np.abs(s.amps - want)) <= 1e-13
 
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_single_qubit(StateVector.zero(2), 3, X)
+            apply_op(StateVector.zero(2), GateOp(3, X))
 
 
 class TestApplyControlled:
     def test_cnot_flips_target_when_control_set(self):
         s = StateVector.basis(2, 2)  # |10>
-        apply_controlled(s, 1, 2, X)
+        apply_op(s, GateOp(2, X, i=1))
         assert np.array_equal(s.amps, StateVector.basis(2, 3).amps)
 
     def test_adjacent_pair_coefficients_exact(self, rng, generic_gate):
@@ -118,7 +117,7 @@ class TestApplyControlled:
         u = generic_gate
         s = random_state(rng, 5)
         before = s.amps.copy()
-        apply_controlled(s, 2, 3, u)
+        apply_op(s, GateOp(3, u, i=2))
         np.testing.assert_array_equal(
             s.amps[8:12], u.u11 * before[8:12] + u.u12 * before[12:16]
         )
@@ -131,7 +130,7 @@ class TestApplyControlled:
         u = generic_gate
         s = random_state(rng, 5)
         before = s.amps.copy()
-        apply_controlled(s, 2, 4, u)
+        apply_op(s, GateOp(4, u, i=2))
         assert s.amps[10] == (u.u21 * before[[8]] + u.u22 * before[[10]])[0]
         assert s.amps[8] == (u.u11 * before[[8]] + u.u12 * before[[10]])[0]
 
@@ -139,7 +138,7 @@ class TestApplyControlled:
         for i, j in [(2, 5), (5, 2), (1, 3), (4, 1)]:
             s = random_state(rng, 5)
             before = s.amps.copy()
-            apply_controlled(s, i, j, random_gate(rng))
+            apply_op(s, GateOp(j, random_gate(rng), i=i))
             idle = [k for k in range(32) if not (k >> (5 - i)) & 1]
             assert np.array_equal(s.amps[idle], before[idle])
 
@@ -150,21 +149,21 @@ class TestApplyControlled:
             u = random_gate(rng)
             s = random_state(rng, n)
             want = dense_gate(n, int(j), u, int(i)) @ s.amps
-            apply_controlled(s, int(i), int(j), u)
+            apply_op(s, GateOp(int(j), u, i=int(i)))
             assert np.max(np.abs(s.amps - want)) <= 1e-13
 
     def test_equal_positions_rejected(self):
         with pytest.raises(ValueError):
-            apply_controlled(StateVector.zero(2), 1, 1, X)
+            apply_op(StateVector.zero(2), GateOp(1, X, i=1))
 
     def test_invalid_placement_names_the_position(self):
         s = StateVector.zero(3)
         with pytest.raises(ValueError, match=r"^control position 2 invalid for target 2 of 1\.\.3$"):
-            apply_controlled(s, 2, 2, X)
+            apply_op(s, GateOp(2, X, i=2))
         with pytest.raises(ValueError, match=r"^control position 4 invalid for target 1 of 1\.\.3$"):
-            apply_controlled(s, 4, 1, X)
+            apply_op(s, GateOp(1, X, i=4))
         with pytest.raises(ValueError, match=r"^target position 0 out of range 1\.\.3$"):
-            apply_controlled(s, 1, 0, X)
+            apply_op(s, GateOp(0, X, i=1))
         assert np.array_equal(s.amps, StateVector.zero(3).amps)
 
 
@@ -205,7 +204,7 @@ class TestDiagonalKernel:
         for j in range(1, n + 1):
             s = random_state(rng, n)
             before = s.amps.copy()
-            apply_single_qubit(s, j, GATES[name].fixed)
+            apply_op(s, GateOp(j, GATES[name].fixed))
             idle = [k for k in range(1 << n) if not (k >> (n - j)) & 1]
             assert s.amps[idle].tobytes() == before[idle].tobytes()
             assert not np.array_equal(s.amps, before)
@@ -218,7 +217,7 @@ class TestDiagonalKernel:
                     continue
                 s = random_state(rng, n)
                 before = s.amps.copy()
-                apply_controlled(s, i, j, GATES["cz"].fixed)
+                apply_op(s, GateOp(j, GATES["cz"].fixed, i=i))
                 both = [k for k in range(1 << n) if (k >> (n - i)) & (k >> (n - j)) & 1]
                 idle = sorted(set(range(1 << n)) - set(both))
                 assert len(idle) == 3 << (n - 2)
@@ -237,7 +236,7 @@ class TestChunkedMix:
         t = s.amps.reshape(1 << (j - 1), 2, -1).copy()
         a0, a1 = t[:, 0, :], t[:, 1, :]
         want = np.stack([u.u11 * a0 + u.u12 * a1, u.u21 * a0 + u.u22 * a1], axis=1)
-        apply_single_qubit(s, j, u)
+        apply_op(s, GateOp(j, u))
         assert np.array_equal(s.amps, want.reshape(-1))
 
     @pytest.mark.parametrize("i, j", [(1, 2), (5, 15), (15, 5), (16, 1), (8, 9)])
@@ -250,7 +249,7 @@ class TestChunkedMix:
         highs = lows + (1 << (n - j))
         a0, a1 = want[lows], want[highs]
         want[lows], want[highs] = u.u11 * a0 + u.u12 * a1, u.u21 * a0 + u.u22 * a1
-        apply_controlled(s, i, j, u)
+        apply_op(s, GateOp(j, u, i=i))
         assert np.array_equal(s.amps, want)
 
 
@@ -299,8 +298,8 @@ class TestRunCircuit:
         s = random_state(rng, 5)
         for _ in range(100):
             i, j = rng.choice(np.arange(1, 6), size=2, replace=False)
-            apply_controlled(s, int(i), int(j), random_gate(rng))
-            apply_single_qubit(s, int(rng.integers(1, 6)), random_gate(rng))
+            apply_op(s, GateOp(int(j), random_gate(rng), i=int(i)))
+            apply_op(s, GateOp(int(rng.integers(1, 6)), random_gate(rng)))
             assert abs(s.norm() - 1.0) <= 1e-12  # per-gate drift stays tiny
         assert abs(s.norm() - 1.0) <= 1e-10
 

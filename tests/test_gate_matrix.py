@@ -273,7 +273,7 @@ class TestSparseUnitaryFormat:
         assert np.array_equal(parsed.cols, sparse.cols)
 
     def test_json_schema_fields(self, generic_gate):
-        data = embedded_sparse(2, 1, generic_gate).to_json_dict()
+        data = json.loads(embedded_sparse(2, 1, generic_gate).to_json())
         assert data["schema"] == 1
         assert data["dim"] == 4
         assert len(data["rows"]) == 4
@@ -337,7 +337,8 @@ class TestKronChainBits:
 
 
 def reference_sparse_json(sparse):
-    """The former to_json_dict: one [column, re, im] per stored slot."""
+    """The schema-1 gate dict dumped whole: one [column, re, im] per stored
+    slot."""
     rows = [
         [[int(c), float(v.real), float(v.imag)] for c, v in sparse.row(k)]
         for k in range(sparse.dim)
@@ -371,7 +372,7 @@ class TestSparseUnitaryJson:
         text = reference_sparse_json(sparse)
         assert "-0.0" in text
         assert sparse.to_json() == text
-        assert sparse.to_json_dict() == json.loads(text)
+        assert json.loads(sparse.to_json()) == json.loads(text)
         # Non-finite values never reach the writer: construction rejects them.
         for bad in ([[np.nan, 0], [1.0, 0]], [[1.0, 0], [np.inf, 0]], [[complex(1, np.nan), 0], [1.0, 0]]):
             with pytest.raises(ValueError, match="finite"):

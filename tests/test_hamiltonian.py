@@ -205,14 +205,13 @@ class TestControlledHamiltonians:
 
 class TestEmbeddedGateHamiltonian:
     def test_single_qubit_is_matrix_log(self, generic_gate):
-        pairs = eigenpairs_2x2(generic_gate)
-        h = embedded_gate_hamiltonian(1, 1, pairs)
+        h = embedded_gate_hamiltonian(1, 1, generic_gate)
         np.testing.assert_allclose(
             exp_minus_ih(h), np.asarray(generic_gate.matrix), atol=1e-13
         )
 
     def test_identity_is_empty(self):
-        assert embedded_gate_hamiltonian(3, 2, eigenpairs_2x2(EYE)).terms == ()
+        assert embedded_gate_hamiltonian(3, 2, EYE).terms == ()
 
     def test_reconstruction(self, rng):
         cases = [(3, 2, rotation_gate("X", 0.4))]
@@ -221,17 +220,17 @@ class TestEmbeddedGateHamiltonian:
             j = int(rng.integers(1, n + 1))
             cases.append((n, j, random_gate(rng)))
         for n, j, u in cases:
-            h = embedded_gate_hamiltonian(n, j, eigenpairs_2x2(u))
+            h = embedded_gate_hamiltonian(n, j, u)
             dense = embedded_sparse(n, j, u).to_dense()
             assert frobenius_error(dense, exp_minus_ih(h)) <= 1e-12
 
     def test_position_out_of_range(self, generic_gate):
         with pytest.raises(ValueError):
-            embedded_gate_hamiltonian(2, 3, eigenpairs_2x2(generic_gate))
+            embedded_gate_hamiltonian(2, 3, generic_gate)
 
     def test_position_out_of_range_names_the_target(self, generic_gate):
         with pytest.raises(ValueError, match=r"^target position 4 out of range 1\.\.3$"):
-            embedded_gate_hamiltonian(3, 4, eigenpairs_2x2(generic_gate))
+            embedded_gate_hamiltonian(3, 4, generic_gate)
 
 
 class TestRotationStrings:

@@ -16,6 +16,7 @@ import sparseq
 from sparseq import (
     LocalHamiltonian,
     controlled_gate_hamiltonian,
+    eigenpairs_2x2,
     embedded_gate_hamiltonian,
     exp_minus_ih,
     phase_of,
@@ -84,7 +85,7 @@ def placements(max_n):
 
 def build(n, j, i, u):
     if i is None:
-        return embedded_gate_hamiltonian(n, j, u.eigenpairs())
+        return embedded_gate_hamiltonian(n, j, u)
     return controlled_gate_hamiltonian(n, i, j, u)
 
 
@@ -93,7 +94,7 @@ def test_bytes_order_and_exponential_match_reference(name, generic_gate):
     u = generic_gate if name == "generic" else GATE_SPECS[name]
     for n, j, i in placements(7):
         h = build(n, j, i, u)
-        ref = reference_terms(n, j, i, u.eigenpairs())
+        ref = reference_terms(n, j, i, eigenpairs_2x2(u))
         text = h.to_json()
         assert text == json.dumps(reference_dict(1 << n, ref)), (n, j, i)
         assert LocalHamiltonian.from_json(text).to_json() == text
@@ -121,7 +122,7 @@ def test_pieces_are_bounded_and_join_to_the_reference(entries, generic_gate, mon
         counts = [piece.count('{"z": ') for piece in body[::2]]
         assert all(0 < c <= per_piece for c in counts), (n, j, i)
         assert sum(counts) == len(h.z) and len(counts) == -(-len(h.z) // per_piece)
-        ref = reference_terms(n, j, i, generic_gate.eigenpairs())
+        ref = reference_terms(n, j, i, eigenpairs_2x2(generic_gate))
         assert "".join(pieces) == json.dumps(reference_dict(1 << n, ref)), (n, j, i)
 
 
@@ -151,7 +152,7 @@ def test_circuit_payload_matches_reference(tmp_path, rng):
     assert text == json.dumps(payload) + "\n"
     for g, ref in zip(groups, json.loads(text)["groups"]):
         for h, entry in zip(g.hamiltonians, ref["hamiltonians"]):
-            assert LocalHamiltonian.from_json_dict(entry).to_json() == h.to_json()
+            assert LocalHamiltonian.from_json(json.dumps(entry)).to_json() == h.to_json()
 
 
 def test_n11_output_is_unchanged_and_small(tmp_path, cli_maxrss):

@@ -1,6 +1,9 @@
 """Run a fixed corpus of sparseq CLI invocations and print one JSON line per
 invocation: argv, exit code, and the sha256 of stdout, stderr and the output
-file (null when none was written).
+file (null when none was written). A `verify` run writes its CSVs into the
+output directory instead, which is hashed as its file names and contents in
+name order. An exception that escapes sparseq.cli.main is recorded as the
+exit, so that a tree which lets one through still gives a full corpus.
 
 Two source trees give the same lines exactly when their CLI outputs are
 byte-identical, so a change can be checked against its parent with
@@ -24,6 +27,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -95,6 +99,7 @@ def write_inputs(work: Path):
     (work / "mixed.sq").write_text(MIXED, encoding="utf-8")
     (work / "mixed.json").write_text(json.dumps({"a": 0.9, "b": -1.3}), encoding="utf-8")
     (work / "wide.sq").write_text(WIDE, encoding="utf-8")
+    (work / "wide13.sq").write_text("qubits 13\nu q1 h\ncx q1 q13\nry q7 0.3\n", encoding="utf-8")
     for n, layers in ((3, 2), (6, 1), (9, 1), (10, 1)):
         (work / f"hea{n}.sq").write_text(hea_source(n, layers), encoding="utf-8")
         (work / f"hea{n}.json").write_text(json.dumps(hea_params(n, layers)), encoding="utf-8")
@@ -157,24 +162,47 @@ def corpus():
     # Tolerances that are not a finite number >= 0.
     yield ["run", "bell.sq", "--oracle", "--tol", "nan", "-o", "out"]
     yield ["run", "bell.sq", "--oracle", "--tol", "-1", "-o", "out"]
+    # Verify suites at small n, then inputs each suite refuses. An oracle
+    # above the dense cap is refused before the CSV is written.
+    yield ["verify", "--suite", "crx", "-n", "3", "--out-dir", "out"]
+    yield ["verify", "--suite", "strings", "-n", "3", "--out-dir", "out"]
+    yield ["verify", "--suite", "engine", "-n", "6", "--circuits", "20", "--out-dir", "out"]
+    yield ["verify", "--suite", "strings", "-n", "0", "--out-dir", "out"]
+    yield ["verify", "--suite", "crx", "-n", "1", "--out-dir", "out"]
+    yield ["verify", "--suite", "engine", "-n", "1", "--out-dir", "out"]
+    yield ["verify", "--suite", "engine", "--circuits", "0", "--out-dir", "out"]
+    yield ["verify", "--suite", "engine", "-n", "13", "--circuits", "5", "--out-dir", "out"]
+    yield ["run", "wide13.sq", "--oracle", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def output_hash(out: Path) -> str | None:
+    if out.is_dir():
+        return sha256(b"".join(
+            f.name.encode() + b"\n" + f.read_bytes() for f in sorted(out.iterdir())))
+    return sha256(out.read_bytes()) if out.exists() else None
+
+
 def run_one(main, argv: list[str]) -> dict:
     out = Path("out")
+    if out.is_dir():
+        shutil.rmtree(out)
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except Exception as exc:  # recorded as the exit, not raised
+            code = f"uncaught {type(exc).__name__}"
     return {
         "argv": argv,
         "exit": code,
         "stdout": sha256(stdout.getvalue().encode()),
         "stderr": sha256(stderr.getvalue().encode()),
-        "output": sha256(out.read_bytes()) if out.exists() else None,
+        "output": output_hash(out),
     }
 
 
