@@ -59,12 +59,13 @@ BUDGET_FREE_BYTES = 256 << 20
 
 # Peak memory per unit of work, measured with child ru_maxrss (CPython 3.11,
 # numpy 2.4) and rounded up. `run` holds about 200 bytes per amplitude: the
-# state and the Python text of its output line. A packed Hamiltonian keeps 56
-# bytes per term and needs about 110 more while one is built. Counted in
-# complex 2^n x 2^n matrices alive at once: 6 for a gate's --check, the run
-# oracle or a crx or engine sweep, 12 for a circuit's --check or a strings
-# sweep, 2 for --dense: it streams its rows, but a caller that captures
-# stdout holds all of its text.
+# state and the Python text of its output line. TERM_BYTES and
+# TERM_BUILD_BYTES price a Hamiltonian as packed terms. That over-counts its
+# O(1) stored form, but they stay as the only guard that refuses terabytes of
+# schema-1 text. Counted in complex 2^n x 2^n matrices alive at once: 6 for a
+# gate's --check, the run oracle or a crx or engine sweep, 12 for a circuit's
+# --check or a strings sweep, 2 for --dense: it streams its rows, but a
+# caller that captures stdout holds all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56

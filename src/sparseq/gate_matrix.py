@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .core import OneQubitGate
-from .qindex import pair_lows
+from .qindex import check_placement, pair_lows
 
 #: Dense constructions are O(4^n); refuse beyond this register size.
 DENSE_MAX_QUBITS = 12
@@ -48,64 +48,67 @@ class ControlledGateSpec:
 
 
 class SparseUnitary:
-    """Row-major 2-sparse matrix with fixed two-slot rows.
+    """The 2-sparse matrix of a one-qubit gate u at target j of an n-qubit
+    register (controlled by qubit i unless i is None), stored as just that.
 
-    cols[k] holds the (strictly increasing) column indices of row k, -1
-    marking an absent slot; vals[k] the matching entries. Structural zeros
-    stay stored, so the pattern depends only on the gate placement, never on
-    the particular unitary.
+    Its row-major arrays are derived on each access: cols[k] holds the
+    (strictly increasing) column indices of row k, -1 marking an absent
+    slot; vals[k] the matching entries. Each target pair (k, k + 2^(n-j)) of
+    pair_lows carries row 0 of u in its low row and row 1 in its high row;
+    every other row is an identity row. Structural zeros stay stored, so the
+    pattern depends only on the placement, never on the particular unitary.
     """
 
-    __slots__ = ("dim", "cols", "vals")
+    __slots__ = ("n", "j", "u", "i")
 
-    def __init__(self, dim: int, cols: np.ndarray, vals: np.ndarray):
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=complex)
-        if cols.shape != (dim, 2) or vals.shape != (dim, 2):
-            raise ValueError(f"expected ({dim}, 2) col/val arrays")
-        present = cols >= 0
-        if np.any(cols >= dim):
-            raise ValueError("column index out of range")
-        if np.any(~present[:, 0]):
-            raise ValueError("every row needs at least one entry")
-        both = present[:, 1]
-        if np.any(cols[both, 0] >= cols[both, 1]):
-            raise ValueError("columns within a row must be strictly increasing")
-        if np.any(vals[~present] != 0):
-            raise ValueError("absent slots must carry value 0")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("gate values must be finite")
-        counts = np.bincount(cols[present].ravel(), minlength=dim)
-        if np.any(counts > 2):
-            raise ValueError("a column carries more than 2 entries")
-        self.dim = dim
-        self.cols = cols
-        self.vals = vals
-        cols.setflags(write=False)
-        vals.setflags(write=False)
+    def __init__(self, n: int, j: int, u: OneQubitGate, i: int | None = None):
+        check_placement(n, j, i)
+        self.n, self.j, self.u, self.i = n, j, u, i
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        low = pair_lows(self.n, self.j, self.i)
+        return low, low + (1 << (self.n - self.j))
+
+    @property
+    def cols(self) -> np.ndarray:
+        low, high = self._pairs()
+        cols = np.full((self.dim, 2), -1, dtype=np.int64)
+        cols[:, 0] = np.arange(self.dim)
+        cols[low] = cols[high] = np.stack([low, high], axis=1)
+        return cols
+
+    @property
+    def vals(self) -> np.ndarray:
+        low, high = self._pairs()
+        vals = np.zeros((self.dim, 2), dtype=complex)
+        vals[:, 0] = 1.0
+        vals[low] = self.u.matrix[0]
+        vals[high] = self.u.matrix[1]
+        return vals
 
     def row(self, k: int) -> list[tuple[int, complex]]:
-        """Stored (column, value) pairs of row k, structural zeros included."""
-        return [
-            (int(c), complex(v))
-            for c, v in zip(self.cols[k], self.vals[k])
-            if c >= 0
-        ]
+        """Stored (column, value) pairs of row k, structural zeros included.
+        It derives both arrays, so each call costs O(dim)."""
+        return [(c, v) for c, v in zip(self.cols[k].tolist(), self.vals[k].tolist()) if c >= 0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Sparse matrix-vector product, O(dim)."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim,):
             raise ValueError(f"vector length {x.shape} does not match dim {self.dim}")
+        cols, vals = self.cols, self.vals
         # Absent slots hold col -1 / value 0, so the wrapped index is harmless.
-        return self.vals[:, 0] * x[self.cols[:, 0]] + self.vals[:, 1] * x[self.cols[:, 1]]
+        return vals[:, 0] * x[cols[:, 0]] + vals[:, 1] * x[cols[:, 1]]
 
     def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        rows = np.arange(self.dim)
-        m[rows, self.cols[:, 0]] = self.vals[:, 0]
-        second = self.cols[:, 1] >= 0
-        m[rows[second], self.cols[second, 1]] = self.vals[second, 1]
+        """The identity, with u on the rows and columns of each target pair."""
+        pairs = np.stack(self._pairs(), axis=1)[:, :, None]
+        m = np.eye(self.dim, dtype=complex)
+        m[pairs, pairs.transpose(0, 2, 1)] = self.u.matrix
         return m
 
     def unitarity_defect(self) -> float:
@@ -119,52 +122,34 @@ class SparseUnitary:
         return np.sum(self.cols >= 0, axis=1)
 
     def nonzeros_per_column(self) -> np.ndarray:
-        present = self.cols >= 0
-        return np.bincount(self.cols[present].ravel(), minlength=self.dim)
+        cols = self.cols
+        return np.bincount(cols[cols >= 0], minlength=self.dim)
 
     def json_chunks(self):
         """Schema-1 JSON text in pieces of up to JSON_CHUNK_ROWS rows. Joined,
         they equal json.dumps of {"schema": 1, "dim": D, "rows": [[[c, re,
         im], ...], ...]} with the stored slots of every row.
 
-        Few distinct value rows repeat across the matrix, so each is
-        formatted once, keyed on its bit pattern (-0.0 and 0.0 stay apart).
+        Every row is written from one of three texts, each formatted once:
+        the identity entry, u's row 0 and u's row 1.
         """
         yield f'{{"schema": 1, "dim": {self.dim}, "rows": ['
-        texts: dict[bytes, tuple[str, str]] = {}
+        # json.dumps writes each float as the dict dump would.
+        texts = [[json.dumps([v.real, v.imag])[1:-1] for v in r] for r in self.u.matrix.tolist()]
+        cols = self.cols
         for start in range(0, self.dim, JSON_CHUNK_ROWS):
-            stop = start + JSON_CHUNK_ROWS
-            vals = np.ascontiguousarray(self.vals[start:stop])
-            keys = vals.view(np.dtype((np.void, vals.itemsize * 2))).ravel().tolist()
             parts = []
-            for k, (key, (c0, c1)) in enumerate(zip(keys, self.cols[start:stop].tolist())):
-                text = texts.get(key)
-                if text is None:
-                    # json.dumps writes each float as the dict dump would.
-                    text = texts[key] = tuple(
-                        json.dumps([v.real, v.imag])[1:-1] for v in vals[k].tolist()
-                    )
-                if c1 < 0:
-                    parts.append(f"[[{c0}, {text[0]}]]")
+            for k, (low, high) in enumerate(cols[start : start + JSON_CHUNK_ROWS].tolist(), start):
+                if high < 0:
+                    parts.append(f"[[{k}, 1.0, 0.0]]")
                 else:
-                    parts.append(f"[[{c0}, {text[0]}], [{c1}, {text[1]}]]")
+                    a, b = texts[0 if k == low else 1]
+                    parts.append(f"[[{low}, {a}], [{high}, {b}]]")
             yield (", " if start else "") + ", ".join(parts)
         yield "]}"
 
     def to_json(self) -> str:
         return "".join(self.json_chunks())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparseUnitary":
-        data = json.loads(text)
-        dim = data["dim"]
-        cols = np.full((dim, 2), -1, dtype=np.int64)
-        vals = np.zeros((dim, 2), dtype=complex)
-        for k, row in enumerate(data["rows"]):
-            for slot, (c, re, im) in enumerate(row):
-                cols[k, slot] = c
-                vals[k, slot] = complex(re, im)
-        return cls(dim, cols, vals)
 
 
 def target_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
@@ -223,22 +208,6 @@ def straddled_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
     return m
 
 
-def _pair_sparse(n: int, j: int, u: OneQubitGate, i: int | None = None) -> SparseUnitary:
-    """Identity rows, except that each target pair (k, k + 2^(n-j)) from
-    pair_lows carries row 0 of u in its low row and row 1 in its high row."""
-    dim = 1 << n
-    low = pair_lows(n, j, i)
-    high = low + (1 << (n - j))
-    cols = np.full((dim, 2), -1, dtype=np.int64)
-    cols[:, 0] = np.arange(dim)
-    vals = np.zeros((dim, 2), dtype=complex)
-    vals[:, 0] = 1.0
-    cols[low] = cols[high] = np.stack([low, high], axis=1)
-    vals[low] = u.matrix[0]
-    vals[high] = u.matrix[1]
-    return SparseUnitary(dim, cols, vals)
-
-
 def controlled_sparse(spec: ControlledGateSpec) -> SparseUnitary:
     """2-sparse matrix of the controlled gate, either qubit ordering.
 
@@ -246,13 +215,13 @@ def controlled_sparse(spec: ControlledGateSpec) -> SparseUnitary:
     target bit b couples index k with its partner k -+ 2^(n-j) through row b
     of u; both slots are stored even when an entry of u is zero.
     """
-    return _pair_sparse(spec.n, spec.j, spec.u, spec.i)
+    return SparseUnitary(spec.n, spec.j, spec.u, spec.i)
 
 
 def embedded_sparse(n: int, j: int, u: OneQubitGate) -> SparseUnitary:
     """2-sparse matrix of a single-qubit gate at position j of an n-qubit
     register; equals the Kronecker product I ⊗ u ⊗ I."""
-    return _pair_sparse(n, j, u)
+    return SparseUnitary(n, j, u)
 
 
 def check_dense_cap(n: int):
@@ -285,8 +254,7 @@ def _kron_placed(n: int, placed: dict[int, np.ndarray]) -> np.ndarray:
 
 def kron_embedded_dense(n: int, j: int, u: OneQubitGate) -> np.ndarray:
     """Reference dense matrix I_{2^(j-1)} ⊗ u ⊗ I_{2^(n-j)}."""
-    if not 1 <= j <= n:
-        raise ValueError(f"target position {j} out of range 1..{n}")
+    check_placement(n, j)
     check_dense_cap(n)
     return _kron_placed(n, {j: np.asarray(u.matrix)})
 

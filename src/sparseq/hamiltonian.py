@@ -7,29 +7,28 @@ H is then the weighted sum of rank-1 projectors over the non-unit
 eigendirections, with weights z = phase of the eigenvalue; unit eigenvalues
 contribute nothing and are dropped.
 
-Every term vector therefore has at most two nonzero entries, and a
-LocalHamiltonian stores its T terms packed: weights z (T,), two slot indices
-per term (T, 2) and the two slot values (T, 2). Dense vectors exist only in
-the capped oracle path (to_dense, gram_defect, exp_minus_ih) and in the
-`terms` view.
+Every term vector therefore has at most two nonzero entries, and the whole
+operator is fixed by the gate placement (n, j, i) and at most two (z, v)
+rows, one per non-unit gate eigenpair. A LocalHamiltonian stores just that
+and derives its packed per-term arrays from qindex.pair_lows on demand.
+Dense vectors exist only in the capped oracle path (to_dense, gram_defect,
+exp_minus_ih) and in the `terms` view.
 
 The schema-1 JSON writer (json_chunks) streams a bounded batch of terms at a
-time. A lifted Hamiltonian repeats at most two (z, slot values) rows over
-all its slot pairs, so the text of each distinct row is formatted once,
-memoized on the row's bit pattern, and each term is zero padding around
-cached strings.
+time, each term zero padding around its row's text, formatted once.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .core import EigenPair2, OneQubitGate, PAULI, eigenpairs_2x2, phase_of
 from .gate_matrix import kron_embedded_dense
-from .qindex import pair_lows
+from .qindex import check_placement, pair_lows
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
 ORTHO_TOL = 1e-10
@@ -44,12 +43,15 @@ UNIT_TOL = 1e-12
 _JSON_PIECE_ENTRIES = 1 << 12
 
 
-def _check_terms(z: np.ndarray, norms: np.ndarray):
-    """Reject weights outside (-pi, pi] or zero, and term vectors that are not
-    unit vectors. Written so that NaN fails every comparison."""
+def _check_terms(z: np.ndarray, vectors: np.ndarray):
+    """Reject weights outside (-pi, pi] or zero, and term vectors (the rows of
+    vectors) that are not finite unit vectors. Written so that NaN fails
+    every comparison; non-finite rows are refused before any norm is taken."""
     good = (z > -math.pi) & (z <= math.pi) & (z != 0.0)
     if not good.all():
         raise ValueError(f"term weight {z[~good][0]} outside (-pi, pi] or zero")
+    finite = np.isfinite(vectors).all()
+    norms = np.sqrt((vectors.conj() * vectors).real.sum(axis=1)) if finite else math.nan
     if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
         raise ValueError("term vector is not a finite unit vector")
 
@@ -72,59 +74,68 @@ class ProjectorTerm:
         w = np.array(self.w, dtype=complex)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        _check_terms(np.array([self.z], dtype=float), np.array([np.linalg.norm(w)]))
-
-
-def _pack(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slot indices (ascending) and slot values of the 2-sparse rows of w.
-
-    A row's slots are its nonzero entries, then its signed zeros (so that a
-    -0.0 survives a round trip through JSON), then its first plain zeros.
-    """
-    if w.shape[0] and w.shape[1] < 2:
-        raise ValueError("term vectors need at least two entries")
-    nonzero = w != 0
-    if np.any(np.count_nonzero(nonzero, axis=1) > 2):
-        raise ValueError("term vector has more than two nonzero entries")
-    signed = np.signbit(w.real) | np.signbit(w.imag)
-    rank = np.where(nonzero, 0, np.where(signed, 1, 2))
-    slots = np.sort(np.argsort(rank, axis=1, kind="stable")[:, :2], axis=1)
-    return slots, np.take_along_axis(w, slots, axis=1)
+        _check_terms(np.array([self.z], dtype=float), w[None])
 
 
 class LocalHamiltonian:
-    """Sum of real-weighted rank-1 projectors onto orthonormal vectors.
+    """Sum of real-weighted rank-1 projectors onto orthonormal vectors, in
+    the lifted form of a gate placed at target j (and control i, or None) of
+    an n-qubit register.
 
-    Built from packed arrays: term k is z[k] * |w_k><w_k| where w_k holds
-    values[k] (T, 2) at the indices slots[k] (T, 2, ascending) and zeros
-    elsewhere.
+    It stores at most two rows s, each a weight weights[s] and a 2-vector
+    vectors[s]. For each row in order, and each low index a of pair_lows(n,
+    j, i) in ascending order, there is one term weights[s] * |w><w|, where w
+    holds vectors[s] at the slots (a, a + 2^(n-j)) and zeros elsewhere. The
+    packed arrays of the T terms (z, slots and values) are derived on each
+    access.
     """
 
-    __slots__ = ("dim", "z", "slots", "values")
+    __slots__ = ("n", "j", "i", "weights", "vectors")
 
-    def __init__(self, dim: int, z, slots, values):
+    def __init__(self, n: int, j: int, i: int | None, z, vectors):
+        check_placement(n, j, i)
         z = np.array(z, dtype=float).reshape(-1)
-        slots = np.array(slots, dtype=np.int64).reshape(-1, 2)
-        values = np.array(values, dtype=complex).reshape(-1, 2)
-        if not len(z) == len(slots) == len(values):
-            raise ValueError("weights, slots and values differ in term count")
-        low, high = slots.T
-        if not ((0 <= low) & (low < high) & (high < dim)).all():
-            raise ValueError(f"term slots must be ascending indices in 0..{dim - 1}")
-        # The row norms as np.linalg.norm(values, axis=1) sums them.
-        _check_terms(z, np.sqrt((values.conj() * values).real.sum(axis=1)))
-        for a in (z, slots, values):
+        vectors = np.array(vectors, dtype=complex)
+        if len(z) > 2 or vectors.size != 2 * len(z):
+            raise ValueError("need at most two rows, each a weight and a 2-vector")
+        vectors = vectors.reshape(-1, 2)
+        _check_terms(z, vectors)
+        for a in (z, vectors):
             a.setflags(write=False)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "values", values)
+        for name, value in zip(self.__slots__, (n, j, i, z, vectors)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalHamiltonian is immutable")
 
     def __repr__(self) -> str:
-        return f"LocalHamiltonian(dim={self.dim}, terms={len(self.z)})"
+        return f"LocalHamiltonian(dim={self.dim}, terms={len(self.weights) * self._per_row})"
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
+
+    @property
+    def _per_row(self) -> int:
+        """Terms per row: the target pairs, 2^(n-1), or 2^(n-2) with a control."""
+        return 1 << (self.n - (1 if self.i is None else 2))
+
+    @property
+    def z(self) -> np.ndarray:
+        """Weight of each term (T,)."""
+        return self.weights.repeat(self._per_row)
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Ascending slot indices of each term (T, 2)."""
+        lows = pair_lows(self.n, self.j, self.i)
+        spans = lows[:, None] + np.array([0, 1 << (self.n - self.j)])
+        return np.tile(spans, (len(self.weights), 1))
+
+    @property
+    def values(self) -> np.ndarray:
+        """Slot values of each term (T, 2)."""
+        return self.vectors.repeat(self._per_row, axis=0)
 
     @property
     def terms(self) -> tuple[ProjectorTerm, ...]:
@@ -133,11 +144,13 @@ class LocalHamiltonian:
 
     def _columns(self) -> np.ndarray:
         """The (dim x T) matrix W whose column k is term vector k."""
-        count = len(self.z)
-        w = np.zeros((self.dim, count), dtype=complex)
-        # Entry (row r, column k) sits at r * count + k of the flat buffer.
-        w.reshape(-1)[self.slots * count + np.arange(count)[:, None]] = self.values
-        return w
+        lows = pair_lows(self.n, self.j, self.i)
+        terms = np.arange(len(lows))
+        w = np.zeros((self.dim, len(self.weights), len(lows)), dtype=complex)
+        # Advanced indices around a slice: w[lows, :, terms] is (lows, rows).
+        w[lows, :, terms] = self.vectors[:, 0]
+        w[lows + (1 << (self.n - self.j)), :, terms] = self.vectors[:, 1]
+        return w.reshape(self.dim, -1)
 
     def to_dense(self) -> np.ndarray:
         """Realize sum z * w w† as a dense Hermitian matrix."""
@@ -146,10 +159,22 @@ class LocalHamiltonian:
 
     def gram_defect(self) -> float:
         """max |W†W - I| over the term-vector Gram matrix (0 if no terms)."""
-        if not len(self.z):
+        if not len(self.weights):
             return 0.0
         w = self._columns()
         return _gram_defect(w, w.conj().T)
+
+    def _term_texts(self):
+        """The text of every term, in storage order. Each row's text is
+        formatted once; a term is zero padding around it."""
+        lows = pair_lows(self.n, self.j, self.i).tolist()
+        stride = 1 << (self.n - self.j)
+        zero, tail = "[0.0, 0.0], ", ", [0.0, 0.0]"
+        for z, (va, vb) in zip(self.weights.tolist(), self.vectors.tolist()):
+            head = f'{{"z": {z!r}, "w": ['
+            pair = f"[{va.real!r}, {va.imag!r}], {zero * (stride - 1)}[{vb.real!r}, {vb.imag!r}]"
+            for a in lows:
+                yield f"{head}{zero * a}{pair}{tail * (self.dim - a - stride - 1)}]}}"
 
     def json_chunks(self):
         """Schema-1 JSON text in pieces: the opening, runs of up to max(1,
@@ -157,37 +182,14 @@ class LocalHamiltonian:
         the closing. Joined, they equal json.dumps of {"schema": 1, "dim": D,
         "terms": [{"z": z, "w": [[re, im], ...]}, ...]} with every entry of
         every term vector written out.
-
-        Each distinct (z, slot values) row is formatted once, keyed on its
-        bit pattern rather than float equality, so -0.0 and 0.0 keep their
-        own text.
         """
         yield f'{{"schema": 1, "dim": {self.dim}, "terms": ['
-        bits = np.column_stack((self.z.view(np.uint64), self.values.view(np.uint64)))
-        keys = bits.view(np.dtype((np.void, bits.itemsize * 5))).ravel().tolist()
-        slots = self.slots.tolist()
-        texts: dict[bytes, tuple[str, str, str]] = {}
-        zero, tail = "[0.0, 0.0], ", ", [0.0, 0.0]"
+        texts = self._term_texts()
         per_piece = max(1, _JSON_PIECE_ENTRIES // self.dim)
-        for start in range(0, len(keys), per_piece):
-            parts = []
-            for k in range(start, min(start + per_piece, len(keys))):
-                text = texts.get(keys[k])
-                if text is None:
-                    (va, vb), z = self.values[k].tolist(), float(self.z[k])
-                    text = texts[keys[k]] = (
-                        f'{{"z": {z!r}, "w": [',
-                        f"[{va.real!r}, {va.imag!r}], ",
-                        f"[{vb.real!r}, {vb.imag!r}]",
-                    )
-                head, low, high = text
-                a, b = slots[k]
-                parts.append(
-                    f"{head}{zero * a}{low}{zero * (b - a - 1)}{high}{tail * (self.dim - b - 1)}]}}"
-                )
+        for start in range(0, len(self.weights) * self._per_row, per_piece):
             if start:
                 yield ", "
-            yield ", ".join(parts)
+            yield ", ".join(islice(texts, per_piece))
         yield "]}"
 
     def to_json(self) -> str:
@@ -195,15 +197,6 @@ class LocalHamiltonian:
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "LocalHamiltonian":
-        data = json.loads(text)
-        dim, terms = data["dim"], data["terms"]
-        pairs = np.array([t["w"] for t in terms], dtype=float).reshape(len(terms), dim, 2)
-        # Viewing the [re, im] pairs as complex keeps every signed zero.
-        w = pairs.view(complex)[..., 0]
-        return cls(dim, [t["z"] for t in terms], *_pack(w))
 
 
 @dataclass(frozen=True)
@@ -289,25 +282,16 @@ def straddled_pair_eigenpairs(
     return _block_eigenpairs(2 * stride - blk, lows, stride, pairs)
 
 
-def _lift(
-    n: int, j: int, i: int | None, pairs: tuple[EigenPair2, EigenPair2]
-) -> LocalHamiltonian:
-    """Projector terms for every non-unit gate eigenvalue, one per target pair
-    of pair_lows(n, j, i), in ascending order of the pair's low index."""
-    lows = pair_lows(n, j, i)
-    kept = [(z, p.vector) for p in pairs if (z := phase_of(p.value)) != 0.0]
-    spans = (lows[:, None] + np.array([0, 1 << (n - j)]))[None]
-    return LocalHamiltonian(
-        1 << n,
-        np.array([z for z, _ in kept], dtype=float).repeat(len(lows)),
-        spans.repeat(len(kept), axis=0).reshape(-1, 2),
-        np.array([v for _, v in kept], dtype=complex).reshape(-1, 2).repeat(len(lows), axis=0),
-    )
+def _lift(n: int, j: int, i: int | None, u: OneQubitGate) -> LocalHamiltonian:
+    """The Hamiltonian of u placed at (n, j, i): one row per non-unit
+    eigenvalue of u, its phase z and its eigenvector."""
+    kept = [(z, p.vector) for p in eigenpairs_2x2(u) if (z := phase_of(p.value)) != 0.0]
+    return LocalHamiltonian(n, j, i, [z for z, _ in kept], [v for _, v in kept])
 
 
 def embedded_gate_hamiltonian(n: int, j: int, u: OneQubitGate) -> LocalHamiltonian:
     """H with I ⊗ u ⊗ I = e^{-iH} for a single-qubit gate at position j."""
-    return _lift(n, j, None, eigenpairs_2x2(u))
+    return _lift(n, j, None, u)
 
 
 def controlled_gate_hamiltonian(n: int, i: int, j: int, u: OneQubitGate) -> LocalHamiltonian:
@@ -319,7 +303,7 @@ def controlled_gate_hamiltonian(n: int, i: int, j: int, u: OneQubitGate) -> Loca
     if not (1 <= i < j <= n or 1 <= j < i <= n):
         order = "i < j" if i < j else "j < i"
         raise ValueError(f"requires 1 <= {order} <= n, got n={n}, i={i}, j={j}")
-    return _lift(n, j, i, eigenpairs_2x2(u))
+    return _lift(n, j, i, u)
 
 
 def rotation_string_hamiltonians(
@@ -346,7 +330,7 @@ def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:
     and serves both the check and the update, and the identity is added on
     the diagonal of the update, never built.
     """
-    if not len(h.z):
+    if not len(h.weights):
         return np.eye(h.dim, dtype=complex)
     w = h._columns()
     wh = w.conj().T

@@ -8,6 +8,7 @@ import pytest
 
 import sparseq
 from sparseq import OneQubitGate, rotation_gate
+from sparseq.circuit_ir import GATES
 
 #: Starts argv[1:] as a child and prints its exit code and ru_maxrss.
 _PROBE = (
@@ -25,6 +26,16 @@ def generic_gate() -> OneQubitGate:
     entries = {u.u11, u.u12, u.u21, u.u22}
     assert len(entries) == 4 and all(abs(e) > 1e-3 for e in entries)
     return u
+
+
+@pytest.fixture
+def table_gates(generic_gate) -> list[OneQubitGate]:
+    """Every fixed gate of GATES, each rotation axis at angles with signed and
+    exact zeros, and the generic gate."""
+    fixed = {id(k.fixed): k.fixed for k in GATES.values() if k.fixed is not None}
+    rotations = [rotation_gate(k.axis, t) for k in GATES.values() if k.axis and not k.controlled
+                 for t in (0.7, -2.1, 2.5)]
+    return [*fixed.values(), *rotations, generic_gate]
 
 
 @pytest.fixture

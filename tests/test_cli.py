@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from sparseq import ErrorSweep, LocalHamiltonian, SparseUnitary, cli
+from sparseq import (
+    ControlledGateSpec,
+    ErrorSweep,
+    SparseUnitary,
+    cli,
+    controlled_gate_hamiltonian,
+    controlled_sparse,
+)
 from sparseq.circuit_ir import hea_template, serialize
 from sparseq.cli import main, parse_gate_spec
 
@@ -39,7 +46,12 @@ class TestBuildGate:
         text = out.read_text()
         data = json.loads(text)
         assert data["schema"] == 1 and data["dim"] == 4
-        sparse = SparseUnitary.from_json(text)
+        sparse = controlled_sparse(ControlledGateSpec(2, 1, 2, parse_gate_spec("x")))
+        assert text.startswith(sparse.to_json()[:-1] + ', "dense": [')
+        assert data["rows"] == [
+            [[0, 1.0, 0.0]], [[1, 1.0, 0.0]],
+            [[2, 0.0, 0.0], [3, 1.0, 0.0]], [[2, 1.0, 0.0], [3, 0.0, 0.0]],
+        ]
         dense = np.array([[re + 1j * im for re, im in row] for row in data["dense"]])
         want = np.eye(4)[:, [0, 1, 3, 2]]
         assert np.array_equal(sparse.to_dense(), want)
@@ -83,11 +95,14 @@ class TestBuildGate:
     def test_known_pair_pattern(self, capsys):
         code = main(["build-gate", "-n", "5", "-i", "2", "-j", "4", "--gate", "rx:0.5"])
         assert code == 0
-        sparse = SparseUnitary.from_json(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        sparse = controlled_sparse(ControlledGateSpec(5, 2, 4, parse_gate_spec("rx:0.5")))
+        assert out == sparse.to_json() + "\n"
+        rows = json.loads(out)["rows"]
         # active rows pair at offset 2 within control-selected blocks
-        assert [c for c, _ in sparse.row(8)] == [8, 10]
-        assert [c for c, _ in sparse.row(10)] == [8, 10]
-        assert [c for c, _ in sparse.row(0)] == [0]
+        assert [c for c, *_ in rows[8]] == [8, 10]
+        assert [c for c, *_ in rows[10]] == [8, 10]
+        assert [c for c, *_ in rows[0]] == [0]
 
     def test_single_qubit_embedding(self, capsys):
         code = main(["build-gate", "-n", "2", "-j", "2", "--gate", "h"])
@@ -116,11 +131,14 @@ class TestHamiltonianCommand:
     def test_cnot_terms(self, capsys):
         code = main(["hamiltonian", "-n", "2", "-i", "1", "-j", "2", "--gate", "x"])
         assert code == 0
-        h = LocalHamiltonian.from_json(capsys.readouterr().out)
-        assert len(h.terms) == 1
-        assert h.terms[0].z == math.pi
+        out = capsys.readouterr().out
+        assert out == controlled_gate_hamiltonian(2, 1, 2, parse_gate_spec("x")).to_json() + "\n"
+        terms = json.loads(out)["terms"]
+        assert len(terms) == 1
+        assert terms[0]["z"] == math.pi
         s = 1 / math.sqrt(2)
-        np.testing.assert_allclose(h.terms[0].w, [0, 0, s, -s], atol=1e-15)
+        w = [complex(re, im) for re, im in terms[0]["w"]]
+        np.testing.assert_allclose(w, [0, 0, s, -s], atol=1e-15)
 
     def test_identity_gate_empty_terms(self, capsys):
         code = main(["hamiltonian", "-n", "3", "-i", "2", "-j", "3", "--gate", "i"])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -17,6 +18,7 @@ from sparseq import (
     target_pair_block,
 )
 from sparseq.gate_matrix import _P0, _P1, JSON_CHUNK_ROWS, dense_gate
+from sparseq.qindex import pair_lows
 from sparseq.verify import random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
@@ -267,10 +269,16 @@ class TestSparseUnitaryFormat:
 
     def test_json_round_trip(self, generic_gate):
         sparse = controlled_sparse(ControlledGateSpec(4, 3, 2, generic_gate))
-        parsed = SparseUnitary.from_json(sparse.to_json())
-        assert parsed.dim == sparse.dim
-        assert np.array_equal(parsed.to_dense(), sparse.to_dense())
-        assert np.array_equal(parsed.cols, sparse.cols)
+        parsed = json.loads(sparse.to_json())
+        assert parsed["dim"] == sparse.dim
+        dense = np.zeros((sparse.dim, sparse.dim), dtype=complex)
+        cols = np.full((sparse.dim, 2), -1)
+        for k, row in enumerate(parsed["rows"]):
+            for slot, (c, re, im) in enumerate(row):
+                dense[k, c] = complex(re, im)
+                cols[k, slot] = c
+        assert np.array_equal(dense, sparse.to_dense())
+        assert np.array_equal(cols, sparse.cols)
 
     def test_json_schema_fields(self, generic_gate):
         data = json.loads(embedded_sparse(2, 1, generic_gate).to_json())
@@ -278,17 +286,75 @@ class TestSparseUnitaryFormat:
         assert data["dim"] == 4
         assert len(data["rows"]) == 4
 
-    def test_rejects_column_overflow(self):
-        cols = np.array([[0, 1], [0, 1], [0, 1], [2, 3]])
-        vals = np.ones((4, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            SparseUnitary(4, cols, vals)
+    # The columns derive from the placement, so only a bad placement could
+    # give a column out of range or a row whose columns do not increase. It
+    # is refused before any column exists, by qindex.check_placement.
+    def test_rejects_column_overflow(self, generic_gate):
+        for n, j in [(2, 3), (3, 4), (3, 0), (0, 1), (-3, 1)]:
+            with pytest.raises(ValueError):
+                SparseUnitary(n, j, generic_gate)
+        with pytest.raises(ValueError, match=r"^target position 4 out of range 1\.\.3$"):
+            SparseUnitary(3, 4, generic_gate)
+        with pytest.raises(ValueError, match="^register size -3 must be at least 1 qubit$"):
+            SparseUnitary(-3, 1, generic_gate)
 
-    def test_rejects_unsorted_columns(self):
-        cols = np.array([[1, 0], [2, 3], [-1, -1], [-1, -1]])
-        vals = np.ones((4, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            SparseUnitary(4, cols, vals)
+    def test_rejects_unsorted_columns(self, generic_gate):
+        for n, j, i in [(2, 2, 2), (3, 1, 0), (3, 1, 4)]:
+            with pytest.raises(ValueError, match="^control position"):
+                SparseUnitary(n, j, generic_gate, i)
+
+
+def pair_sparse_arrays(n, j, u, i=None):
+    """cols and vals of the 2-sparse matrix as the array-built constructor
+    packed them: identity rows, except that each target pair (k, k + 2^(n-j))
+    carries row 0 of u in its low row and row 1 in its high row."""
+    dim = 1 << n
+    low = pair_lows(n, j, i)
+    high = low + (1 << (n - j))
+    cols = np.full((dim, 2), -1, dtype=np.int64)
+    cols[:, 0] = np.arange(dim)
+    vals = np.zeros((dim, 2), dtype=complex)
+    vals[:, 0] = 1.0
+    cols[low] = cols[high] = np.stack([low, high], axis=1)
+    vals[low] = u.matrix[0]
+    vals[high] = u.matrix[1]
+    return cols, vals
+
+
+class TestDerivedArrays:
+    def test_cols_vals_and_rows_match_the_array_packing_bit_for_bit(self, table_gates):
+        for u in table_gates:
+            for n in range(1, 8):
+                for j in range(1, n + 1):
+                    for i in [None, *(q for q in range(1, n + 1) if q != j)]:
+                        sparse = SparseUnitary(n, j, u, i)
+                        cols, vals = pair_sparse_arrays(n, j, u, i)
+                        assert sparse.cols.dtype == cols.dtype and np.array_equal(sparse.cols, cols)
+                        got = sparse.vals
+                        assert got.dtype == vals.dtype
+                        assert np.array_equal(got.view(np.uint64), vals.view(np.uint64)), (n, j, i)
+                        rows = [[(c, v) for c, v in zip(cs, vs) if c >= 0]
+                                for cs, vs in zip(cols.tolist(), vals.tolist())]
+                        if n <= 4:  # row(k) derives both arrays per call
+                            assert [sparse.row(k) for k in range(sparse.dim)] == rows, (n, j, i)
+                        dense = np.zeros((sparse.dim, sparse.dim), dtype=complex)
+                        for k, row in enumerate(rows):
+                            for c, v in row:
+                                dense[k, c] = v
+                        got = sparse.to_dense()
+                        assert np.array_equal(got.view(np.uint64), dense.view(np.uint64)), (n, j, i)
+
+    def test_controlled_sparse_holds_no_per_row_arrays(self, generic_gate):
+        spec = ControlledGateSpec(16, 3, 9, generic_gate)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sparse = controlled_sparse(spec)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert sparse.dim == 1 << 16
+        assert held < 4 * 1024
 
 
 class TestDenseGateDispatch:
@@ -340,8 +406,8 @@ def reference_sparse_json(sparse):
     """The schema-1 gate dict dumped whole: one [column, re, im] per stored
     slot."""
     rows = [
-        [[int(c), float(v.real), float(v.imag)] for c, v in sparse.row(k)]
-        for k in range(sparse.dim)
+        [[c, v.real, v.imag] for c, v in zip(cols, vals) if c >= 0]
+        for cols, vals in zip(sparse.cols.tolist(), sparse.vals.tolist())
     ]
     return json.dumps({"schema": 1, "dim": sparse.dim, "rows": rows})
 
@@ -366,20 +432,14 @@ class TestSparseUnitaryJson:
         assert "".join(pieces) == reference_sparse_json(sparse)
 
     def test_signed_zeros_and_non_finite_values(self):
-        cols = np.array([[0, 1], [0, 1], [2, -1], [3, -1]])
-        vals = np.array([[0.0, 1.0], [-0.0, 1.0], [complex(1, -0.0), 0], [1.0, 0]])
-        sparse = SparseUnitary(4, cols, vals)
-        text = reference_sparse_json(sparse)
-        assert "-0.0" in text
-        assert sparse.to_json() == text
-        assert json.loads(sparse.to_json()) == json.loads(text)
-        # Non-finite values never reach the writer: construction rejects them.
-        for bad in ([[np.nan, 0], [1.0, 0]], [[1.0, 0], [np.inf, 0]], [[complex(1, np.nan), 0], [1.0, 0]]):
+        u = OneQubitGate(np.array([[complex(0.0, -0.0), -1.0], [complex(-1.0, -0.0), -0.0]]))
+        for sparse in (embedded_sparse(2, 1, u), controlled_sparse(ControlledGateSpec(2, 2, 1, u))):
+            text = reference_sparse_json(sparse)
+            assert "-0.0" in text
+            assert sparse.to_json() == text
+            assert json.loads(sparse.to_json()) == json.loads(text)
+        # Non-finite values never reach the writer: the gate refuses them.
+        bads = ([[np.nan, 0], [0, 1.0]], [[1.0, 0], [0, np.inf]], [[complex(1, np.nan), 0], [0, 1.0]])
+        for bad in bads:
             with pytest.raises(ValueError, match="finite"):
-                SparseUnitary(2, np.array([[0, -1], [1, -1]]), np.array(bad))
-        for text in (
-            '{"schema": 1, "dim": 2, "rows": [[[0, NaN, 0.0]], [[1, 1.0, 0.0]]]}',
-            '{"schema": 1, "dim": 2, "rows": [[[0, 1.0, 0.0]], [[1, 1.0, -Infinity]]]}',
-        ):
-            with pytest.raises(ValueError, match="finite"):
-                SparseUnitary.from_json(text)
+                embedded_sparse(1, 1, OneQubitGate(np.array(bad)))

@@ -27,7 +27,6 @@ from sparseq import (
     target_pair_eigenpairs,
 )
 from sparseq.core import PAULI
-from sparseq.hamiltonian import _pack
 from sparseq.verify import random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
@@ -284,15 +283,15 @@ class TestRotationStrings:
 
 class TestExponentialAndDense:
     def test_empty_hamiltonian_is_identity(self):
-        assert np.array_equal(exp_minus_ih(LocalHamiltonian(4, [], [], [])), np.eye(4))
+        assert np.array_equal(exp_minus_ih(LocalHamiltonian(2, 1, None, [], [])), np.eye(4))
 
     def test_single_projector_flips_sign(self):
-        h = LocalHamiltonian(2, [math.pi], [[0, 1]], [[1.0, 0.0]])
+        h = LocalHamiltonian(1, 1, None, [math.pi], [[1.0, 0.0]])
         np.testing.assert_allclose(exp_minus_ih(h), np.diag([-1, 1]), atol=1e-15)
 
     def test_non_orthonormal_terms_rejected(self):
         s = 1 / math.sqrt(2)
-        h = LocalHamiltonian(2, [1.0, 1.0], [[0, 1], [0, 1]], [[1.0, 0.0], [s, s]])
+        h = LocalHamiltonian(1, 1, None, [1.0, 1.0], [[1.0, 0.0], [s, s]])
         with pytest.raises(ValueError):
             exp_minus_ih(h)
 
@@ -306,7 +305,7 @@ class TestExponentialAndDense:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
     def test_empty_dense_is_zero(self):
-        assert np.array_equal(LocalHamiltonian(4, [], [], []).to_dense(), np.zeros((4, 4)))
+        assert np.array_equal(LocalHamiltonian(2, 2, 1, [], []).to_dense(), np.zeros((4, 4)))
 
     def test_cnot_dense_realization(self):
         h = controlled_gate_hamiltonian(2, 1, 2, X)
@@ -332,49 +331,44 @@ class TestExponentialAndDense:
         with pytest.raises(ValueError):
             ProjectorTerm(z, np.array(w))
         with pytest.raises(ValueError):
-            LocalHamiltonian(2, [z], [[0, 1]], [w])
-
-    @pytest.mark.parametrize("text", [
-        '{"schema": 1, "dim": 2, "terms": [{"z": 1.0, "w": [[NaN, 0.0], [0.0, 0.0]]}]}',
-        '{"schema": 1, "dim": 2, "terms": [{"z": 1.0, "w": [[1.0, 0.0], [0.0, Infinity]]}]}',
-        '{"schema": 1, "dim": 2, "terms": [{"z": NaN, "w": [[1.0, 0.0], [0.0, 0.0]]}]}',
-        '{"schema": 1, "dim": 3, "terms": [{"z": 1.0, "w": [[0.6, 0.0], [0.0, 0.0]]}]}',
-    ])
-    def test_bad_json_terms_rejected(self, text):
-        with pytest.raises(ValueError):
-            LocalHamiltonian.from_json(text)
+            LocalHamiltonian(1, 1, None, [z], [w])
 
     def test_more_than_two_nonzero_entries_rejected(self):
         c = 1 / math.sqrt(3)
-        w = [[c, 0.0], [c, 0.0], [c, 0.0], [0.0, 0.0]]
-        text = json.dumps({"schema": 1, "dim": 4, "terms": [{"z": 1.0, "w": w}]})
-        with pytest.raises(ValueError, match="more than two"):
-            LocalHamiltonian.from_json(text)
+        with pytest.raises(ValueError, match="at most two"):
+            LocalHamiltonian(2, 1, None, [1.0], [[c, c, c]])
+        with pytest.raises(ValueError, match="at most two"):
+            LocalHamiltonian(2, 1, None, [1.0, 1.0, 1.0], [[1.0, 0.0]] * 3)
 
     def test_bad_packed_slots_rejected(self):
-        for slots in ([[1, 1]], [[1, 0]], [[0, 4]], [[-1, 2]]):
+        """The slots derive from the placement, so a bad placement is refused
+        before any slot exists."""
+        bad = [(2, 1, 1), (2, 3, None), (2, 0, None), (2, 1, 3), (0, 1, None), (-3, 1, None)]
+        for n, j, i in bad:
             with pytest.raises(ValueError):
-                LocalHamiltonian(4, [1.0], slots, [[1.0, 0.0]])
+                LocalHamiltonian(n, j, i, [1.0], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="^register size -3 must be at least 1 qubit$"):
+            LocalHamiltonian(-3, 1, None, [1.0], [[1.0, 0.0]])
 
     def test_explicit_terms_are_packed_in_order(self):
-        w1 = np.array([0.0, -0.0, 0.6, 0.8j])
-        w2 = np.array([0.0, 1.0, 0.0, 0.0])
-        w3 = np.array([-0.0, 0.0, 0.0, -1.0])
-        h = LocalHamiltonian(4, [0.5, -1.0, 2.0], *_pack(np.array([w1, w2, w3])))
-        assert h.slots.tolist() == [[2, 3], [0, 1], [0, 3]]
-        assert [t.z for t in h.terms] == [0.5, -1.0, 2.0]
-        for t, w in zip(h.terms, (w1, w2, w3)):
+        """Row by row, each over the pair lows in ascending order; a signed
+        zero in a row is written as -0.0 in every term of that row."""
+        h = LocalHamiltonian(2, 2, None, [0.5, -1.0], [[0.6, 0.8j], [complex(-0.0, 0.0), 1.0]])
+        assert h.slots.tolist() == [[0, 1], [2, 3], [0, 1], [2, 3]]
+        assert [t.z for t in h.terms] == [0.5, 0.5, -1.0, -1.0]
+        want = [[0.6, 0.8j, 0, 0], [0, 0, 0.6, 0.8j], [-0.0, 1.0, 0, 0], [0, 0, -0.0, 1.0]]
+        for t, w in zip(h.terms, want):
             assert np.array_equal(t.w, w)
-        # a signed zero in a slot survives the round trip through JSON
-        assert h.to_json().count("-0.0") == 1
-        assert LocalHamiltonian.from_json(h.to_json()).to_json() == h.to_json()
+        assert h.to_json().count("-0.0") == 2
 
     def test_json_round_trip(self, generic_gate):
         h = controlled_gate_hamiltonian(3, 3, 1, generic_gate)
-        parsed = LocalHamiltonian.from_json(h.to_json())
-        assert parsed.dim == h.dim
-        assert len(parsed.terms) == len(h.terms)
-        np.testing.assert_allclose(parsed.to_dense(), h.to_dense(), atol=0)
+        parsed = json.loads(h.to_json())
+        assert parsed["dim"] == h.dim
+        assert len(parsed["terms"]) == len(h.terms)
+        w = np.array([[complex(re, im) for re, im in t["w"]] for t in parsed["terms"]]).T
+        z = np.array([t["z"] for t in parsed["terms"]])
+        np.testing.assert_allclose((w * z) @ w.conj().T, h.to_dense(), atol=0)
 
     def test_pauli_term_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Schema-1 Hamiltonian JSON against the reference serializer.
 
 The reference builds every term as a dense length-2^n vector, one per pair
-low, and writes the schema-1 dict with json.dumps. The packed writer must
-produce the same bytes, the same term order and the same e^{-iH}.
+low, and writes the schema-1 dict with json.dumps. The writer must produce
+the same bytes, the same term order and the same e^{-iH}, and the packed
+arrays derived from the stored placement and rows must equal, bit for bit,
+those that the array-built lift packed.
 """
 import hashlib
 import json
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -39,20 +42,37 @@ GATE_SPECS = {
 }
 
 
-def reference_terms(n, j, i, pairs):
-    """(z, dense w) for every non-unit eigenpair and every pair low a, with
-    the gate-eigenvector components at a and a + 2^(n-j)."""
+def reference_rows(n, j, i, rows):
+    """(z, dense w) for every (z, v) row and every pair low a, with the
+    components of v at a and a + 2^(n-j)."""
     stride = 1 << (n - j)
     terms = []
-    for p in pairs:
-        z = phase_of(p.value)
-        if z != 0.0:
-            for a in pair_lows(n, j, i).tolist():
-                w = np.zeros(1 << n, dtype=complex)
-                w[a] = p.vector[0]
-                w[a + stride] = p.vector[1]
-                terms.append((z, w))
+    for z, v in rows:
+        for a in pair_lows(n, j, i).tolist():
+            w = np.zeros(1 << n, dtype=complex)
+            w[a] = v[0]
+            w[a + stride] = v[1]
+            terms.append((z, w))
     return terms
+
+
+def reference_terms(n, j, i, pairs):
+    """reference_rows of every non-unit eigenpair, z its eigenvalue's phase."""
+    rows = [(phase_of(p.value), p.vector) for p in pairs]
+    return reference_rows(n, j, i, [(z, v) for z, v in rows if z != 0.0])
+
+
+def lift_arrays(n, j, i, pairs):
+    """z, slots and values as the array-built lift packed them: every
+    non-unit eigenvalue's (z, vector) row repeated over pair_lows(n, j, i)."""
+    lows = pair_lows(n, j, i)
+    kept = [(z, p.vector) for p in pairs if (z := phase_of(p.value)) != 0.0]
+    spans = (lows[:, None] + np.array([0, 1 << (n - j)]))[None]
+    return (
+        np.array([z for z, _ in kept], dtype=float).repeat(len(lows)),
+        spans.repeat(len(kept), axis=0).reshape(-1, 2),
+        np.array([v for _, v in kept], dtype=complex).reshape(-1, 2).repeat(len(lows), axis=0),
+    )
 
 
 def reference_dict(dim, terms):
@@ -89,6 +109,32 @@ def build(n, j, i, u):
     return controlled_gate_hamiltonian(n, i, j, u)
 
 
+def test_derived_arrays_match_the_lift_packing_bit_for_bit(table_gates):
+    for u in table_gates:
+        pairs = eigenpairs_2x2(u)
+        for n, j, i in placements(7):
+            h = build(n, j, i, u)
+            for got, want in zip((h.z, h.slots, h.values), lift_arrays(n, j, i, pairs)):
+                assert got.dtype == want.dtype and got.shape == want.shape, (n, j, i)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, j, i)
+
+
+def test_circuit_hamiltonians_hold_no_per_amplitude_arrays():
+    """The 16-qubit HEA has 63 gates, each with 2^15 or 2^14 terms per row;
+    the packed arrays of all of them took 191 MiB."""
+    template = hea_template(16, 1)
+    circuit = bind(template, {p: 0.1 * k - 2.0 for k, p in enumerate(template.param_names())})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        groups = circuit_hamiltonians(circuit)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(len(g.hamiltonians) for g in groups) == 63
+    assert held < 64 * 1024
+
+
 @pytest.mark.parametrize("name", [*GATE_SPECS, "generic"])
 def test_bytes_order_and_exponential_match_reference(name, generic_gate):
     u = generic_gate if name == "generic" else GATE_SPECS[name]
@@ -97,7 +143,6 @@ def test_bytes_order_and_exponential_match_reference(name, generic_gate):
         ref = reference_terms(n, j, i, eigenpairs_2x2(u))
         text = h.to_json()
         assert text == json.dumps(reference_dict(1 << n, ref)), (n, j, i)
-        assert LocalHamiltonian.from_json(text).to_json() == text
         got = h.terms
         assert [t.z for t in got] == [z for z, _ in ref]
         assert all(np.array_equal(t.w, w) for t, (_, w) in zip(got, ref))
@@ -152,7 +197,7 @@ def test_circuit_payload_matches_reference(tmp_path, rng):
     assert text == json.dumps(payload) + "\n"
     for g, ref in zip(groups, json.loads(text)["groups"]):
         for h, entry in zip(g.hamiltonians, ref["hamiltonians"]):
-            assert LocalHamiltonian.from_json(json.dumps(entry)).to_json() == h.to_json()
+            assert json.dumps(entry) == h.to_json()
 
 
 def test_n11_output_is_unchanged_and_small(tmp_path, cli_maxrss):
@@ -165,50 +210,24 @@ def test_n11_output_is_unchanged_and_small(tmp_path, cli_maxrss):
     assert digest == "9594c4be6b4b9f76da141a461ee100561b2b2cd08916e672998d92b0371e0d5a"
 
 
-def dense_rows(dim, z, slots, values):
-    """(z, dense w) per packed term, scattered here rather than by the class."""
-    terms = []
-    for zk, (a, b), (va, vb) in zip(z, slots, values):
-        w = np.zeros(dim, dtype=complex)
-        w[a], w[b] = va, vb
-        terms.append((zk, w))
-    return terms
-
-
-SIGNED_ZERO_ROWS = {
-    # Repeated rows, rows that differ only in the sign of a zero, and equal
-    # weights over different vectors, all on one dim-8 Hamiltonian.
-    "z": [0.5, 0.5, 0.5, 0.5, -1.25, 0.5, 0.5],
-    "slots": [[0, 4], [1, 5], [2, 6], [3, 7], [0, 1], [0, 2], [1, 3]],
-    "values": [
-        [1.0, 0.0],
-        [1.0, -0.0],
-        [1.0, 0.0],
-        [complex(0.0, -1.0), complex(-0.0, 0.0)],
-        [1.0, complex(0.0, -0.0)],
-        [complex(-0.0, -0.0), 1.0],
-        [math.sqrt(0.5), -math.sqrt(0.5)],
-    ],
-}
+SIGNED_ZERO_ROWS = [
+    # (n, j, i, z, rows, signed zeros per term): rows that differ only in
+    # the sign of a zero under equal weights, and signed zeros in every part
+    # of a row.
+    (3, 1, None, [0.5, 0.5], [[1.0, 0.0], [1.0, -0.0]], [0, 1]),
+    (3, 2, 3, [0.5, -1.25],
+     [[complex(0.0, -1.0), complex(-0.0, 0.0)], [1.0, complex(0.0, -0.0)]], [1, 1]),
+    (3, 3, 1, [0.5], [[complex(-0.0, -0.0), 1.0]], [2]),
+    (3, 2, None, [0.5], [[math.sqrt(0.5), -math.sqrt(0.5)]], [0]),
+]
 
 
 def test_memoized_writer_keeps_signed_zeros_from_arrays():
-    h = LocalHamiltonian(8, **SIGNED_ZERO_ROWS)
-    text = h.to_json()
-    ref = json.dumps(reference_dict(8, dense_rows(8, *SIGNED_ZERO_ROWS.values())))
-    assert text == ref
-    assert text.count("-0.0") == 5
-    assert LocalHamiltonian.from_json(text).to_json() == text
-
-
-def test_memoized_writer_keeps_signed_zeros_from_json():
-    rows = dense_rows(8, *SIGNED_ZERO_ROWS.values())
-    text = json.dumps(reference_dict(8, rows))
-    h = LocalHamiltonian.from_json(text)
-    assert h.to_json() == text
-    # from_json packs every -0.0 into a slot, so the bit keys see them too.
-    parts = h.values.view(float)
-    assert np.count_nonzero((parts == 0) & np.signbit(parts)) == 5
+    for n, j, i, z, rows, signed in SIGNED_ZERO_ROWS:
+        h = LocalHamiltonian(n, j, i, z, rows)
+        text = h.to_json()
+        assert text == json.dumps(reference_dict(1 << n, reference_rows(n, j, i, zip(z, rows))))
+        assert text.count("-0.0") == sum(signed) * len(pair_lows(n, j, i))
 
 
 def test_exp_minus_ih_builds_w_once(monkeypatch):
@@ -223,9 +242,8 @@ def test_exp_minus_ih_builds_w_once(monkeypatch):
     h = controlled_gate_hamiltonian(4, 3, 1, rotation_gate("Y", 0.9))
     exp_minus_ih(h)
     assert calls == [h]
-    skewed = LocalHamiltonian(
-        4, [1.0, 1.0], [[0, 1], [0, 2]], [[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]]
-    )
+    s = math.sqrt(0.5)
+    skewed = LocalHamiltonian(2, 1, None, [1.0, 1.0], [[1.0, 0.0], [s, s]])
     with pytest.raises(ValueError, match="not orthonormal"):
         exp_minus_ih(skewed)
     assert calls == [h, skewed]

@@ -4,7 +4,7 @@ pair views that the engine kernels mix in place."""
 import numpy as np
 import pytest
 
-from sparseq.qindex import pair_lows, pair_views
+from sparseq.qindex import check_placement, pair_lows, pair_views
 
 MAX_N = 8
 
@@ -197,6 +197,15 @@ class TestPairViews:
             lows = pair_lows(n, j, i)
             want[lows], want[lows + (1 << (n - j))] = 1, 2
             assert np.array_equal(a, want), (n, j, i)
+
+    def test_register_size_below_one_is_named(self):
+        for n, j, i in [(0, 1, None), (-3, 1, None), (-3, 1, 2)]:
+            with pytest.raises(ValueError, match=rf"^register size {n} must be at least 1 qubit$"):
+                check_placement(n, j, i)
+            with pytest.raises(ValueError, match=rf"^register size {n} must be at least 1 qubit$"):
+                pair_lows(n, j, i)
+        for n, j, i in placements():
+            check_placement(n, j, i)
 
     def test_placement_errors_name_the_position(self):
         a = np.arange(8)

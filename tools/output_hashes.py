@@ -173,6 +173,15 @@ def corpus():
     yield ["verify", "--suite", "engine", "--circuits", "0", "--out-dir", "out"]
     yield ["verify", "--suite", "engine", "-n", "13", "--circuits", "5", "--out-dir", "out"]
     yield ["run", "wide13.sq", "--oracle", "-o", "out"]
+    # Placements out of range, register sizes below 1 included.
+    for n, j in (("3", "4"), ("3", "0"), ("0", "1"), ("-3", "1")):
+        yield ["build-gate", "-n", n, "-j", j, "--gate", "x"]
+    yield ["hamiltonian", "-n", "-3", "-j", "1", "--gate", "x"]
+    # A generic gate with its control below the target, and a diagonal gate.
+    placement = ["-n", "5", "-i", "5", "-j", "1", "--gate", "ry:-2.1"]
+    yield ["build-gate", *placement, "--dense", "-o", "out"]
+    yield ["hamiltonian", *placement, "--check", "-o", "out"]
+    yield ["hamiltonian", "-n", "6", "-i", "2", "-j", "5", "--gate", "s", "--check", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
