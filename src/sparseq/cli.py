@@ -40,6 +40,7 @@ from .gate_matrix import (
     ControlledGateSpec,
     check_dense_cap,
     controlled_sparse,
+    dense_gate,
     embedded_sparse,
 )
 from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian, exp_minus_ih
@@ -151,11 +152,11 @@ def _with_dense(sparse):
     yield from head
     yield tail[:-1] + ', "dense": ['
     zero = "[0.0, 0.0]"
-    for k, (cols, vals) in enumerate(zip(sparse.cols.tolist(), sparse.vals.tolist())):
+    texts, rows = sparse._walk_rows()
+    for k, (kind, columns) in enumerate(rows):
         row = [zero] * sparse.dim
-        for c, v in zip(cols, vals):
-            if c >= 0:
-                row[c] = json.dumps([v.real, v.imag])
+        for c, text in zip(columns, texts[kind]):
+            row[c] = f"[{text}]"
         yield ("[" if k == 0 else ", [") + ", ".join(row) + "]"
     yield "]}"
 
@@ -196,6 +197,8 @@ def cmd_hamiltonian(args) -> int:
         if args.gate is None or args.n is None or args.j is None:
             print("hamiltonian: need --gate with -n/-j, or --circuit", file=sys.stderr)
             return 2
+        if args.check:
+            check_dense_cap(args.n)
         _require_memory(
             "hamiltonian", args.n, TERM_BYTES + TERM_BUILD_BYTES, CHECK_MATRICES if args.check else 0
         )
@@ -206,7 +209,7 @@ def cmd_hamiltonian(args) -> int:
             h = controlled_gate_hamiltonian(args.n, args.i, args.j, u)
         _write(_ended(h.json_chunks()), args.output)
         if args.check:
-            error = frobenius_error(_build_sparse(args).to_dense(), exp_minus_ih(h))
+            error = frobenius_error(dense_gate(args.n, args.j, u, args.i), exp_minus_ih(h))
             print(f"reconstruction_error={error!r}")
             return 0 if error <= tol else 1
         return 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OneQubitGate
-from .qindex import pair_views
+from .qindex import check_placement, pair_views
 
 #: Norm tolerance at construction and after a whole circuit.
 NORM_TOL = 1e-10
@@ -186,13 +186,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            if not 1 <= op.j <= self.n:
-                raise ValueError(f"target q{op.j} out of range 1..{self.n}")
-            if op.i is not None:
-                if not 1 <= op.i <= self.n:
-                    raise ValueError(f"control q{op.i} out of range 1..{self.n}")
-                if op.i == op.j:
-                    raise ValueError("control equals target")
+            check_placement(self.n, op.j, op.i)
 
 
 def apply_op(state: StateVector, op: GateOp) -> StateVector:

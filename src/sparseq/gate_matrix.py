@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 
 import numpy as np
 
 from .core import OneQubitGate
-from .qindex import check_placement, pair_lows
+from .qindex import check_placement, pair_indices
 
 #: Dense constructions are O(4^n); refuse beyond this register size.
 DENSE_MAX_QUBITS = 12
@@ -51,12 +52,11 @@ class SparseUnitary:
     """The 2-sparse matrix of a one-qubit gate u at target j of an n-qubit
     register (controlled by qubit i unless i is None), stored as just that.
 
-    Its row-major arrays are derived on each access: cols[k] holds the
-    (strictly increasing) column indices of row k, -1 marking an absent
-    slot; vals[k] the matching entries. Each target pair (k, k + 2^(n-j)) of
-    pair_lows carries row 0 of u in its low row and row 1 in its high row;
+    Each target pair (low, high) of qindex.pair_indices carries row 0 of u in
+    its low row and row 1 in its high row, at the columns low and high;
     every other row is an identity row. Structural zeros stay stored, so the
     pattern depends only on the placement, never on the particular unitary.
+    Nothing per row is kept: the rows are walked from the pair indices.
     """
 
     __slots__ = ("n", "j", "u", "i")
@@ -69,44 +69,49 @@ class SparseUnitary:
     def dim(self) -> int:
         return 1 << self.n
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        low = pair_lows(self.n, self.j, self.i)
-        return low, low + (1 << (self.n - self.j))
+    def _walk_rows(self):
+        """(texts, rows): the entry texts and a walk over the stored slots.
 
-    @property
-    def cols(self) -> np.ndarray:
-        low, high = self._pairs()
-        cols = np.full((self.dim, 2), -1, dtype=np.int64)
-        cols[:, 0] = np.arange(self.dim)
-        cols[low] = cols[high] = np.stack([low, high], axis=1)
-        return cols
+        texts holds three tuples of entry texts, "re, im" as json.dumps writes
+        [re, im], each formatted once: the identity entry, u's row 0 and u's
+        row 1. rows gives (kind, columns) for each row in order: the row
+        stores texts[kind][s] at column columns[s].
+        """
+        texts = (("1.0, 0.0",), *(
+            tuple(json.dumps([v.real, v.imag])[1:-1] for v in r) for r in self.u.matrix.tolist()
+        ))
+        low, high = pair_indices(self.n, self.j, self.i)
+        partner = np.full(self.dim, -1)
+        partner[low], partner[high] = high, low
 
-    @property
-    def vals(self) -> np.ndarray:
-        low, high = self._pairs()
-        vals = np.zeros((self.dim, 2), dtype=complex)
-        vals[:, 0] = 1.0
-        vals[low] = self.u.matrix[0]
-        vals[high] = self.u.matrix[1]
-        return vals
+        def rows():
+            for start in range(0, self.dim, JSON_CHUNK_ROWS):
+                for k, p in enumerate(partner[start : start + JSON_CHUNK_ROWS].tolist(), start):
+                    if p < 0:
+                        yield 0, (k,)
+                    elif k < p:
+                        yield 1, (k, p)
+                    else:
+                        yield 2, (p, k)
 
-    def row(self, k: int) -> list[tuple[int, complex]]:
-        """Stored (column, value) pairs of row k, structural zeros included.
-        It derives both arrays, so each call costs O(dim)."""
-        return [(c, v) for c, v in zip(self.cols[k].tolist(), self.vals[k].tolist()) if c >= 0]
+        return texts, rows()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix-vector product, O(dim)."""
+        """Sparse matrix-vector product, O(dim): x, with u mixed into the
+        entries of each target pair."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.dim,):
             raise ValueError(f"vector length {x.shape} does not match dim {self.dim}")
-        cols, vals = self.cols, self.vals
-        # Absent slots hold col -1 / value 0, so the wrapped index is harmless.
-        return vals[:, 0] * x[cols[:, 0]] + vals[:, 1] * x[cols[:, 1]]
+        (u11, u12), (u21, u22) = self.u.matrix.tolist()
+        low, high = pair_indices(self.n, self.j, self.i)
+        out = x.copy()
+        out[low] = u11 * x[low] + u12 * x[high]
+        out[high] = u21 * x[low] + u22 * x[high]
+        return out
 
     def to_dense(self) -> np.ndarray:
         """The identity, with u on the rows and columns of each target pair."""
-        pairs = np.stack(self._pairs(), axis=1)[:, :, None]
+        pairs = np.stack(pair_indices(self.n, self.j, self.i), axis=1)[:, :, None]
         m = np.eye(self.dim, dtype=complex)
         m[pairs, pairs.transpose(0, 2, 1)] = self.u.matrix
         return m
@@ -118,33 +123,15 @@ class SparseUnitary:
         m = self.to_dense()
         return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))))
 
-    def nonzeros_per_row(self) -> np.ndarray:
-        return np.sum(self.cols >= 0, axis=1)
-
-    def nonzeros_per_column(self) -> np.ndarray:
-        cols = self.cols
-        return np.bincount(cols[cols >= 0], minlength=self.dim)
-
     def json_chunks(self):
         """Schema-1 JSON text in pieces of up to JSON_CHUNK_ROWS rows. Joined,
         they equal json.dumps of {"schema": 1, "dim": D, "rows": [[[c, re,
-        im], ...], ...]} with the stored slots of every row.
-
-        Every row is written from one of three texts, each formatted once:
-        the identity entry, u's row 0 and u's row 1.
-        """
+        im], ...], ...]} with the stored slots of every row."""
         yield f'{{"schema": 1, "dim": {self.dim}, "rows": ['
-        # json.dumps writes each float as the dict dump would.
-        texts = [[json.dumps([v.real, v.imag])[1:-1] for v in r] for r in self.u.matrix.tolist()]
-        cols = self.cols
+        texts, rows = self._walk_rows()
+        row_text = ["[" + ", ".join(f"[%d, {t}]" for t in ts) + "]" for ts in texts]
         for start in range(0, self.dim, JSON_CHUNK_ROWS):
-            parts = []
-            for k, (low, high) in enumerate(cols[start : start + JSON_CHUNK_ROWS].tolist(), start):
-                if high < 0:
-                    parts.append(f"[[{k}, 1.0, 0.0]]")
-                else:
-                    a, b = texts[0 if k == low else 1]
-                    parts.append(f"[[{low}, {a}], [{high}, {b}]]")
+            parts = [row_text[kind] % columns for kind, columns in islice(rows, JSON_CHUNK_ROWS)]
             yield (", " if start else "") + ", ".join(parts)
         yield "]}"
 
@@ -233,8 +220,8 @@ def check_dense_cap(n: int):
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices as one broadcast outer product: the
     same entrywise products as np.kron, without its per-call overhead."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def kron_chain(factors: list[np.ndarray]) -> np.ndarray:

@@ -9,10 +9,12 @@ contribute nothing and are dropped.
 
 Every term vector therefore has at most two nonzero entries, and the whole
 operator is fixed by the gate placement (n, j, i) and at most two (z, v)
-rows, one per non-unit gate eigenpair. A LocalHamiltonian stores just that
-and derives its packed per-term arrays from qindex.pair_lows on demand.
-Dense vectors exist only in the capped oracle path (to_dense, gram_defect,
-exp_minus_ih) and in the `terms` view.
+rows, one per non-unit gate eigenpair. A LocalHamiltonian stores just that;
+its terms are laid on the target pairs of qindex.pair_indices when they are
+read. Dense vectors exist only in the capped oracle path (to_dense,
+gram_defect, exp_minus_ih) and in the `terms` view. exp_minus_ih checks
+orthonormality on the rows alone, since lifted vectors on different pairs
+have disjoint support.
 
 The schema-1 JSON writer (json_chunks) streams a bounded batch of terms at a
 time, each term zero padding around its row's text, formatted once.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .core import EigenPair2, OneQubitGate, PAULI, eigenpairs_2x2, phase_of
 from .gate_matrix import kron_embedded_dense
-from .qindex import check_placement, pair_lows
+from .qindex import check_placement, pair_indices
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
 ORTHO_TOL = 1e-10
@@ -56,13 +58,6 @@ def _check_terms(z: np.ndarray, vectors: np.ndarray):
         raise ValueError("term vector is not a finite unit vector")
 
 
-def _gram_defect(w: np.ndarray, wh: np.ndarray) -> float:
-    """max |W†W - I| for W and its conjugate transpose W†."""
-    gram = wh @ w
-    gram.reshape(-1)[:: w.shape[1] + 1] -= 1.0
-    return float(np.max(np.abs(gram)))
-
-
 @dataclass(frozen=True)
 class ProjectorTerm:
     """One summand z * |w><w| with real weight z in (-pi, pi], z != 0."""
@@ -83,11 +78,10 @@ class LocalHamiltonian:
     an n-qubit register.
 
     It stores at most two rows s, each a weight weights[s] and a 2-vector
-    vectors[s]. For each row in order, and each low index a of pair_lows(n,
-    j, i) in ascending order, there is one term weights[s] * |w><w|, where w
-    holds vectors[s] at the slots (a, a + 2^(n-j)) and zeros elsewhere. The
-    packed arrays of the T terms (z, slots and values) are derived on each
-    access.
+    vectors[s]. For each row in order, and each target pair (low, high) of
+    pair_indices(n, j, i) in ascending order of low, there is one term
+    weights[s] * |w><w|, where w holds vectors[s] at the slots (low, high)
+    and zeros elsewhere.
     """
 
     __slots__ = ("n", "j", "i", "weights", "vectors")
@@ -126,30 +120,18 @@ class LocalHamiltonian:
         return self.weights.repeat(self._per_row)
 
     @property
-    def slots(self) -> np.ndarray:
-        """Ascending slot indices of each term (T, 2)."""
-        lows = pair_lows(self.n, self.j, self.i)
-        spans = lows[:, None] + np.array([0, 1 << (self.n - self.j)])
-        return np.tile(spans, (len(self.weights), 1))
-
-    @property
-    def values(self) -> np.ndarray:
-        """Slot values of each term (T, 2)."""
-        return self.vectors.repeat(self._per_row, axis=0)
-
-    @property
     def terms(self) -> tuple[ProjectorTerm, ...]:
         """The terms as dense ProjectorTerms, in storage order."""
         return tuple(ProjectorTerm(z, w) for z, w in zip(self.z.tolist(), self._columns().T))
 
     def _columns(self) -> np.ndarray:
         """The (dim x T) matrix W whose column k is term vector k."""
-        lows = pair_lows(self.n, self.j, self.i)
-        terms = np.arange(len(lows))
-        w = np.zeros((self.dim, len(self.weights), len(lows)), dtype=complex)
-        # Advanced indices around a slice: w[lows, :, terms] is (lows, rows).
-        w[lows, :, terms] = self.vectors[:, 0]
-        w[lows + (1 << (self.n - self.j)), :, terms] = self.vectors[:, 1]
+        low, high = pair_indices(self.n, self.j, self.i)
+        terms = np.arange(len(low))
+        w = np.zeros((self.dim, len(self.weights), len(low)), dtype=complex)
+        # Advanced indices around a slice: w[low, :, terms] is (pairs, rows).
+        w[low, :, terms] = self.vectors[:, 0]
+        w[high, :, terms] = self.vectors[:, 1]
         return w.reshape(self.dim, -1)
 
     def to_dense(self) -> np.ndarray:
@@ -158,23 +140,23 @@ class LocalHamiltonian:
         return (w * self.z) @ w.conj().T
 
     def gram_defect(self) -> float:
-        """max |W†W - I| over the term-vector Gram matrix (0 if no terms)."""
+        """max |W†W - I| over the dense term-vector Gram matrix (0 if no
+        terms)."""
         if not len(self.weights):
             return 0.0
         w = self._columns()
-        return _gram_defect(w, w.conj().T)
+        return float(np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1]))))
 
     def _term_texts(self):
         """The text of every term, in storage order. Each row's text is
         formatted once; a term is zero padding around it."""
-        lows = pair_lows(self.n, self.j, self.i).tolist()
-        stride = 1 << (self.n - self.j)
+        low, high = (side.tolist() for side in pair_indices(self.n, self.j, self.i))
         zero, tail = "[0.0, 0.0], ", ", [0.0, 0.0]"
         for z, (va, vb) in zip(self.weights.tolist(), self.vectors.tolist()):
             head = f'{{"z": {z!r}, "w": ['
-            pair = f"[{va.real!r}, {va.imag!r}], {zero * (stride - 1)}[{vb.real!r}, {vb.imag!r}]"
-            for a in lows:
-                yield f"{head}{zero * a}{pair}{tail * (self.dim - a - stride - 1)}]}}"
+            a, b = f"[{va.real!r}, {va.imag!r}], ", f"[{vb.real!r}, {vb.imag!r}]"
+            for lo, hi in zip(low, high):
+                yield f"{head}{zero * lo}{a}{zero * (hi - lo - 1)}{b}{tail * (self.dim - hi - 1)}]}}"
 
     def json_chunks(self):
         """Schema-1 JSON text in pieces: the opening, runs of up to max(1,
@@ -229,22 +211,18 @@ class PauliStringTerm:
         return math.cos(c) * np.eye(1 << self.n) - 1j * math.sin(c) * self._pauli()
 
 
-def _lifted_vectors(dim: int, lows: np.ndarray, stride: int, vector: np.ndarray):
-    """One length-dim vector per low index a, carrying the two gate-eigenvector
-    components at a and at its partner a + stride."""
-    for a in lows.tolist():
-        v = np.zeros(dim, dtype=complex)
-        v[a] = vector[0]
-        v[a + stride] = vector[1]
-        yield v
-
-
 def _block_eigenpairs(
-    dim: int, lows: np.ndarray, stride: int, pairs: tuple[EigenPair2, EigenPair2]
+    dim: int, low: np.ndarray, high: np.ndarray, pairs: tuple[EigenPair2, EigenPair2]
 ) -> list[tuple[complex, np.ndarray]]:
-    return [
-        (p.value, v) for p in pairs for v in _lifted_vectors(dim, lows, stride, p.vector)
-    ]
+    """Per gate eigenpair, one length-dim vector per index pair (a, b) of low
+    and high, carrying the two eigenvector components at a and at b."""
+    out = []
+    for p in pairs:
+        for a, b in zip(low.tolist(), high.tolist()):
+            v = np.zeros(dim, dtype=complex)
+            v[a], v[b] = p.vector
+            out.append((p.value, v))
+    return out
 
 
 def target_pair_eigenpairs(
@@ -258,8 +236,7 @@ def target_pair_eigenpairs(
     """
     if not i < j:
         raise ValueError(f"requires control before target, got i={i}, j={j}")
-    half = 1 << (n - j)
-    return _block_eigenpairs(2 * half, pair_lows(n - j + 1, 1), half, pairs)
+    return _block_eigenpairs(2 << (n - j), *pair_indices(n - j + 1, 1), pairs)
 
 
 def straddled_pair_eigenpairs(
@@ -272,14 +249,13 @@ def straddled_pair_eigenpairs(
     and that index + 2^(n-j) is an eigenvector; there are 2^(n-j-1) per gate
     eigenvalue. Unit-eigenvalue directions of the identity rows are omitted.
     The block is one target-pair span less its leading identity block, so the
-    slots are that span's pair lows shifted down by 2^(n-i).
+    slots are that span's pair indices shifted down by 2^(n-i).
     """
     if not i > j:
         raise ValueError(f"requires control after target, got i={i}, j={j}")
     blk = 1 << (n - i)
-    stride = 1 << (n - j)
-    lows = pair_lows(n - j + 1, 1, i - j + 1) - blk
-    return _block_eigenpairs(2 * stride - blk, lows, stride, pairs)
+    low, high = pair_indices(n - j + 1, 1, i - j + 1)
+    return _block_eigenpairs((2 << (n - j)) - blk, low - blk, high - blk, pairs)
 
 
 def _lift(n: int, j: int, i: int | None, u: OneQubitGate) -> LocalHamiltonian:
@@ -326,16 +302,18 @@ def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:
 
     Exact rank-1 update: I + sum (e^{-iz} - 1) w w†, valid because every
     direction outside the terms carries eigenvalue 1. Rejects Hamiltonians
-    whose term vectors are not orthonormal within ORTHO_TOL. W is built once
-    and serves both the check and the update, and the identity is added on
-    the diagonal of the update, never built.
+    whose term vectors are not orthonormal within ORTHO_TOL. Term vectors on
+    different pairs have disjoint support, so W†W - I is the Gram of the
+    stored rows less I, repeated on each pair; that small Gram is checked
+    before W is built. The identity is added on the diagonal of the update,
+    never built.
     """
     if not len(h.weights):
         return np.eye(h.dim, dtype=complex)
-    w = h._columns()
-    wh = w.conj().T
-    if _gram_defect(w, wh) > ORTHO_TOL:
+    v = h.vectors
+    if np.max(np.abs(v.conj() @ v.T - np.eye(len(v)))) > ORTHO_TOL:
         raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
-    out = (w * (np.exp(-1j * h.z) - 1.0)) @ wh
+    w = h._columns()
+    out = (w * (np.exp(-1j * h.z) - 1.0)) @ w.conj().T
     out.reshape(-1)[:: h.dim + 1] += 1.0
     return out

@@ -8,8 +8,8 @@ A single-qubit gate on qubit j couples index k only with its target partner
 k + 2^(n-j), for every k whose qubit j is 0; a controlled gate does so only
 where the control qubit i is 1 as well. pair_views is the only encoding of
 that rule: the engine kernels mix its views of the state in place, and
-pair_lows, the index form behind sparse gates, lifted eigenvectors and
-projector Hamiltonians, is its low view of the basis indices.
+pair_indices, the index form behind sparse gates, lifted eigenvectors and
+projector Hamiltonians, is its pair of views of the basis indices.
 """
 from __future__ import annotations
 
@@ -47,9 +47,10 @@ def pair_views(
     return t[:, 0, :, 1, :], t[:, 1, :, 1, :]  # axis 1 = target, axis 3 = control
 
 
-def pair_lows(n: int, j: int, i: int | None = None) -> np.ndarray:
-    """Ascending indices k with qubit j = 0 (and qubit i = 1 if i is given):
-    the low members of the target pairs (k, k + 2^(n-j)), 2^(n-1) of them,
-    or 2^(n-2) with a control."""
+def pair_indices(n: int, j: int, i: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The (low, high) basis indices of the target pairs: pair_views of the
+    indices 0..2^n-1, ravelled. low ascends, and high[m] = low[m] + 2^(n-j);
+    there are 2^(n-1) pairs, or 2^(n-2) with a control."""
     check_placement(n, j, i)  # before 1 << n, which fails on a negative n
-    return pair_views(np.arange(1 << n), n, j, i)[0].ravel()
+    low, high = pair_views(np.arange(1 << n), n, j, i)
+    return low.ravel(), high.ravel()

@@ -15,12 +15,7 @@ import numpy as np
 
 from .core import OneQubitGate, rotation_gate
 from .engine import Circuit, GateOp, StateVector, run_circuit
-from .gate_matrix import (
-    ControlledGateSpec,
-    controlled_sparse,
-    dense_gate,
-    kron_chain,
-)
+from .gate_matrix import dense_gate, kron_chain, kron_controlled_dense
 from .hamiltonian import (
     controlled_gate_hamiltonian,
     embedded_gate_hamiltonian,
@@ -77,13 +72,13 @@ class ErrorSweep:
 def gate_hamiltonian_sweep(
     n: int, i: int, j: int, axis: str = "X", thetas: np.ndarray | None = None
 ) -> ErrorSweep:
-    """Per theta: build the controlled rotation, extract H, exponentiate,
-    and record ||C - e^{-iH}||_F."""
+    """Per theta: build the controlled rotation's Kronecker oracle C, extract
+    H, exponentiate, and record ||C - e^{-iH}||_F."""
     thetas = theta_grid() if thetas is None else np.asarray(thetas, dtype=float)
     errors = []
     for theta in thetas:
         u = rotation_gate(axis, float(theta))
-        dense = controlled_sparse(ControlledGateSpec(n, i, j, u)).to_dense()
+        dense = kron_controlled_dense(n, i, j, u)
         h = controlled_gate_hamiltonian(n, i, j, u)
         errors.append(frobenius_error(dense, exp_minus_ih(h)))
     return ErrorSweep(

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +37,18 @@ def table_gates(generic_gate) -> list[OneQubitGate]:
     rotations = [rotation_gate(k.axis, t) for k in GATES.values() if k.axis and not k.controlled
                  for t in (0.7, -2.1, 2.5)]
     return [*fixed.values(), *rotations, generic_gate]
+
+
+@pytest.fixture
+def slot_counts():
+    """Counts the stored slots of a gate's JSON rows: (per row, per column)."""
+
+    def count(sparse):
+        rows = json.loads(sparse.to_json())["rows"]
+        columns = [c for row in rows for c, _, _ in row]
+        return np.array([len(row) for row in rows]), np.bincount(columns, minlength=len(rows))
+
+    return count
 
 
 @pytest.fixture

@@ -175,7 +175,7 @@ def test_criterion_5_wall_time_doubles_per_qubit():
            ok, "ratios=" + " ".join(f"{r:.2f}" for r in ratios))
 
 
-def test_criterion_6_structural_invariants_exhaustive():
+def test_criterion_6_structural_invariants_exhaustive(slot_counts):
     u = random_gate(np.random.default_rng(6))
     worst_unitarity = 0.0
     worst_gram = 0.0
@@ -184,10 +184,8 @@ def test_criterion_6_structural_invariants_exhaustive():
     for n in range(2, 7):
         for i, j in ordered_pairs(n):
             sparse = controlled_sparse(ControlledGateSpec(n, i, j, u))
-            sparsity_ok &= bool(
-                np.all(sparse.nonzeros_per_row() <= 2)
-                and np.all(sparse.nonzeros_per_column() <= 2)
-            )
+            per_row, per_column = slot_counts(sparse)
+            sparsity_ok &= bool(np.all(per_row <= 2) and np.all(per_column <= 2))
             worst_unitarity = max(worst_unitarity, sparse.unitarity_defect())
             h = controlled_gate_hamiltonian(n, i, j, u)
             worst_gram = max(worst_gram, h.gram_defect())

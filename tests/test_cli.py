@@ -488,6 +488,24 @@ class TestRefusedBeforeOutput:
         assert captured.err == self.CAP
         assert not out.exists()
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_gate_check_above_the_cap_writes_nothing(self, tmp_path, capsys, monkeypatch, to_file):
+        """The single-gate check compares against the dense Kronecker oracle,
+        so it is refused like the circuit check, before the Hamiltonian."""
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Hamiltonian whose check is refused")
+
+        monkeypatch.setattr(cli, "embedded_gate_hamiltonian", refuse)
+        out = tmp_path / "h.json"
+        argv = ["hamiltonian", "-n", "13", "-j", "1", "--gate", "x", "--check"]
+        assert main(argv + (["-o", str(out)] if to_file else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.CAP
+        assert not out.exists()
+
 
 class TestTolerance:
     """A tolerance that is NaN, infinite or negative would decide a check by

@@ -305,16 +305,18 @@ class TestRunCircuit:
 
 
 class TestCircuitValidation:
+    """Each op's placement is checked by qindex.check_placement."""
+
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target position 3 out of range 1\.\.2$"):
             Circuit(2, (GateOp(3, X),))
 
     def test_control_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^control position 5 invalid for target 1 of 1\.\.2$"):
             Circuit(2, (GateOp(1, X, i=5),))
 
     def test_control_equals_target(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^control position 2 invalid for target 2 of 1\.\.2$"):
             Circuit(2, (GateOp(2, X, i=2),))
 
 

@@ -18,7 +18,7 @@ from sparseq import (
     target_pair_block,
 )
 from sparseq.gate_matrix import _P0, _P1, JSON_CHUNK_ROWS, dense_gate
-from sparseq.qindex import pair_lows
+from sparseq.qindex import pair_indices
 from sparseq.verify import random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
@@ -192,7 +192,7 @@ class TestOracleEquivalence:
         want = np.eye(4)[:, [0, 3, 2, 1]]
         assert np.array_equal(got, want)
 
-    def test_sparse_matches_kron_oracle_sweep(self, rng):
+    def test_sparse_matches_kron_oracle_sweep(self, rng, slot_counts):
         for n in range(2, 8):
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -204,8 +204,8 @@ class TestOracleEquivalence:
                         oracle = kron_controlled_dense(n, i, j, u)
                         assert np.max(np.abs(sparse.to_dense() - oracle)) <= 1e-13
                         assert sparse.unitarity_defect() <= 1e-12
-                        assert np.all(sparse.nonzeros_per_row() <= 2)
-                        assert np.all(sparse.nonzeros_per_column() <= 2)
+                        per_row, per_column = slot_counts(sparse)
+                        assert np.all(per_row <= 2) and np.all(per_column <= 2)
 
     def test_matvec_matches_dense(self, rng):
         for _ in range(50):
@@ -240,7 +240,7 @@ class TestEmbeddedSparse:
         got = embedded_sparse(2, 1, generic_gate).to_dense()
         assert np.array_equal(got, kron_embedded_dense(2, 1, generic_gate))
 
-    def test_oracle_sweep(self, rng):
+    def test_oracle_sweep(self, rng, slot_counts):
         for n in range(1, 7):
             for j in range(1, n + 1):
                 u = random_gate(rng)
@@ -248,8 +248,8 @@ class TestEmbeddedSparse:
                 assert np.max(
                     np.abs(sparse.to_dense() - kron_embedded_dense(n, j, u))
                 ) <= 1e-13
-                assert np.all(sparse.nonzeros_per_row() <= 2)
-                assert np.all(sparse.nonzeros_per_column() <= 2)
+                per_row, per_column = slot_counts(sparse)
+                assert np.all(per_row <= 2) and np.all(per_column <= 2)
                 assert sparse.unitarity_defect() <= 1e-12
 
     def test_position_out_of_range(self, generic_gate):
@@ -261,11 +261,11 @@ class TestSparseUnitaryFormat:
     def test_structural_zeros_are_stored(self):
         # rz has zero off-diagonal entries; the pattern must not depend on it
         sparse = controlled_sparse(ControlledGateSpec(2, 1, 2, rotation_gate("Z", 0.4)))
-        row = sparse.row(2)
-        assert [c for c, _ in row] == [2, 3]
-        assert row[1][1] == 0j
-        assert abs(row[0][1] - np.exp(-0.2j)) < 1e-15
-        assert [c for c, _ in sparse.row(3)] == [2, 3]
+        rows = json.loads(sparse.to_json())["rows"]
+        assert [c for c, _, _ in rows[2]] == [2, 3]
+        assert complex(*rows[2][1][1:]) == 0j
+        assert abs(complex(*rows[2][0][1:]) - np.exp(-0.2j)) < 1e-15
+        assert [c for c, _, _ in rows[3]] == [2, 3]
 
     def test_json_round_trip(self, generic_gate):
         sparse = controlled_sparse(ControlledGateSpec(4, 3, 2, generic_gate))
@@ -278,7 +278,7 @@ class TestSparseUnitaryFormat:
                 dense[k, c] = complex(re, im)
                 cols[k, slot] = c
         assert np.array_equal(dense, sparse.to_dense())
-        assert np.array_equal(cols, sparse.cols)
+        assert np.array_equal(cols, pair_sparse_arrays(4, 2, generic_gate, 3)[0])
 
     def test_json_schema_fields(self, generic_gate):
         data = json.loads(embedded_sparse(2, 1, generic_gate).to_json())
@@ -307,10 +307,11 @@ class TestSparseUnitaryFormat:
 def pair_sparse_arrays(n, j, u, i=None):
     """cols and vals of the 2-sparse matrix as the array-built constructor
     packed them: identity rows, except that each target pair (k, k + 2^(n-j))
-    carries row 0 of u in its low row and row 1 in its high row."""
+    carries row 0 of u in its low row and row 1 in its high row. cols[k]
+    holds the increasing columns of row k, -1 marking an absent slot."""
     dim = 1 << n
-    low = pair_lows(n, j, i)
-    high = low + (1 << (n - j))
+    low, high = pair_indices(n, j, i)
+    assert np.array_equal(high, low + (1 << (n - j)))
     cols = np.full((dim, 2), -1, dtype=np.int64)
     cols[:, 0] = np.arange(dim)
     vals = np.zeros((dim, 2), dtype=complex)
@@ -322,25 +323,21 @@ def pair_sparse_arrays(n, j, u, i=None):
 
 
 class TestDerivedArrays:
-    def test_cols_vals_and_rows_match_the_array_packing_bit_for_bit(self, table_gates):
+    def test_json_and_dense_match_the_array_packing_bit_for_bit(self, table_gates):
+        """The JSON writes every float by repr, so equal text means equal
+        bits, signed zeros included."""
         for u in table_gates:
             for n in range(1, 8):
                 for j in range(1, n + 1):
                     for i in [None, *(q for q in range(1, n + 1) if q != j)]:
                         sparse = SparseUnitary(n, j, u, i)
                         cols, vals = pair_sparse_arrays(n, j, u, i)
-                        assert sparse.cols.dtype == cols.dtype and np.array_equal(sparse.cols, cols)
-                        got = sparse.vals
-                        assert got.dtype == vals.dtype
-                        assert np.array_equal(got.view(np.uint64), vals.view(np.uint64)), (n, j, i)
-                        rows = [[(c, v) for c, v in zip(cs, vs) if c >= 0]
-                                for cs, vs in zip(cols.tolist(), vals.tolist())]
-                        if n <= 4:  # row(k) derives both arrays per call
-                            assert [sparse.row(k) for k in range(sparse.dim)] == rows, (n, j, i)
+                        assert sparse.to_json() == reference_sparse_json(sparse), (n, j, i)
                         dense = np.zeros((sparse.dim, sparse.dim), dtype=complex)
-                        for k, row in enumerate(rows):
-                            for c, v in row:
-                                dense[k, c] = v
+                        for k, (cs, vs) in enumerate(zip(cols.tolist(), vals.tolist())):
+                            for c, v in zip(cs, vs):
+                                if c >= 0:
+                                    dense[k, c] = v
                         got = sparse.to_dense()
                         assert np.array_equal(got.view(np.uint64), dense.view(np.uint64)), (n, j, i)
 
@@ -355,6 +352,22 @@ class TestDerivedArrays:
             tracemalloc.stop()
         assert sparse.dim == 1 << 16
         assert held < 4 * 1024
+
+    def test_matvec_peaks_within_four_states(self, generic_gate):
+        """The product reads the pair indices, not per-row arrays: at n=20 it
+        peaks at 2.5 states, where the packed arrays took 5."""
+        n = 20
+        x = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
+        for j, i in [(1, None), (n, None), (2, 1), (1, n)]:
+            sparse = SparseUnitary(n, j, generic_gate, i)
+            tracemalloc.start()
+            try:
+                y = sparse.matvec(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * x.nbytes, (j, i, peak / x.nbytes)
+            assert abs(np.vdot(y, y).real - 1.0) <= 1e-12
 
 
 class TestDenseGateDispatch:
@@ -404,10 +417,11 @@ class TestKronChainBits:
 
 def reference_sparse_json(sparse):
     """The schema-1 gate dict dumped whole: one [column, re, im] per stored
-    slot."""
+    slot of the array packing."""
+    cols, vals = pair_sparse_arrays(sparse.n, sparse.j, sparse.u, sparse.i)
     rows = [
-        [[c, v.real, v.imag] for c, v in zip(cols, vals) if c >= 0]
-        for cols, vals in zip(sparse.cols.tolist(), sparse.vals.tolist())
+        [[c, v.real, v.imag] for c, v in zip(cs, vs) if c >= 0]
+        for cs, vs in zip(cols.tolist(), vals.tolist())
     ]
     return json.dumps({"schema": 1, "dim": sparse.dim, "rows": rows})
 

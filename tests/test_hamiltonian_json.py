@@ -2,9 +2,9 @@
 
 The reference builds every term as a dense length-2^n vector, one per pair
 low, and writes the schema-1 dict with json.dumps. The writer must produce
-the same bytes, the same term order and the same e^{-iH}, and the packed
-arrays derived from the stored placement and rows must equal, bit for bit,
-those that the array-built lift packed.
+the same bytes, the same term order and the same e^{-iH}, and the weights
+and the term-vector matrix W derived from the stored placement and rows
+must equal, bit for bit, those of the array-built lift packing.
 """
 import hashlib
 import json
@@ -27,7 +27,7 @@ from sparseq import (
 )
 from sparseq.circuit_ir import GATES, bind, circuit_hamiltonians, hea_template
 from sparseq.cli import main
-from sparseq.qindex import pair_lows
+from sparseq.qindex import pair_indices
 from sparseq.verify import dense_circuit_unitary, frobenius_error
 
 # rx:0.7 has a -0.0 eigenvector component; z, s and rz have exact zeros.
@@ -48,7 +48,7 @@ def reference_rows(n, j, i, rows):
     stride = 1 << (n - j)
     terms = []
     for z, v in rows:
-        for a in pair_lows(n, j, i).tolist():
+        for a in pair_indices(n, j, i)[0].tolist():
             w = np.zeros(1 << n, dtype=complex)
             w[a] = v[0]
             w[a + stride] = v[1]
@@ -56,23 +56,35 @@ def reference_rows(n, j, i, rows):
     return terms
 
 
+def nonunit_rows(pairs):
+    """(z, vector) of every non-unit eigenpair, z its eigenvalue's phase."""
+    return [(z, p.vector) for p in pairs if (z := phase_of(p.value)) != 0.0]
+
+
 def reference_terms(n, j, i, pairs):
-    """reference_rows of every non-unit eigenpair, z its eigenvalue's phase."""
-    rows = [(phase_of(p.value), p.vector) for p in pairs]
-    return reference_rows(n, j, i, [(z, v) for z, v in rows if z != 0.0])
+    """reference_rows of every non-unit eigenpair."""
+    return reference_rows(n, j, i, nonunit_rows(pairs))
 
 
-def lift_arrays(n, j, i, pairs):
+def lift_arrays(n, j, i, rows):
     """z, slots and values as the array-built lift packed them: every
-    non-unit eigenvalue's (z, vector) row repeated over pair_lows(n, j, i)."""
-    lows = pair_lows(n, j, i)
-    kept = [(z, p.vector) for p in pairs if (z := phase_of(p.value)) != 0.0]
+    (z, vector) row repeated over the pair lows of (n, j, i)."""
+    lows = pair_indices(n, j, i)[0]
     spans = (lows[:, None] + np.array([0, 1 << (n - j)]))[None]
     return (
-        np.array([z for z, _ in kept], dtype=float).repeat(len(lows)),
-        spans.repeat(len(kept), axis=0).reshape(-1, 2),
-        np.array([v for _, v in kept], dtype=complex).reshape(-1, 2).repeat(len(lows), axis=0),
+        np.array([z for z, _ in rows], dtype=float).repeat(len(lows)),
+        spans.repeat(len(rows), axis=0).reshape(-1, 2),
+        np.array([v for _, v in rows], dtype=complex).reshape(-1, 2).repeat(len(lows), axis=0),
     )
+
+
+def lift_columns(n, j, i, rows):
+    """z and W of the lift packing: column k of W holds values[k] at the
+    slots slots[k], put there by put_along_axis."""
+    z, slots, values = lift_arrays(n, j, i, rows)
+    w = np.zeros((1 << n, len(z)), dtype=complex)
+    np.put_along_axis(w, slots.T, values.T, axis=0)
+    return z, w
 
 
 def reference_dict(dim, terms):
@@ -110,13 +122,18 @@ def build(n, j, i, u):
 
 
 def test_derived_arrays_match_the_lift_packing_bit_for_bit(table_gates):
+    """z, W and the JSON text; the text writes every float by repr, so equal
+    text means equal bits."""
     for u in table_gates:
-        pairs = eigenpairs_2x2(u)
+        rows = nonunit_rows(eigenpairs_2x2(u))
         for n, j, i in placements(7):
             h = build(n, j, i, u)
-            for got, want in zip((h.z, h.slots, h.values), lift_arrays(n, j, i, pairs)):
+            z, w = lift_columns(n, j, i, rows)
+            for got, want in ((h.z, z), (h._columns(), w)):
                 assert got.dtype == want.dtype and got.shape == want.shape, (n, j, i)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, j, i)
+            if n <= 5:  # the text of every placement with n <= 7 is pinned below
+                assert h.to_json() == json.dumps(reference_dict(1 << n, zip(z.tolist(), w.T)))
 
 
 def test_circuit_hamiltonians_hold_no_per_amplitude_arrays():
@@ -227,7 +244,7 @@ def test_memoized_writer_keeps_signed_zeros_from_arrays():
         h = LocalHamiltonian(n, j, i, z, rows)
         text = h.to_json()
         assert text == json.dumps(reference_dict(1 << n, reference_rows(n, j, i, zip(z, rows))))
-        assert text.count("-0.0") == sum(signed) * len(pair_lows(n, j, i))
+        assert text.count("-0.0") == sum(signed) * len(pair_indices(n, j, i)[0])
 
 
 def test_exp_minus_ih_builds_w_once(monkeypatch):
@@ -246,25 +263,20 @@ def test_exp_minus_ih_builds_w_once(monkeypatch):
     skewed = LocalHamiltonian(2, 1, None, [1.0, 1.0], [[1.0, 0.0], [s, s]])
     with pytest.raises(ValueError, match="not orthonormal"):
         exp_minus_ih(skewed)
-    assert calls == [h, skewed]
+    assert calls == [h]  # refused on its stored rows, before W is built
 
 
 def double_scatter_exp(h):
     """exp_minus_ih as first written: put_along_axis, and W scattered once
-    for the orthonormality check and again for the update."""
-
-    def columns():
-        w = np.zeros((h.dim, len(h.z)), dtype=complex)
-        np.put_along_axis(w, h.slots.T, h.values.T, axis=0)
-        return w
-
+    for a dense orthonormality check and again for the update."""
+    rows = list(zip(h.weights.tolist(), h.vectors))
     out = np.eye(h.dim, dtype=complex)
-    if not len(h.z):
+    if not rows:
         return out
-    w = columns()
-    assert np.max(np.abs(w.conj().T @ w - np.eye(len(h.z)))) <= 1e-10
-    w = columns()
-    out += (w * (np.exp(-1j * h.z) - 1.0)) @ w.conj().T
+    z, w = lift_columns(h.n, h.j, h.i, rows)
+    assert np.max(np.abs(w.conj().T @ w - np.eye(len(z)))) <= 1e-10
+    z, w = lift_columns(h.n, h.j, h.i, rows)
+    out += (w * (np.exp(-1j * z) - 1.0)) @ w.conj().T
     return out
 
 

@@ -182,6 +182,12 @@ def corpus():
     yield ["build-gate", *placement, "--dense", "-o", "out"]
     yield ["hamiltonian", *placement, "--check", "-o", "out"]
     yield ["hamiltonian", "-n", "6", "-i", "2", "-j", "5", "--gate", "s", "--check", "-o", "out"]
+    # Dense rows of single-qubit targets on the first and last qubit, a
+    # controlled target on the last qubit, and the crx sweep over them all.
+    yield ["build-gate", "-n", "4", "-j", "4", "--gate", "ry:-2.1", "--dense"]
+    yield ["build-gate", "-n", "4", "-j", "1", "--gate", "h", "--dense"]
+    yield ["build-gate", "-n", "4", "-i", "2", "-j", "4", "--gate", "rx:0.7", "--dense"]
+    yield ["verify", "--suite", "crx", "-n", "4", "--out-dir", "out"]
 
 
 def sha256(data: bytes) -> str:
