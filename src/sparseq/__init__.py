@@ -20,12 +20,10 @@ from .gate_matrix import (
 )
 from .hamiltonian import (
     LocalHamiltonian,
-    PauliStringTerm,
     ProjectorTerm,
     controlled_gate_hamiltonian,
     embedded_gate_hamiltonian,
     exp_minus_ih,
-    rotation_string_hamiltonians,
     straddled_pair_eigenpairs,
     target_pair_eigenpairs,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "HamiltonianGroup",
     "LocalHamiltonian",
     "OneQubitGate",
-    "PauliStringTerm",
     "ProjectorTerm",
     "SparseUnitary",
     "StateVector",
@@ -93,7 +90,6 @@ __all__ = [
     "parse_circuit",
     "phase_of",
     "rotation_gate",
-    "rotation_string_hamiltonians",
     "run_circuit",
     "serialize",
     "straddled_pair_block",

@@ -7,10 +7,11 @@ not a finite number >= 0 included. The QSIM_TOL environment variable
 overrides the default tolerance of 1e-12; an explicit --tol beats both.
 
 Dense checks above DENSE_MAX_QUBITS and verify sizes out of range exit 3
-before any output. Before a command allocates its state, packed Hamiltonians
+before any output. Before a command allocates its state, Hamiltonian terms
 or dense check matrices, it estimates their peak bytes and refuses (exit 3)
 when the estimate exceeds MemAvailable in /proc/meminfo. Estimates up to
-BUDGET_FREE_BYTES skip that read.
+BUDGET_FREE_BYTES skip that read. The estimate prices memory only; the size
+of the text a command writes is not bounded.
 """
 from __future__ import annotations
 
@@ -35,14 +36,7 @@ from .circuit_ir import (
 )
 from .core import OneQubitGate, rotation_gate
 from .engine import StateVector, probabilities_csv, run_circuit
-from .gate_matrix import (
-    DENSE_MAX_QUBITS,
-    ControlledGateSpec,
-    check_dense_cap,
-    controlled_sparse,
-    dense_gate,
-    embedded_sparse,
-)
+from .gate_matrix import DENSE_MAX_QUBITS, SparseUnitary, check_dense_cap, dense_gate
 from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian, exp_minus_ih
 from .verify import (
     dense_chain,
@@ -61,12 +55,14 @@ BUDGET_FREE_BYTES = 256 << 20
 # Peak memory per unit of work, measured with child ru_maxrss (CPython 3.11,
 # numpy 2.4) and rounded up. `run` holds about 200 bytes per amplitude: the
 # state and the Python text of its output line. TERM_BYTES and
-# TERM_BUILD_BYTES price a Hamiltonian as packed terms. That over-counts its
-# O(1) stored form, but they stay as the only guard that refuses terabytes of
-# schema-1 text. Counted in complex 2^n x 2^n matrices alive at once: 6 for a
-# gate's --check, the run oracle or a crx or engine sweep, 12 for a circuit's
-# --check or a strings sweep, 2 for --dense: it streams its rows, but a
-# caller that captures stdout holds all of its text.
+# TERM_BUILD_BYTES price a Hamiltonian as packed terms, which over-counts its
+# O(1) stored form. They price memory only and do not bound the schema-1
+# text: `hamiltonian -n 20 -j 1 --gate x` prices 168 MiB, under
+# BUDGET_FREE_BYTES, and streams about 6.6 TB. Counted in complex 2^n x 2^n
+# matrices alive at once: 6 for a gate's --check, the run oracle or a crx or
+# engine sweep, 12 for a circuit's --check or a strings sweep, 2 for --dense:
+# it streams its rows, but a caller that captures stdout holds all of its
+# text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56
@@ -175,18 +171,11 @@ def _circuit_json(n: int, groups):
     yield "]}"
 
 
-def _build_sparse(args):
-    u = parse_gate_spec(args.gate)
-    if args.i is None:
-        return embedded_sparse(args.n, args.j, u)
-    return controlled_sparse(ControlledGateSpec(args.n, args.i, args.j, u))
-
-
 def cmd_build_gate(args) -> int:
     _require_memory(
         "build-gate", args.n, SPARSE_BYTES_PER_ROW, DENSE_JSON_MATRICES if args.dense else 0
     )
-    sparse = _build_sparse(args)
+    sparse = SparseUnitary(args.n, args.j, parse_gate_spec(args.gate), args.i)
     _write(_ended(_with_dense(sparse) if args.dense else sparse.json_chunks()), args.output)
     return 0
 

@@ -40,12 +40,7 @@ class ControlledGateSpec:
     u: OneQubitGate
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("controlled gates need at least 2 qubits")
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise ValueError(f"positions ({self.i}, {self.j}) out of range 1..{self.n}")
-        if self.i == self.j:
-            raise ValueError("control equals target")
+        check_placement(self.n, self.j, self.i)
 
 
 class SparseUnitary:
@@ -250,7 +245,7 @@ def kron_controlled_dense(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray
     """Reference dense controlled gate as a projector sum: |0><0| branch at
     the control carries the identity, the |1><1| branch carries u at the
     target."""
-    ControlledGateSpec(n, i, j, u)  # reuse validation
+    check_placement(n, j, i)
     check_dense_cap(n)
     return _kron_placed(n, {i: _P0}) + _kron_placed(n, {i: _P1, j: np.asarray(u.matrix)})
 

@@ -28,8 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import EigenPair2, OneQubitGate, PAULI, eigenpairs_2x2, phase_of
-from .gate_matrix import kron_embedded_dense
+from .core import EigenPair2, OneQubitGate, eigenpairs_2x2, phase_of
 from .qindex import check_placement, pair_indices
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
@@ -181,36 +180,6 @@ class LocalHamiltonian:
         return json.loads(self.to_json())
 
 
-@dataclass(frozen=True)
-class PauliStringTerm:
-    """Summand (theta/2) * I ⊗ sigma_axis ⊗ I of a rotation-string generator."""
-
-    coefficient: float
-    axis: str
-    position: int
-    n: int
-
-    def __post_init__(self):
-        if self.axis not in PAULI:
-            raise ValueError(f"unknown axis {self.axis!r}")
-        if not 1 <= self.position <= self.n:
-            raise ValueError(f"position {self.position} out of range 1..{self.n}")
-        if not math.isfinite(self.coefficient):
-            raise ValueError("coefficient must be finite")
-
-    def _pauli(self) -> np.ndarray:
-        """I ⊗ sigma_axis ⊗ I as a dense matrix."""
-        return kron_embedded_dense(self.n, self.position, OneQubitGate(PAULI[self.axis]))
-
-    def to_dense(self) -> np.ndarray:
-        return self.coefficient * self._pauli()
-
-    def exp_minus_i(self) -> np.ndarray:
-        """e^{-i c P} = cos(c) I - i sin(c) P, since P is an involution."""
-        c = self.coefficient
-        return math.cos(c) * np.eye(1 << self.n) - 1j * math.sin(c) * self._pauli()
-
-
 def _block_eigenpairs(
     dim: int, low: np.ndarray, high: np.ndarray, pairs: tuple[EigenPair2, EigenPair2]
 ) -> list[tuple[complex, np.ndarray]]:
@@ -276,25 +245,7 @@ def controlled_gate_hamiltonian(n: int, i: int, j: int, u: OneQubitGate) -> Loca
     1: the control-selected blocks when the control comes first, the
     straddled blocks repeated across the pair spans when it comes second.
     """
-    if not (1 <= i < j <= n or 1 <= j < i <= n):
-        order = "i < j" if i < j else "j < i"
-        raise ValueError(f"requires 1 <= {order} <= n, got n={n}, i={i}, j={j}")
     return _lift(n, j, i, u)
-
-
-def rotation_string_hamiltonians(
-    axes: list[str], thetas: list[float]
-) -> list[PauliStringTerm]:
-    """Generators of a string of per-qubit rotations: term j is
-    (theta_j/2) * I ⊗ sigma_{axis_j} ⊗ I, and the string unitary is the
-    product of e^{-i term}. When the axes all agree the terms commute and the
-    product collapses to a single exponential of the sum."""
-    if len(axes) != len(thetas):
-        raise ValueError(f"got {len(axes)} axes but {len(thetas)} angles")
-    n = len(axes)
-    return [
-        PauliStringTerm(thetas[j] / 2.0, axes[j], j + 1, n) for j in range(n)
-    ]
 
 
 def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:

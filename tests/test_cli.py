@@ -14,6 +14,7 @@ from sparseq import (
 )
 from sparseq.circuit_ir import hea_template, serialize
 from sparseq.cli import main, parse_gate_spec
+from sparseq.qindex import check_placement
 
 BELL = "qubits 2\nu q1 h\ncx q1 q2\n"
 
@@ -62,7 +63,8 @@ class TestBuildGate:
         """The --dense text as a dict dumped whole: the gate's JSON as a dict
         plus the dense matrix as float lists, the route the streamed rows
         replaced."""
-        sparse = cli._build_sparse(cli.build_parser().parse_args(argv))
+        args = cli.build_parser().parse_args(argv)
+        sparse = SparseUnitary(args.n, args.j, parse_gate_spec(args.gate), args.i)
         payload = json.loads(sparse.to_json())
         payload["dense"] = [
             [[float(c.real), float(c.imag)] for c in row] for row in sparse.to_dense()
@@ -113,7 +115,7 @@ class TestBuildGate:
     def test_control_equals_target_exits_3(self, capsys):
         code = main(["build-gate", "-n", "2", "-i", "2", "-j", "2", "--gate", "x"])
         assert code == 3
-        assert "control equals target" in capsys.readouterr().err
+        assert "control position 2 invalid for target 2 of 1..2" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["build-gate", "--frobnicate"]) == 2
@@ -125,6 +127,20 @@ class TestBuildGate:
 
     def test_bad_gate_spec_exits_3(self, capsys):
         assert main(["build-gate", "-n", "2", "-i", "1", "-j", "2", "--gate", "nope"]) == 3
+
+
+@pytest.mark.parametrize("n, i, j", [(3, 2, 2), (3, 4, 1), (3, 1, 4), (1, 1, 1), (2, 0, 1), (3, None, 4)])
+def test_bad_placement_gives_one_message_per_command(capsys, n, i, j):
+    """build-gate, hamiltonian and hamiltonian --check refuse a placement
+    with check_placement's message, and nothing else."""
+    with pytest.raises(ValueError) as info:
+        check_placement(n, j, i)
+    placement = ["-n", str(n), "-j", str(j), "--gate", "x"] + ([] if i is None else ["-i", str(i)])
+    for argv in (["build-gate"], ["hamiltonian"], ["hamiltonian", "--check"]):
+        assert main(argv + placement) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: {info.value}\n", argv
 
 
 class TestHamiltonianCommand:
@@ -317,7 +333,7 @@ class TestMemoryBudget:
         def refuse(*args, **kwargs):
             raise AssertionError("allocated past a refused budget")
 
-        for name in ("_build_sparse", "embedded_gate_hamiltonian", "controlled_gate_hamiltonian",
+        for name in ("SparseUnitary", "embedded_gate_hamiltonian", "controlled_gate_hamiltonian",
                      "circuit_hamiltonians", "run_circuit", "gate_hamiltonian_sweep"):
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(cli.StateVector, "zero", refuse)

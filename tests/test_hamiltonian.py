@@ -1,6 +1,5 @@
 import json
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from sparseq import (
     ControlledGateSpec,
     LocalHamiltonian,
     OneQubitGate,
-    PauliStringTerm,
     ProjectorTerm,
     controlled_gate_hamiltonian,
     controlled_sparse,
@@ -17,16 +15,13 @@ from sparseq import (
     embedded_gate_hamiltonian,
     embedded_sparse,
     exp_minus_ih,
-    exp_oracle,
     frobenius_error,
     rotation_gate,
-    rotation_string_hamiltonians,
     straddled_pair_block,
     straddled_pair_eigenpairs,
     target_pair_block,
     target_pair_eigenpairs,
 )
-from sparseq.core import PAULI
 from sparseq.verify import random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
@@ -188,13 +183,13 @@ class TestControlledHamiltonians:
     def test_ordering_preconditions(self, generic_gate):
         # `sparseq hamiltonian -i/-j` prints these texts on stderr.
         cases = {
-            (2, 2): "requires 1 <= j < i <= n, got n=3, i=2, j=2",
-            (4, 1): "requires 1 <= j < i <= n, got n=3, i=4, j=1",
-            (5, 4): "requires 1 <= j < i <= n, got n=3, i=5, j=4",
-            (2, 0): "requires 1 <= j < i <= n, got n=3, i=2, j=0",
-            (1, 4): "requires 1 <= i < j <= n, got n=3, i=1, j=4",
-            (4, 5): "requires 1 <= i < j <= n, got n=3, i=4, j=5",
-            (0, 2): "requires 1 <= i < j <= n, got n=3, i=0, j=2",
+            (2, 2): "control position 2 invalid for target 2 of 1..3",
+            (4, 1): "control position 4 invalid for target 1 of 1..3",
+            (5, 4): "target position 4 out of range 1..3",
+            (2, 0): "target position 0 out of range 1..3",
+            (1, 4): "target position 4 out of range 1..3",
+            (4, 5): "target position 5 out of range 1..3",
+            (0, 2): "control position 0 invalid for target 2 of 1..3",
         }
         for (i, j), message in cases.items():
             with pytest.raises(ValueError) as info:
@@ -230,55 +225,6 @@ class TestEmbeddedGateHamiltonian:
     def test_position_out_of_range_names_the_target(self, generic_gate):
         with pytest.raises(ValueError, match=r"^target position 4 out of range 1\.\.3$"):
             embedded_gate_hamiltonian(3, 4, generic_gate)
-
-
-class TestRotationStrings:
-    def test_dense_terms_match_np_kron_bit_for_bit(self):
-        for n in range(1, 5):
-            for position in range(1, n + 1):
-                for axis in PAULI:
-                    t = PauliStringTerm(-1.2, axis, position, n)
-                    p = np.kron(np.kron(np.eye(1 << (position - 1)), PAULI[axis]),
-                                np.eye(1 << (n - position)))
-                    want_exp = math.cos(-1.2) * np.eye(1 << n) - 1j * math.sin(-1.2) * p
-                    assert t.to_dense().tobytes() == (-1.2 * p).tobytes()
-                    assert t.exp_minus_i().tobytes() == want_exp.tobytes()
-
-    def test_zero_angles_exponentiate_to_identity(self):
-        for term in rotation_string_hamiltonians(["Z"] * 3, [0.0] * 3):
-            assert np.array_equal(term.exp_minus_i(), np.eye(8))
-
-    def test_two_qubit_sum_matches_kronecker_product(self):
-        a, b = 0.9, -1.3
-        terms = rotation_string_hamiltonians(["X", "X"], [a, b])
-        summed = sum(t.to_dense() for t in terms)
-        want = np.kron(rotation_gate("X", a).matrix, rotation_gate("X", b).matrix)
-        assert frobenius_error(exp_oracle(summed), want) <= 1e-12
-
-    def test_uniform_axis_product_collapses_to_one_exponential(self):
-        # all axes equal: the commuting product equals exp of the summed terms
-        terms = rotation_string_hamiltonians(["X"] * 4, [0.7] * 4)
-        product = reduce(np.matmul, [t.exp_minus_i() for t in terms])
-        summed = sum(t.to_dense() for t in terms)
-        assert frobenius_error(product, exp_oracle(summed)) <= 1e-12
-
-    def test_mixed_axes_product_matches_tensor_product(self):
-        axes = ["X", "Y", "Z"]
-        thetas = [0.3, -0.8, 2.1]
-        terms = rotation_string_hamiltonians(axes, thetas)
-        product = reduce(np.matmul, [t.exp_minus_i() for t in terms])
-        want = reduce(
-            np.kron, [rotation_gate(a, t).matrix for a, t in zip(axes, thetas)]
-        )
-        assert frobenius_error(product, want) <= 1e-12
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rotation_string_hamiltonians(["X", "Y"], [0.1])
-
-    def test_bad_axis_rejected(self):
-        with pytest.raises(ValueError):
-            rotation_string_hamiltonians(["Q"], [0.1])
 
 
 class TestExponentialAndDense:
@@ -368,9 +314,3 @@ class TestExponentialAndDense:
         w = np.array([[complex(re, im) for re, im in t["w"]] for t in parsed["terms"]]).T
         z = np.array([t["z"] for t in parsed["terms"]])
         np.testing.assert_allclose((w * z) @ w.conj().T, h.to_dense(), atol=0)
-
-    def test_pauli_term_validation(self):
-        with pytest.raises(ValueError):
-            PauliStringTerm(0.1, "Q", 1, 2)
-        with pytest.raises(ValueError):
-            PauliStringTerm(0.1, "X", 3, 2)

@@ -188,6 +188,12 @@ def corpus():
     yield ["build-gate", "-n", "4", "-j", "1", "--gate", "h", "--dense"]
     yield ["build-gate", "-n", "4", "-i", "2", "-j", "4", "--gate", "rx:0.7", "--dense"]
     yield ["verify", "--suite", "crx", "-n", "4", "--out-dir", "out"]
+    # Controlled placements every command refuses with check_placement's message.
+    for placement in (["-n", "3", "-i", "4", "-j", "1"], ["-n", "3", "-i", "1", "-j", "4"]):
+        yield ["build-gate", *placement, "--gate", "x"]
+    for placement in (["-n", "1", "-i", "1", "-j", "1"], ["-n", "2", "-i", "0", "-j", "1"]):
+        yield ["build-gate", *placement, "--gate", "x"]
+        yield ["hamiltonian", *placement, "--gate", "x"]
 
 
 def sha256(data: bytes) -> str:
