@@ -1,10 +1,11 @@
 """Command-line interface: gate builders, Hamiltonian extraction, circuit
 execution, and verification sweeps with stable file outputs.
 
-Exit codes: 0 success, 1 verification exceedance, 2 usage or parse error,
-3 validation error, a register too large for memory or a tolerance that is
-not a finite number >= 0 included. The QSIM_TOL environment variable
-overrides the default tolerance of 1e-12; an explicit --tol beats both.
+Exit codes: 0 success, 1 verification exceedance (a run whose final state
+is off unit norm by more than engine.NORM_TOL included: one stderr line, no
+output), 2 usage or parse error, 3 validation error, a register too large
+for memory or a tolerance that is not a finite number >= 0 included. The
+QSIM_TOL environment variable overrides the default of 1e-12; --tol beats both.
 
 Dense checks above DENSE_MAX_QUBITS and verify sizes out of range exit 3
 before any output. Before a command allocates its state, Hamiltonian terms
@@ -35,7 +36,7 @@ from .circuit_ir import (
     parse_circuit,
 )
 from .core import OneQubitGate, rotation_gate
-from .engine import StateVector, probabilities_csv, run_circuit
+from .engine import NormDriftError, StateVector, probabilities_csv, run_circuit
 from .gate_matrix import DENSE_MAX_QUBITS, SparseUnitary, check_dense_cap, dense_gate
 from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian, exp_minus_ih
 from .verify import (
@@ -391,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"validation error: register too large for memory: {exc}", file=sys.stderr)
         return 3
+    except NormDriftError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,14 +1,18 @@
 """O(2^n)-per-gate state-vector kernels and circuit execution.
 
-Gates update amplitude pairs (k, k + 2^(n-j)) in place, through the strided
-views that qindex.pair_views gives of the state: both new values of a pair
-depend only on the pair's old values, so reading both views before writing
-them back is safe and avoids a second buffer. Controlled gates touch only
-the half of the register whose control bit is 1. A diagonal gate (rz, s,
-t, z, cz, crz, or any u whose off-diagonal entries are exactly 0) is one
-in-place multiply per half, and a half whose entry is exactly 1 is not
-touched at all. The sign of an exact zero amplitude is therefore not
-meaningful, and the text writers print every exact zero as 0.0.
+A gate mixes, in place, the amplitude pairs (k, k + 2^(n-j)) that
+qindex.pair_views gives; a controlled gate's views hold the control-1 half.
+The kernel works on aligned chunks of 2^13 amplitudes that stay in cache
+(Haener and Steiger, arXiv:1704.01127), mixing a piece of one row in place
+and a piece of several strided rows in scratch. On states of more than two
+chunks, views whose contiguous run is 2..8 take c0 x + c1 partner(x) per
+chunk x instead: c0 and c1 hold u11/u22 and u12/u21 on the pairs, and 1 and
+0 where the control is 0; the partner is a gather of x, or the partner chunk
+when the target lies above x. A diagonal u (rz, s, t, z, cz, crz, or any u
+with off-diagonal entries exactly 0) multiplies in place only the halves
+whose entry is not exactly 1, or a whole chunk by c0 on those short runs.
+Nonzero amplitudes come out the same on every route; the sign of an exact
+zero is not meaningful, and the text writers print every exact zero as 0.0.
 """
 from __future__ import annotations
 
@@ -20,74 +24,113 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OneQubitGate
-from .qindex import check_placement, pair_views
+from .qindex import check_placement, pair_indices, pair_views
 
 #: Norm tolerance at construction and after a whole circuit.
 NORM_TOL = 1e-10
 
-#: Max elements mixed per scratch buffer. Keeps the working set inside the
-#: cache and avoids re-faulting large fresh temporaries on every gate.
-_CHUNK = 1 << 14
+#: A chunk is 2^13 aligned amplitudes (128 KiB): a chunk pair, its two
+#: coefficient vectors and the gather buffer fit in the L2 cache together.
+_CHUNK_QUBITS = 13
+
+#: Pair views with a contiguous run of 2.._SHORT_RUN amplitudes take the
+#: coefficient vectors, on states of more than two chunks.
+_SHORT_RUN = 8
 
 _tls = threading.local()
 
 
+class NormDriftError(RuntimeError):
+    """The state after a whole circuit is off unit norm by more than NORM_TOL."""
+
+
 def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    bufs = getattr(_tls, "bufs", None)
-    if bufs is None:
-        bufs = tuple(np.empty(_CHUNK, dtype=complex) for _ in range(3))
-        _tls.bufs = bufs
-    return bufs
+    """Three thread-local buffers of one chunk pair each."""
+    if not hasattr(_tls, "bufs"):
+        _tls.bufs = tuple(np.empty(2 << _CHUNK_QUBITS, dtype=complex) for _ in range(3))
+    return _tls.bufs
 
 
-def _mix_pairs(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
-    """(a0, a1) <- (u11 a0 + u12 a1, u21 a0 + u22 a1), elementwise in place.
-
-    A diagonal u scales each half in place by its own entry and skips a half
-    whose entry is exactly 1, so s/t/z/cz touch only the half or quarter of
-    the register that changes. The scalar stays the first operand, as in
-    _mix_full, so both routes round identically. numpy rounds an in-place
-    multiply of a single element without FMA, so a one-element view (n <= 2)
-    takes the full mix.
-    """
-    if u.u12 == 0 and u.u21 == 0 and a0.size > 1:
-        if u.u11 != 1:
-            np.multiply(u.u11, a0, out=a0)
-        if u.u22 != 1:
-            np.multiply(u.u22, a1, out=a1)
-    else:
-        _mix_full(a0, a1, u)
-
-
-def _mix_full(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
-    """The general 2x2 mix of _mix_pairs, for any u.
-
-    Both new values depend only on the old pair, so each chunk is computed
-    into bounded scratch before writing back. Oversized views are split
-    along their outermost axis longer than 1, so a chunk is made of whole
-    contiguous rows.
-    """
-    size = a0.size
-    if size > _CHUNK:
-        ax = next(d for d, k in enumerate(a0.shape) if k > 1)
-        mid = a0.shape[ax] // 2
-        lo = (slice(None),) * ax + (slice(0, mid),)
-        hi = (slice(None),) * ax + (slice(mid, None),)
-        _mix_full(a0[lo], a1[lo], u)
-        _mix_full(a0[hi], a1[hi], u)
+def _pieces(v0: np.ndarray, v1: np.ndarray, size: int):
+    """Matching pieces of two same-shape views, whole rows or row segments."""
+    if v0.size <= size:
+        yield v0, v1
         return
-    s0, s1, s2 = _scratch()
-    n0 = s0[:size].reshape(a0.shape)
-    n1 = s1[:size].reshape(a0.shape)
-    t = s2[:size].reshape(a0.shape)
-    np.multiply(u.u11, a0, out=n0)
-    np.multiply(u.u12, a1, out=t)
-    np.add(n0, t, out=n0)
-    np.multiply(u.u21, a0, out=n1)
-    np.multiply(u.u22, a1, out=t)
-    np.add(n1, t, out=n1)
-    a0[...] = n0
-    a1[...] = n1
+    ax = next(d for d, k in enumerate(v0.shape) if k > 1)
+    step = max(v0.shape[ax] * size // v0.size, 1)
+    for s in range(0, v0.shape[ax], step):
+        cut = (slice(None),) * ax + (slice(s, s + step),)
+        yield from _pieces(v0[cut], v1[cut], size)
+
+
+def _mix(x0, x1, k11, k12, k21, k22, s0, s1):
+    """(x0, x1) <- (k11 x0 + k12 x1, k21 x0 + k22 x1) in place, with scratch
+    from the buffers s0, s1. Each k is a scalar or a vector, and stays the
+    first operand: numpy's complex multiply rounds a*b and b*a apart."""
+    t0 = s0[: x0.size].reshape(x0.shape)
+    t1 = s1[: x0.size].reshape(x0.shape)
+    np.multiply(k12, x1, out=t0)
+    np.multiply(k21, x0, out=t1)
+    np.multiply(k11, x0, out=x0)
+    np.add(x0, t0, out=x0)
+    np.multiply(k22, x1, out=x1)
+    np.add(x1, t1, out=x1)
+
+
+def _mix_views(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
+    """The general mix of pair views, a chunk-sized piece at a time: in place
+    for a piece of one row, else in contiguous scratch, as numpy would push
+    several short strided rows through its 8192-element buffer on every op."""
+    s0, s1, _ = _scratch()
+    k = u.matrix.ravel().tolist()
+    size = 1 << _CHUNK_QUBITS
+    for x0, x1 in _pieces(a0, a1, size):
+        if sum(d > 1 for d in x0.shape) <= 1:
+            _mix(x0, x1, *k, s1, s1[size:])
+            continue
+        y0, y1 = (s0[m : m + x0.size].reshape(x0.shape) for m in (0, size))
+        y0[...], y1[...] = x0, x1
+        _mix(y0, y1, *k, s1, s1[size:])
+        x0[...], x1[...] = y0, y1
+
+
+def _mix_chunks(amps: np.ndarray, n: int, j: int, i: int | None, u: OneQubitGate, diag: bool):
+    """Apply u at (n, j, i) as c0 x + c1 partner(x) on each chunk x. A control
+    above the chunk selects whole chunks; a target above it pairs each chunk
+    with its partner chunk, and c0, c1 span the pair."""
+    c = min(n, _CHUNK_QUBITS)
+    h, size = n - c, 1 << c
+    outer = i if i is not None and i <= h else None
+    e = int(j <= h)  # 1 when the chunks pair up, and c0, c1 span c + 1 qubits
+    lj, li = (1 if e else j - h), (None if i is None or outer else i - h + e)
+    region = amps if outer is None else pair_views(amps, n, outer)[1]
+    units = _pieces(*pair_views(amps, n, j, outer), size) if e else _pieces(region, region, size)
+    c0, c1, t = (buf[: size << e] for buf in _scratch())
+    for coef, low, high, rest in ((c0, u.u11, u.u22, 1), (c1, u.u12, u.u21, 0)):
+        coef.fill(rest)
+        v0, v1 = pair_views(coef, c + e, lj, li)
+        v0[...], v1[...] = low, high
+    if e:
+        for x0, x1 in units:
+            if not diag:
+                _mix(x0, x1, c0[:size], c1[:size], c1[size:], c0[size:], t, t[size:])
+                continue
+            if u.u11 != 1:
+                np.multiply(c0[:size], x0, out=x0)
+            if u.u22 != 1:
+                np.multiply(c0[size:], x1, out=x1)
+        return
+    perm = np.arange(size)
+    low, high = pair_indices(c, lj, li)
+    perm[low], perm[high] = high, low
+    for x, _ in units:
+        if diag:
+            np.multiply(c0, x, out=x)
+            continue
+        np.take(x, perm, out=t, mode="clip")
+        np.multiply(c1, t, out=t)
+        np.multiply(c0, x, out=x)
+        np.add(x, t, out=x)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -190,10 +233,23 @@ class Circuit:
 
 
 def apply_op(state: StateVector, op: GateOp) -> StateVector:
-    """Apply op in place: one pass of paired multiply-adds over the pair
-    views of its placement; a controlled op leaves control-0 amplitudes as
-    they are."""
-    _mix_pairs(*pair_views(state.amps, state.n, op.j, op.i), op.u)
+    """Apply op in place in one pass over the pair views of its placement;
+    a controlled op leaves the amplitudes whose control is 0 as they are."""
+    n, j, i, u = state.n, op.j, op.i, op.u
+    a0, a1 = pair_views(state.amps, n, j, i)
+    diag = u.u12 == 0 and u.u21 == 0
+    # On one or two chunks the vectors cost more to set up than short runs
+    # do; but numpy rounds an in-place multiply of one element without FMA,
+    # so one-element views (n <= 2) take the vectors.
+    if a0.size == 1 or (1 < a0.shape[-1] <= _SHORT_RUN and n > _CHUNK_QUBITS + 1):
+        _mix_chunks(state.amps, n, j, i, u, diag)
+    elif diag:
+        if u.u11 != 1:
+            np.multiply(u.u11, a0, out=a0)
+        if u.u22 != 1:
+            np.multiply(u.u22, a1, out=a1)
+    else:
+        _mix_views(a0, a1, u)
     return state
 
 
@@ -211,7 +267,7 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
         apply_op(state, op)
     drift = abs(state.norm() - 1.0)
     if not drift <= NORM_TOL:
-        raise RuntimeError(f"circuit broke normalization: |norm - 1| = {drift:.3e}")
+        raise NormDriftError(f"circuit broke normalization: |norm - 1| = {drift:.3e}")
     return state
 
 

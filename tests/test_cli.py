@@ -14,7 +14,9 @@ from sparseq import (
 )
 from sparseq.circuit_ir import hea_template, serialize
 from sparseq.cli import main, parse_gate_spec
+from sparseq.engine import NORM_TOL, StateVector
 from sparseq.qindex import check_placement
+from sparseq.verify import random_gate
 
 BELL = "qubits 2\nu q1 h\ncx q1 q2\n"
 
@@ -229,6 +231,34 @@ class TestRunCommand:
         assert main(["run", circuit, "--amplitudes"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1:] == ["0,0.0,0.0", "1,0.0,0.0", "2,0.0,0.0", "3,1.0,0.0"]
+
+    def test_norm_drift_exits_1_without_output(self, tmp_path, capsys):
+        """An input state accepted just inside NORM_TOL ends 300 random gates
+        just outside it: exit 1 with one stderr line, no traceback, no CSV."""
+        rng = np.random.default_rng(1)
+        lines = ["qubits 6"]
+        for _ in range(300):
+            j = int(rng.integers(1, 7))
+            entries = (f"{z.real!r},{z.imag!r}" for z in random_gate(rng).matrix.ravel().tolist())
+            lines.append(f"u q{j} " + " ".join(entries))
+        amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        amps /= math.sqrt(np.vdot(amps, amps).real)
+        scale = 1.0 - NORM_TOL
+        while True:
+            try:
+                StateVector(6, amps * scale)
+                break
+            except ValueError:
+                scale = np.nextafter(scale, 1.0)
+        pairs = [[z.real, z.imag] for z in (amps * scale).tolist()]
+        circuit = write(tmp_path, "c.sq", "\n".join(lines) + "\n")
+        state = write(tmp_path, "s.json", json.dumps(pairs))
+        out = tmp_path / "out.csv"
+        assert main(["run", circuit, "--input", state, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification error: circuit broke normalization: |norm - 1| = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_oracle_cross_check(self, tmp_path, capsys):
         circuit = write(tmp_path, "c.sq", "qubits 3\nrx q2 $a\ncrz q3 q1 0.4\n")

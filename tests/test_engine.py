@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sparseq import engine
 from sparseq.circuit_ir import GATES
 from sparseq.engine import probabilities_csv
 from sparseq.gate_matrix import dense_gate
+from sparseq.qindex import pair_views
 from sparseq.verify import dense_apply_oracle, random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
@@ -26,6 +29,31 @@ EYE = OneQubitGate(np.eye(2))
 def random_state(rng, n):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def reference_full_mix(a0, a1, u):
+    """The general 2x2 mix done directly on two pair views: both new halves
+    computed out of place, scalar first, then written back."""
+    n0 = u.u11 * a0 + u.u12 * a1
+    n1 = u.u21 * a0 + u.u22 * a1
+    a0[...], a1[...] = n0, n1
+
+
+def reference_apply(state, op):
+    """apply_op done directly on the pair views of the whole state, the
+    reference for the chunk kernel: a diagonal u multiplies each half in place
+    and skips a half whose entry is exactly 1; a one-element view takes the
+    full mix."""
+    a0, a1 = pair_views(state.amps, state.n, op.j, op.i)
+    u = op.u
+    if u.u12 == 0 and u.u21 == 0 and a0.size > 1:
+        if u.u11 != 1:
+            np.multiply(u.u11, a0, out=a0)
+        if u.u22 != 1:
+            np.multiply(u.u22, a1, out=a1)
+    else:
+        reference_full_mix(a0, a1, u)
+    return state
 
 
 class TestStateVector:
@@ -185,7 +213,7 @@ class TestDiagonalKernel:
     """Diagonal gates take a one-multiply path; it must agree with the full
     2x2 mix value for value and leave the unchanged part bitwise intact."""
 
-    def test_equals_full_mix_every_placement(self, rng, monkeypatch):
+    def test_equals_full_mix_every_placement(self, rng):
         for n in range(1, 7):
             for j in range(1, n + 1):
                 for i in [None, *(q for q in range(1, n + 1) if q != j)]:
@@ -193,9 +221,7 @@ class TestDiagonalKernel:
                         s = random_state(rng, n)
                         ref = s.copy()
                         apply_op(s, GateOp(j, u, i=i))
-                        with monkeypatch.context() as m:
-                            m.setattr(engine, "_mix_pairs", engine._mix_full)
-                            apply_op(ref, GateOp(j, u, i=i))
+                        reference_full_mix(*pair_views(ref.amps, n, j, i), u)
                         assert np.array_equal(s.amps, ref.amps), (n, i, j, u.matrix)
 
     @pytest.mark.parametrize("name", ["z", "s"])
@@ -251,6 +277,102 @@ class TestChunkedMix:
         want[lows], want[highs] = u.u11 * a0 + u.u12 * a1, u.u21 * a0 + u.u22 * a1
         apply_op(s, GateOp(j, u, i=i))
         assert np.array_equal(s.amps, want)
+
+
+def _kernel_gates(rng):
+    """Every GATES entry (a rotation at one angle), a seeded generic u and a
+    seeded diagonal u."""
+    gates = [kind.fixed or rotation_gate(kind.axis, 0.7)
+             for kind in GATES.values() if kind.fixed or kind.axis]
+    a, b = rng.uniform(-math.pi, math.pi, size=2)
+    return gates + [random_gate(rng), OneQubitGate(np.diag([np.exp(1j * a), np.exp(1j * b)]))]
+
+
+def _state_with_zeros(rng, n):
+    """A unit state in which about a fifth of the amplitudes are exactly 0,
+    and more components are +0.0 or -0.0."""
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps[rng.random(1 << n) < 0.2] = 0
+    amps.real[rng.random(1 << n) < 0.1] = 0.0
+    amps.imag[rng.random(1 << n) < 0.1] = -0.0
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def _bits(amps):
+    return (amps + 0.0).view(np.uint64)  # + 0.0 maps -0.0 to 0.0
+
+
+def _assert_kernel_bits(rng, n, placements):
+    gates = _kernel_gates(rng)
+    for j, i in placements:
+        x = _state_with_zeros(rng, n)
+        for u in gates:
+            got, want = apply_op(x.copy(), GateOp(j, u, i=i)), reference_apply(x.copy(), GateOp(j, u, i=i))
+            assert np.array_equal(_bits(got.amps), _bits(want.amps)), (n, j, i, u.matrix)
+
+
+def _placements(n):
+    return [(j, i) for j in range(1, n + 1) for i in [None, *range(1, n + 1)] if i != j]
+
+
+class TestChunkKernel:
+    """The chunk kernel against reference_apply, bit for bit on every nonzero
+    amplitude (exact zeros may change sign)."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 12, 13, 14])
+    def test_every_placement(self, rng, n):
+        _assert_kernel_bits(rng, n, _placements(n))
+
+    def test_low_placements_at_16(self, rng):
+        _assert_kernel_bits(rng, 16, [(j, i) for j, i in _placements(16) if max(j, i or 0) >= 11])
+
+    @pytest.mark.parametrize("chunk_qubits, short_run", [(2, 8), (3, 1 << 30), (4, 1 << 30), (3, 0)])
+    def test_every_placement_with_small_chunks(self, rng, monkeypatch, chunk_qubits, short_run):
+        """Chunks of 4..16 amplitudes put chunk pairs, controls above the
+        chunk and gathers into registers of up to 8 qubits; a huge short_run
+        sends every placement through the coefficient vectors."""
+        monkeypatch.setattr(engine, "_CHUNK_QUBITS", chunk_qubits)
+        monkeypatch.setattr(engine, "_SHORT_RUN", short_run)
+        monkeypatch.setattr(engine, "_tls", threading.local())
+        for n in range(1, 9):
+            _assert_kernel_bits(rng, n, _placements(n))
+
+
+class TestKernelMemory:
+    def test_peak_stays_under_one_mib(self, rng):
+        """apply_op at n=20 keeps no state-sized temporary and no cache per
+        placement: in a fresh thread, so that its scratch counts too, one gate
+        of each kind stays under 1 MiB of traced memory, and sweeping every
+        placement twice leaves the peak where the first sweep left it."""
+        n, u = 20, random_gate(rng)
+        state = StateVector.zero(n)
+        kinds = [(1, None), (18, None), (20, None), (2, 1), (18, 3), (20, 1), (1, 20), (5, 20), (20, 19)]
+        peaks = []
+
+        def run():
+            for j, i in kinds:
+                for gate in (u, OneQubitGate(np.diag([1j, -1]))):
+                    apply_op(state, GateOp(j, gate, i=i))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            for _ in range(2):
+                for j, i in _placements(n):
+                    apply_op(state, GateOp(j, u, i=i))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        tracemalloc.start()
+        try:
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=300)
+        finally:
+            tracemalloc.stop()
+        assert not worker.is_alive()
+        assert len(peaks) == 3
+        assert peaks[0] < 1 << 20
+        # A few bytes of interpreter bookkeeping; one cached chunk vector or
+        # permutation would be 64 KiB or more.
+        assert peaks[2] - peaks[1] < 4096
+        assert peaks[2] < 1 << 20
 
 
 class TestRunCircuit:

@@ -32,6 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 #: Single-qubit gate specs of the corpus: every fixed gate, and rotations
 #: with signed-zero, exact-zero and near-degenerate eigenvectors.
 GATE_SPECS = ("x", "y", "z", "h", "i", "s", "t", "rx:0.7", "ry:-2.1", "rz:2.5", "rx:1e-9")
@@ -79,6 +81,66 @@ cx q10 q11
 """
 
 
+#: 16 qubits, more than one 2^13-amplitude chunk: after a spread over every
+#: qubit, general, diagonal and fixed gates on q13..q16 (pair runs of 8..1)
+#: and on q1..q3 (targets above the chunk), with controls above and below
+#: their targets.
+WIDE16 = "qubits 16\n" + "".join(f"ry q{q} {0.1 * q + 0.3}\n" for q in range(1, 17)) + """\
+rx q13 0.7
+ry q14 -2.1
+u q15 h
+u q16 0.6,0.0 0.0,0.8 0.0,0.8 0.6,0.0
+rz q13 2.5
+u q14 s
+u q15 t
+u q16 z
+rx q1 0.4
+u q2 h
+rz q3 -1.2
+u q1 t
+crx q15 q1 0.3
+cx q14 q2
+crz q13 q3 -0.9
+cz q15 q1
+cu q1 q14 0.0,1.0 0.0,0.0 0.0,0.0 -1.0,0.0
+ch q2 q13
+cry q3 q15 0.25
+cz q1 q16
+cx q16 q14
+crx q15 q13 0.5
+cy q13 q15
+crz q14 q16 1.1
+"""
+
+#: A unit state is accepted within NORM_TOL = 1e-10 of norm 1.
+NORM_TOL = 1e-10
+
+
+def drift_inputs(work: Path):
+    """A 6-qubit circuit of 300 random single-qubit gates, and a state whose
+    |norm - 1| is just under NORM_TOL; rounding in the run carries the final
+    state just over it."""
+    def rz(t):
+        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+    rng = np.random.default_rng(1)
+    lines = ["qubits 6"]
+    for _ in range(300):
+        j = int(rng.integers(1, 7))
+        a, b, c, d = rng.uniform(-math.pi, math.pi, size=4)  # a Z-Y-Z product times a phase
+        ry = np.array([[math.cos(b / 2), -math.sin(b / 2)], [math.sin(b / 2), math.cos(b / 2)]])
+        u = np.exp(1j * d) * (rz(a) @ ry @ rz(c))
+        lines.append(f"u q{j} " + " ".join(f"{z.real!r},{z.imag!r}" for z in u.ravel().tolist()))
+    amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    amps /= math.sqrt(np.vdot(amps, amps).real)
+    scale = 1.0 - NORM_TOL
+    while not abs(math.sqrt(np.vdot(amps * scale, amps * scale).real) - 1.0) <= NORM_TOL:
+        scale = np.nextafter(scale, 1.0)
+    (work / "drift.sq").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pairs = [[z.real, z.imag] for z in (amps * scale).tolist()]
+    (work / "drift.json").write_text(json.dumps(pairs), encoding="utf-8")
+
+
 def hea_source(n: int, layers: int) -> str:
     lines = [f"qubits {n}"]
     for layer in range(layers):
@@ -100,6 +162,8 @@ def write_inputs(work: Path):
     (work / "mixed.json").write_text(json.dumps({"a": 0.9, "b": -1.3}), encoding="utf-8")
     (work / "wide.sq").write_text(WIDE, encoding="utf-8")
     (work / "wide13.sq").write_text("qubits 13\nu q1 h\ncx q1 q13\nry q7 0.3\n", encoding="utf-8")
+    (work / "wide16.sq").write_text(WIDE16, encoding="utf-8")
+    drift_inputs(work)
     for n, layers in ((3, 2), (6, 1), (9, 1), (10, 1)):
         (work / f"hea{n}.sq").write_text(hea_source(n, layers), encoding="utf-8")
         (work / f"hea{n}.json").write_text(json.dumps(hea_params(n, layers)), encoding="utf-8")
@@ -194,6 +258,10 @@ def corpus():
     for placement in (["-n", "1", "-i", "1", "-j", "1"], ["-n", "2", "-i", "0", "-j", "1"]):
         yield ["build-gate", *placement, "--gate", "x"]
         yield ["hamiltonian", *placement, "--gate", "x"]
+    # Registers of several chunks, and a run whose state drifts off unit norm.
+    yield ["run", "wide16.sq", "-o", "out"]
+    yield ["run", "wide16.sq", "--amplitudes", "-o", "out"]
+    yield ["run", "drift.sq", "--input", "drift.json", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
