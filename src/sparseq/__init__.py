@@ -12,9 +12,8 @@ from .gate_matrix import (
     ControlledGateSpec,
     SparseUnitary,
     controlled_sparse,
+    dense_gate,
     embedded_sparse,
-    kron_controlled_dense,
-    kron_embedded_dense,
     straddled_pair_block,
     target_pair_block,
 )
@@ -77,6 +76,7 @@ __all__ = [
     "controlled_gate_hamiltonian",
     "controlled_sparse",
     "dense_apply_oracle",
+    "dense_gate",
     "eigenpairs_2x2",
     "embedded_gate_hamiltonian",
     "embedded_sparse",
@@ -85,8 +85,6 @@ __all__ = [
     "frobenius_error",
     "gate_hamiltonian_sweep",
     "hea_template",
-    "kron_controlled_dense",
-    "kron_embedded_dense",
     "parse_circuit",
     "phase_of",
     "rotation_gate",

@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import OneQubitGate, PAULI, rotation_gate
 from .engine import Circuit, GateOp
+from .gate_matrix import check_dense_cap
 from .hamiltonian import (
     LocalHamiltonian,
     controlled_gate_hamiltonian,
@@ -304,34 +305,26 @@ def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> C
     return Circuit(template.n, tuple(ops))
 
 
-def hea_source(n: int, layers: int, four_columns: bool = False) -> str:
+def hea_source(n: int, layers: int) -> str:
     """Source text of the hardware-efficient ansatz.
 
-    Per layer: rotation columns of per-qubit rx gates (3 by default)
-    followed by a nearest-neighbour entangling chain of parametrized
-    controlled rotations. four_columns switches to 4 rotation columns with
-    fixed cx entanglers, putting all 4n parameters on the rotations (16 for
-    a 4-qubit layer).
+    Per layer: three rotation columns of per-qubit rx gates followed by a
+    nearest-neighbour entangling chain of parametrized controlled rotations.
     """
     if n < 2:
         raise ValueError("ansatz needs at least 2 qubits")
     if layers < 1:
         raise ValueError("need at least one layer")
-    columns = 4 if four_columns else 3
     lines = [f"qubits {n}"]
     for layer in range(1, layers + 1):
-        for col in range(1, columns + 1):
+        for col in range(1, 4):
             lines += [f"rx q{q} $q{q}_c{col}_l{layer}" for q in range(1, n + 1)]
-        for q in range(1, n):
-            if four_columns:
-                lines.append(f"cx q{q} q{q + 1}")
-            else:
-                lines.append(f"crx q{q} q{q + 1} $ent{q}_l{layer}")
+        lines += [f"crx q{q} q{q + 1} $ent{q}_l{layer}" for q in range(1, n)]
     return "\n".join(lines) + "\n"
 
 
-def hea_template(n: int, layers: int, four_columns: bool = False) -> CircuitTemplate:
-    return parse_circuit(hea_source(n, layers, four_columns))
+def hea_template(n: int, layers: int) -> CircuitTemplate:
+    return parse_circuit(hea_source(n, layers))
 
 
 @dataclass(frozen=True)
@@ -341,11 +334,6 @@ class HamiltonianGroup:
 
     kind: str  # "string" | "controlled"
     hamiltonians: tuple[LocalHamiltonian, ...]
-
-    def unitary(self) -> np.ndarray:
-        """Dense product of the factor's exponentials, built one factor at a
-        time so that at most two of them are alive at once."""
-        return reduce(np.matmul, map(exp_minus_ih, reversed(self.hamiltonians)))
 
 
 def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
@@ -379,9 +367,14 @@ def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
     return groups
 
 
-def groups_unitary(groups: list[HamiltonianGroup], dim: int) -> np.ndarray:
-    """Dense circuit unitary from the Hamiltonian groups, last group leftmost."""
+def groups_unitary(groups: list[HamiltonianGroup], n: int) -> np.ndarray:
+    """Dense unitary of an n-qubit circuit from its Hamiltonian groups, last
+    group leftmost. Each group is the product of its exponentials, built one
+    factor at a time so that at most two of them are alive at once."""
+    check_dense_cap(n)
     if not groups:
-        return np.eye(dim, dtype=complex)
-    return reduce(np.matmul, (g.unitary() for g in reversed(groups)))
+        return np.eye(1 << n, dtype=complex)
+    return reduce(np.matmul, (
+        reduce(np.matmul, map(exp_minus_ih, reversed(g.hamiltonians))) for g in reversed(groups)
+    ))
 

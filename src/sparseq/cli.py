@@ -7,12 +7,13 @@ output), 2 usage or parse error, 3 validation error, a register too large
 for memory or a tolerance that is not a finite number >= 0 included. The
 QSIM_TOL environment variable overrides the default of 1e-12; --tol beats both.
 
-Dense checks above DENSE_MAX_QUBITS and verify sizes out of range exit 3
-before any output. Before a command allocates its state, Hamiltonian terms
-or dense check matrices, it estimates their peak bytes and refuses (exit 3)
-when the estimate exceeds MemAvailable in /proc/meminfo. Estimates up to
-BUDGET_FREE_BYTES skip that read. The estimate prices memory only; the size
-of the text a command writes is not bounded.
+Dense checks that gate_matrix.check_dense_cap refuses (above 12 qubits) and
+verify sizes out of range exit 3 before any output. Before a command
+allocates its state, Hamiltonian terms or dense check matrices, it estimates
+their peak bytes and refuses (exit 3) when the estimate exceeds MemAvailable
+in /proc/meminfo. Estimates up to BUDGET_FREE_BYTES skip that read. The
+estimate prices memory only; the size of the text a command writes is not
+bounded.
 """
 from __future__ import annotations
 
@@ -141,23 +142,6 @@ def _ended(chunks):
     yield "\n"
 
 
-def _with_dense(sparse):
-    """The gate's text with "dense": to_dense() as rows of [re, im] pairs, as
-    json.dumps writes them. Each row is zeros around the row's stored slots,
-    so no dense matrix is built."""
-    *head, tail = sparse.json_chunks()
-    yield from head
-    yield tail[:-1] + ', "dense": ['
-    zero = "[0.0, 0.0]"
-    texts, rows = sparse._walk_rows()
-    for k, (kind, columns) in enumerate(rows):
-        row = [zero] * sparse.dim
-        for c, text in zip(columns, texts[kind]):
-            row[c] = f"[{text}]"
-        yield ("[" if k == 0 else ", [") + ", ".join(row) + "]"
-    yield "]}"
-
-
 def _circuit_json(n: int, groups):
     """Schema-1 text of a circuit's Hamiltonian groups, in pieces:
     {"schema": 1, "n": n, "groups": [{"kind": k, "hamiltonians": [...]}, ...]}."""
@@ -177,7 +161,7 @@ def cmd_build_gate(args) -> int:
         "build-gate", args.n, SPARSE_BYTES_PER_ROW, DENSE_JSON_MATRICES if args.dense else 0
     )
     sparse = SparseUnitary(args.n, args.j, parse_gate_spec(args.gate), args.i)
-    _write(_ended(_with_dense(sparse) if args.dense else sparse.json_chunks()), args.output)
+    _write(_ended(sparse.json_chunks(dense=args.dense)), args.output)
     return 0
 
 
@@ -215,9 +199,7 @@ def cmd_hamiltonian(args) -> int:
     groups = circuit_hamiltonians(circuit)
     _write(_ended(_circuit_json(circuit.n, groups)), args.output)
     if args.check:
-        error = frobenius_error(
-            dense_circuit_unitary(circuit), groups_unitary(groups, 1 << circuit.n)
-        )
+        error = frobenius_error(dense_circuit_unitary(circuit), groups_unitary(groups, circuit.n))
         print(f"reconstruction_error={error!r}")
         # Products accumulate; scale the per-factor tolerance by 10*K.
         return 0 if error <= 10 * max(1, len(circuit.ops)) * tol else 1
@@ -241,6 +223,18 @@ def _load_params(path: str | None) -> dict[str, float]:
     return params
 
 
+def _load_state(path: str) -> StateVector:
+    """The state file at path. numpy reads JSON true and false beside numbers
+    as 1 and 0, so a file holding either is refused like any other pair that
+    is not numbers. Once the text parses as number pairs it holds no strings,
+    so the words can only be those literals."""
+    text = Path(path).read_text(encoding="utf-8")
+    state = StateVector.from_json(text)
+    if "true" in text or "false" in text:
+        raise ValueError("state must be a JSON array of [re, im] number pairs")
+    return state
+
+
 def cmd_run(args) -> int:
     tol = _tolerance(args)
     template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
@@ -249,7 +243,7 @@ def cmd_run(args) -> int:
         check_dense_cap(circuit.n)
     _require_memory("run", circuit.n, RUN_BYTES_PER_AMP, CHECK_MATRICES if args.oracle else 0)
     if args.input is not None:
-        state = StateVector.from_json(Path(args.input).read_text(encoding="utf-8"))
+        state = _load_state(args.input)
         if state.n != circuit.n:
             raise ValueError(
                 f"input state has {state.n} qubits, circuit {circuit.n}"
@@ -313,7 +307,7 @@ def cmd_verify(args) -> int:
         )
         lines = ["circuit,deviation"]
         lines += [f"{k},{d!r}" for k, d in enumerate(deviations)]
-        # Chains of up to 20 gates accumulate; allow 10x the per-gate tol.
+        # Chains of up to verify.MAX_GATES gates accumulate; allow 10x the per-gate tol.
         record(f"engine_n{args.n}", "\n".join(lines) + "\n", max(deviations), 10 * tol)
     if failures:
         print("exceeded tolerance: " + ", ".join(failures))

@@ -1,12 +1,16 @@
 """Explicit 2-sparse unitaries of order 2^n for controlled and embedded
-single-qubit gates, plus dense Kronecker-product reference builders.
+single-qubit gates, plus the dense Kronecker-product reference builder.
 
 A controlled gate on control i / target j acts as the identity on every basis
 state whose qubit i is 0 and couples each remaining index k only with its
 target partner k +- 2^(n-j), so every row and column carries at most two
-nonzeros. The sparse builders write that rule down directly; the dense
-builders assemble the same operators from Kronecker products and exist to
+nonzeros. The sparse builders write that rule down directly; dense_gate
+assembles the same operators from Kronecker products and exists to
 cross-check the sparse path.
+
+check_dense_cap is the one judge of the dense register size: every function
+in the package that sizes a 2^n-order matrix from n calls it before
+allocating.
 """
 from __future__ import annotations
 
@@ -106,28 +110,40 @@ class SparseUnitary:
 
     def to_dense(self) -> np.ndarray:
         """The identity, with u on the rows and columns of each target pair."""
+        check_dense_cap(self.n)
         pairs = np.stack(pair_indices(self.n, self.j, self.i), axis=1)[:, :, None]
         m = np.eye(self.dim, dtype=complex)
         m[pairs, pairs.transpose(0, 2, 1)] = self.u.matrix
         return m
 
     def unitarity_defect(self) -> float:
-        """max |U†U - I| entry, computed densely (small dims only)."""
-        if self.dim > (1 << DENSE_MAX_QUBITS):
-            raise ValueError("unitarity check is dense-only; dimension too large")
+        """max |U†U - I| entry, computed densely (capped like to_dense)."""
         m = self.to_dense()
         return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))))
 
-    def json_chunks(self):
+    def json_chunks(self, dense: bool = False):
         """Schema-1 JSON text in pieces of up to JSON_CHUNK_ROWS rows. Joined,
         they equal json.dumps of {"schema": 1, "dim": D, "rows": [[[c, re,
-        im], ...], ...]} with the stored slots of every row."""
+        im], ...], ...]} with the stored slots of every row.
+
+        dense=True adds "dense": to_dense() as rows of [re, im] pairs, one
+        piece per row. Each row is zeros around its stored slots, so no
+        dense matrix is built.
+        """
         yield f'{{"schema": 1, "dim": {self.dim}, "rows": ['
         texts, rows = self._walk_rows()
         row_text = ["[" + ", ".join(f"[%d, {t}]" for t in ts) + "]" for ts in texts]
         for start in range(0, self.dim, JSON_CHUNK_ROWS):
             parts = [row_text[kind] % columns for kind, columns in islice(rows, JSON_CHUNK_ROWS)]
             yield (", " if start else "") + ", ".join(parts)
+        if dense:
+            yield '], "dense": ['
+            rows = self._walk_rows()[1]
+            for k, (kind, columns) in enumerate(rows):
+                row = ["[0.0, 0.0]"] * self.dim
+                for c, text in zip(columns, texts[kind]):
+                    row[c] = f"[{text}]"
+                yield (", [" if k else "[") + ", ".join(row) + "]"
         yield "]}"
 
     def to_json(self) -> str:
@@ -142,8 +158,7 @@ def target_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
     """
     if not i < j:
         raise ValueError(f"requires control before target, got i={i}, j={j}")
-    if not (1 <= i and j <= n):
-        raise ValueError(f"positions ({i}, {j}) out of range 1..{n}")
+    check_placement(n, j, i)
     half = 1 << (n - j)
     block = np.zeros((2 * half, 2 * half), dtype=complex)
     r = np.arange(half)
@@ -166,8 +181,7 @@ def straddled_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
     """
     if not i > j:
         raise ValueError(f"requires control after target, got i={i}, j={j}")
-    if not (1 <= j and i <= n):
-        raise ValueError(f"positions ({i}, {j}) out of range 1..{n}")
+    check_placement(n, j, i)
     blk = 1 << (n - i)
     stride = 1 << (n - j)
     dim = 2 * stride - blk
@@ -234,24 +248,13 @@ def _kron_placed(n: int, placed: dict[int, np.ndarray]) -> np.ndarray:
     return kron_chain(factors)
 
 
-def kron_embedded_dense(n: int, j: int, u: OneQubitGate) -> np.ndarray:
-    """Reference dense matrix I_{2^(j-1)} ⊗ u ⊗ I_{2^(n-j)}."""
-    check_placement(n, j)
-    check_dense_cap(n)
-    return _kron_placed(n, {j: np.asarray(u.matrix)})
-
-
-def kron_controlled_dense(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
-    """Reference dense controlled gate as a projector sum: |0><0| branch at
-    the control carries the identity, the |1><1| branch carries u at the
-    target."""
+def dense_gate(n: int, j: int, u: OneQubitGate, i: int | None = None) -> np.ndarray:
+    """Dense Kronecker oracle of one gate. Single-qubit (i=None): I_{2^(j-1)}
+    ⊗ u ⊗ I_{2^(n-j)}. Controlled: a projector sum, the |0><0| branch at the
+    control carrying the identity and the |1><1| branch u at the target."""
     check_placement(n, j, i)
     check_dense_cap(n)
-    return _kron_placed(n, {i: _P0}) + _kron_placed(n, {i: _P1, j: np.asarray(u.matrix)})
-
-
-def dense_gate(n: int, j: int, u: OneQubitGate, i: int | None = None) -> np.ndarray:
-    """Dense Kronecker oracle for one gate description (i=None: single-qubit)."""
+    m = np.asarray(u.matrix)
     if i is None:
-        return kron_embedded_dense(n, j, u)
-    return kron_controlled_dense(n, i, j, u)
+        return _kron_placed(n, {j: m})
+    return _kron_placed(n, {i: _P0}) + _kron_placed(n, {i: _P1, j: m})

@@ -11,10 +11,10 @@ Every term vector therefore has at most two nonzero entries, and the whole
 operator is fixed by the gate placement (n, j, i) and at most two (z, v)
 rows, one per non-unit gate eigenpair. A LocalHamiltonian stores just that;
 its terms are laid on the target pairs of qindex.pair_indices when they are
-read. Dense vectors exist only in the capped oracle path (to_dense,
-gram_defect, exp_minus_ih) and in the `terms` view. exp_minus_ih checks
-orthonormality on the rows alone, since lifted vectors on different pairs
-have disjoint support.
+read. Dense vectors exist only in to_dense, gram_defect, exp_minus_ih and
+the `terms` view, each refused by gate_matrix.check_dense_cap above 12 qubits
+before it allocates. exp_minus_ih checks orthonormality on the rows alone,
+since lifted vectors on different pairs have disjoint support.
 
 The schema-1 JSON writer (json_chunks) streams a bounded batch of terms at a
 time, each term zero padding around its row's text, formatted once.
@@ -29,6 +29,7 @@ from itertools import islice
 import numpy as np
 
 from .core import EigenPair2, OneQubitGate, eigenpairs_2x2, phase_of
+from .gate_matrix import check_dense_cap
 from .qindex import check_placement, pair_indices
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
@@ -125,6 +126,7 @@ class LocalHamiltonian:
 
     def _columns(self) -> np.ndarray:
         """The (dim x T) matrix W whose column k is term vector k."""
+        check_dense_cap(self.n)
         low, high = pair_indices(self.n, self.j, self.i)
         terms = np.arange(len(low))
         w = np.zeros((self.dim, len(self.weights), len(low)), dtype=complex)
@@ -205,6 +207,7 @@ def target_pair_eigenpairs(
     """
     if not i < j:
         raise ValueError(f"requires control before target, got i={i}, j={j}")
+    check_placement(n, j, i)
     return _block_eigenpairs(2 << (n - j), *pair_indices(n - j + 1, 1), pairs)
 
 
@@ -222,6 +225,7 @@ def straddled_pair_eigenpairs(
     """
     if not i > j:
         raise ValueError(f"requires control after target, got i={i}, j={j}")
+    check_placement(n, j, i)
     blk = 1 << (n - i)
     low, high = pair_indices(n - j + 1, 1, i - j + 1)
     return _block_eigenpairs((2 << (n - j)) - blk, low - blk, high - blk, pairs)
@@ -259,6 +263,7 @@ def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:
     before W is built. The identity is added on the diagonal of the update,
     never built.
     """
+    check_dense_cap(h.n)
     if not len(h.weights):
         return np.eye(h.dim, dtype=complex)
     v = h.vectors

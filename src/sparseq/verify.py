@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import OneQubitGate, rotation_gate
 from .engine import Circuit, GateOp, StateVector, run_circuit
-from .gate_matrix import dense_gate, kron_chain, kron_controlled_dense
+from .gate_matrix import check_dense_cap, dense_gate, kron_chain
 from .hamiltonian import (
     controlled_gate_hamiltonian,
     embedded_gate_hamiltonian,
@@ -30,6 +30,9 @@ HERM_TOL = 1e-10
 
 #: Share of controlled gates in a random circuit.
 CONTROLLED_FRACTION = 0.5
+
+#: Most gates in a random circuit of the engine sweep.
+MAX_GATES = 20
 
 
 def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,7 +81,7 @@ def gate_hamiltonian_sweep(
     errors = []
     for theta in thetas:
         u = rotation_gate(axis, float(theta))
-        dense = kron_controlled_dense(n, i, j, u)
+        dense = dense_gate(n, j, u, i)
         h = controlled_gate_hamiltonian(n, i, j, u)
         errors.append(frobenius_error(dense, exp_minus_ih(h)))
     return ErrorSweep(
@@ -86,12 +89,11 @@ def gate_hamiltonian_sweep(
     )
 
 
-def string_hamiltonian_sweep(
-    n: int, axis: str = "X", thetas: np.ndarray | None = None
-) -> ErrorSweep:
-    """Per theta: the n-fold tensor power of R_axis(theta) against the
-    product of the per-qubit Hamiltonian exponentials."""
-    thetas = theta_grid() if thetas is None else np.asarray(thetas, dtype=float)
+def string_hamiltonian_sweep(n: int, axis: str = "X") -> ErrorSweep:
+    """Per theta of the grid: the n-fold tensor power of R_axis(theta) against
+    the product of the per-qubit Hamiltonian exponentials, O(n 8^n)."""
+    check_dense_cap(n)
+    thetas = theta_grid()
     errors = []
     for theta in thetas:
         u = rotation_gate(axis, float(theta))
@@ -124,6 +126,7 @@ def exp_oracle(h_dense: np.ndarray) -> np.ndarray:
 
 def dense_circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense product of per-gate Kronecker oracles, rightmost op first."""
+    check_dense_cap(circuit.n)
     if not circuit.ops:
         return np.eye(1 << circuit.n, dtype=complex)
     gates = (dense_gate(circuit.n, op.j, op.u, op.i) for op in circuit.ops)
@@ -163,15 +166,15 @@ def random_circuit(rng: np.random.Generator, n: int, gates: int) -> Circuit:
 
 
 def engine_equivalence_deviations(
-    circuits: int, max_qubits: int = 8, max_gates: int = 20, seed: int = 42
+    circuits: int, max_qubits: int = 8, seed: int = 42
 ) -> list[float]:
     """Max amplitude deviation between the pair-update engine and the dense
-    matrix-vector chain, per random circuit."""
+    matrix-vector chain, per random circuit of 1..MAX_GATES gates."""
     rng = np.random.default_rng(seed)
     deviations = []
     for _ in range(circuits):
         n = int(rng.integers(2, max_qubits + 1))
-        k = int(rng.integers(1, max_gates + 1))
+        k = int(rng.integers(1, MAX_GATES + 1))
         circuit = random_circuit(rng, n, k)
         state = StateVector.zero(n)
         reference = dense_chain(circuit, state)

@@ -61,7 +61,7 @@ def test_criterion_2_rotation_string_reconstruction():
 
 
 def test_criterion_3_engine_matches_dense_chain():
-    deviations = engine_equivalence_deviations(200, max_qubits=8, max_gates=20, seed=42)
+    deviations = engine_equivalence_deviations(200, max_qubits=8, seed=42)
     worst = max(deviations)
     report(3, "engine vs dense mat-vec chain over 200 random circuits",
            worst <= ENGINE_TOL, f"max_deviation={worst:.3e} <= {ENGINE_TOL}")

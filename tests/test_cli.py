@@ -306,6 +306,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("text", [
         "5", "[1, 2]", '["ab", "cd"]', "[[1.0, 0.0], [0.0]]", "[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]",
         '[[1.0, 0.0], [0.0, "0"]]', "[[1.0, 0.0], [0.0, null]]", "{}",
+        # numpy reads JSON booleans beside numbers as 1 and 0.
+        "[[true, false], [0, 0]]", "[[1.0, 0.0], [0.0, false]]", "[[true, false], [false, false]]",
     ])
     def test_malformed_input_state_exits_3(self, tmp_path, capsys, text):
         circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")

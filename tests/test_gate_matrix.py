@@ -6,20 +6,31 @@ import numpy as np
 import pytest
 
 from sparseq import (
+    Circuit,
     ControlledGateSpec,
     OneQubitGate,
     SparseUnitary,
+    StateVector,
+    bind,
+    circuit_hamiltonians,
     controlled_sparse,
+    dense_gate,
+    eigenpairs_2x2,
+    embedded_gate_hamiltonian,
     embedded_sparse,
-    kron_controlled_dense,
-    kron_embedded_dense,
+    exp_minus_ih,
+    parse_circuit,
     rotation_gate,
     straddled_pair_block,
+    straddled_pair_eigenpairs,
+    string_hamiltonian_sweep,
     target_pair_block,
+    target_pair_eigenpairs,
 )
-from sparseq.gate_matrix import _P0, _P1, JSON_CHUNK_ROWS, dense_gate
+from sparseq.circuit_ir import groups_unitary
+from sparseq.gate_matrix import _P0, _P1, JSON_CHUNK_ROWS
 from sparseq.qindex import pair_indices
-from sparseq.verify import random_gate
+from sparseq.verify import dense_chain, dense_circuit_unitary, gate_hamiltonian_sweep, random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
 
@@ -183,12 +194,12 @@ class TestControlledSparse:
 
 class TestOracleEquivalence:
     def test_cnot_is_the_textbook_permutation(self):
-        got = kron_controlled_dense(2, 1, 2, X)
+        got = dense_gate(2, 2, X, i=1)
         want = np.eye(4)[:, [0, 1, 3, 2]]
         assert np.array_equal(got, want)
 
     def test_reversed_cnot_permutation(self):
-        got = kron_controlled_dense(2, 2, 1, X)
+        got = dense_gate(2, 1, X, i=2)
         want = np.eye(4)[:, [0, 3, 2, 1]]
         assert np.array_equal(got, want)
 
@@ -201,7 +212,7 @@ class TestOracleEquivalence:
                     for _ in range(20):
                         u = random_gate(rng)
                         sparse = controlled_sparse(ControlledGateSpec(n, i, j, u))
-                        oracle = kron_controlled_dense(n, i, j, u)
+                        oracle = dense_gate(n, j, u, i=i)
                         assert np.max(np.abs(sparse.to_dense() - oracle)) <= 1e-13
                         assert sparse.unitarity_defect() <= 1e-12
                         per_row, per_column = slot_counts(sparse)
@@ -221,9 +232,9 @@ class TestOracleEquivalence:
 
     def test_dense_cap_enforced(self, generic_gate):
         with pytest.raises(ValueError):
-            kron_controlled_dense(13, 1, 2, generic_gate)
+            dense_gate(13, 2, generic_gate, i=1)
         with pytest.raises(ValueError):
-            kron_embedded_dense(14, 1, generic_gate)
+            dense_gate(14, 1, generic_gate)
 
 
 class TestEmbeddedSparse:
@@ -238,7 +249,7 @@ class TestEmbeddedSparse:
 
     def test_first_position_matches_kron_oracle(self, generic_gate):
         got = embedded_sparse(2, 1, generic_gate).to_dense()
-        assert np.array_equal(got, kron_embedded_dense(2, 1, generic_gate))
+        assert np.array_equal(got, dense_gate(2, 1, generic_gate))
 
     def test_oracle_sweep(self, rng, slot_counts):
         for n in range(1, 7):
@@ -246,7 +257,7 @@ class TestEmbeddedSparse:
                 u = random_gate(rng)
                 sparse = embedded_sparse(n, j, u)
                 assert np.max(
-                    np.abs(sparse.to_dense() - kron_embedded_dense(n, j, u))
+                    np.abs(sparse.to_dense() - dense_gate(n, j, u))
                 ) <= 1e-13
                 per_row, per_column = slot_counts(sparse)
                 assert np.all(per_row <= 2) and np.all(per_column <= 2)
@@ -370,17 +381,6 @@ class TestDerivedArrays:
             assert abs(np.vdot(y, y).real - 1.0) <= 1e-12
 
 
-class TestDenseGateDispatch:
-    def test_single_and_controlled_routes(self, generic_gate):
-        np.testing.assert_array_equal(
-            dense_gate(3, 2, generic_gate), kron_embedded_dense(3, 2, generic_gate)
-        )
-        np.testing.assert_array_equal(
-            dense_gate(3, 2, generic_gate, i=1),
-            kron_controlled_dense(3, 1, 2, generic_gate),
-        )
-
-
 def np_kron_dense(n, j, u, i=None):
     """dense_gate's factors, reduced with np.kron itself."""
     m = np.asarray(u.matrix)
@@ -457,3 +457,81 @@ class TestSparseUnitaryJson:
         for bad in bads:
             with pytest.raises(ValueError, match="finite"):
                 embedded_sparse(1, 1, OneQubitGate(np.array(bad)))
+
+
+def _capped_constructions():
+    """Name -> call of every dense construction of the package at n=13, its
+    inputs built up front: each sizes a 2^13-order matrix from n."""
+    n = 13
+    sparse = SparseUnitary(n, 4, X, 1)
+    h = embedded_gate_hamiltonian(n, 2, X)
+    empty_h = embedded_gate_hamiltonian(n, 2, OneQubitGate(np.eye(2)))
+    circuit = bind(parse_circuit(f"qubits {n}\nu q1 h\ncx q1 q{n}\n"))
+    groups = circuit_hamiltonians(circuit)
+    state = StateVector.zero(n)
+    return {
+        "dense_gate": lambda: dense_gate(n, 3, X),
+        "dense_gate_controlled": lambda: dense_gate(n, 3, X, i=n),
+        "SparseUnitary.to_dense": sparse.to_dense,
+        "SparseUnitary.unitarity_defect": sparse.unitarity_defect,
+        "LocalHamiltonian.to_dense": h.to_dense,
+        "LocalHamiltonian.gram_defect": h.gram_defect,
+        "LocalHamiltonian.terms": lambda: h.terms,
+        "exp_minus_ih": lambda: exp_minus_ih(h),
+        "exp_minus_ih_no_terms": lambda: exp_minus_ih(empty_h),
+        "groups_unitary": lambda: groups_unitary(groups, n),
+        "groups_unitary_no_groups": lambda: groups_unitary([], n),
+        "dense_circuit_unitary": lambda: dense_circuit_unitary(circuit),
+        "dense_circuit_unitary_no_ops": lambda: dense_circuit_unitary(Circuit(n, ())),
+        "dense_chain": lambda: dense_chain(circuit, state),
+        "gate_hamiltonian_sweep": lambda: gate_hamiltonian_sweep(n, 1, 2),
+        "string_hamiltonian_sweep": lambda: string_hamiltonian_sweep(n),
+    }
+
+
+CAPPED = _capped_constructions()
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_dense_construction_refused_before_allocating(name):
+    """A 2^13-order complex matrix is 1 GiB; each construction refuses n=13
+    through check_dense_cap while its traced peak stays under 1 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^dense construction capped at 12 qubits, got n=13$"):
+            CAPPED[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, (name, peak)
+
+
+@pytest.mark.parametrize("i, j, message", [
+    (0, 2, "control position 0 invalid for target 2 of 1..3"),
+    (1, 4, "target position 4 out of range 1..3"),
+    (2, 1, "requires control before target, got i=2, j=1"),
+])
+@pytest.mark.parametrize("build", ["block", "eigenpairs"])
+def test_target_pair_references_judge_the_placement(generic_gate, build, i, j, message):
+    with pytest.raises(ValueError) as info:
+        if build == "block":
+            target_pair_block(3, i, j, generic_gate)
+        else:
+            target_pair_eigenpairs(3, i, j, eigenpairs_2x2(generic_gate))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("i, j, message", [
+    (4, 1, "control position 4 invalid for target 1 of 1..3"),
+    (5, 4, "target position 4 out of range 1..3"),
+    (2, 0, "target position 0 out of range 1..3"),
+    (1, 2, "requires control after target, got i=1, j=2"),
+])
+@pytest.mark.parametrize("build", ["block", "eigenpairs"])
+def test_straddled_pair_references_judge_the_placement(generic_gate, build, i, j, message):
+    with pytest.raises(ValueError) as info:
+        if build == "block":
+            straddled_pair_block(3, i, j, generic_gate)
+        else:
+            straddled_pair_eigenpairs(3, i, j, eigenpairs_2x2(generic_gate))
+    assert str(info.value) == message

@@ -169,6 +169,7 @@ def write_inputs(work: Path):
         (work / f"hea{n}.json").write_text(json.dumps(hea_params(n, layers)), encoding="utf-8")
     amps = [[math.cos(k + 0.5) / 2.0, math.sin(k + 0.5) / 2.0] for k in range(4)]
     (work / "state.json").write_text(json.dumps(amps), encoding="utf-8")
+    (work / "bools.json").write_text("[[true, false], [0, 0], [0, 0], [0, 0]]", encoding="utf-8")
 
 
 def corpus():
@@ -262,6 +263,8 @@ def corpus():
     yield ["run", "wide16.sq", "-o", "out"]
     yield ["run", "wide16.sq", "--amplitudes", "-o", "out"]
     yield ["run", "drift.sq", "--input", "drift.json", "-o", "out"]
+    # JSON booleans beside numbers in a state file.
+    yield ["run", "bell.sq", "--input", "bools.json", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
