@@ -19,6 +19,7 @@ and the CLI gate specs all read it, so a new gate is one entry there.
 from __future__ import annotations
 
 import math
+import numbers
 import re as _re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -92,7 +93,8 @@ class CircuitParseError(Exception):
 
 
 class CircuitBindError(Exception):
-    """Raised when binding leaves parameters unresolved."""
+    """Raised when binding leaves parameters unresolved, or is given a value
+    that is not a real number in float range."""
 
 
 @dataclass(frozen=True)
@@ -284,9 +286,17 @@ def serialize(template: CircuitTemplate) -> str:
 
 
 def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> Circuit:
-    """Resolve all parameters and produce an executable circuit."""
-    params = params or {}
-    missing = [name for name in template.param_names() if name not in params]
+    """Resolve all parameters into an executable circuit. Every value, used
+    or not, must be a real number in float range that is not a bool."""
+    values = {}
+    for k, v in (params or {}).items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise CircuitBindError(f"parameter {k!r} must be a number, got {v!r}")
+        try:
+            values[k] = float(v)
+        except OverflowError:
+            raise CircuitBindError(f"parameter {k!r} is out of float range") from None
+    missing = [name for name in template.param_names() if name not in values]
     if missing:
         raise CircuitBindError(
             "unbound parameter(s): " + ", ".join(f"${m}" for m in missing)
@@ -295,7 +305,7 @@ def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> C
     for s in template.stmts:
         kind = GATES[s.name]
         if kind.axis is not None:
-            theta = float(params[s.angle.name]) if isinstance(s.angle, ParamRef) else s.angle
+            theta = values[s.angle.name] if isinstance(s.angle, ParamRef) else s.angle
             u = rotation_gate(kind.axis, theta)
         elif kind.fixed is not None:
             u = kind.fixed

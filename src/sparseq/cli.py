@@ -1,5 +1,5 @@
-"""Command-line interface: gate builders, Hamiltonian extraction, circuit
-execution, and verification sweeps with stable file outputs.
+"""Command-line interface: argv parsing, preflight, routing and the exit-code
+map. The library judges each input and writes each output format.
 
 Exit codes: 0 success, 1 verification exceedance (a run whose final state
 is off unit norm by more than engine.NORM_TOL included: one stderr line, no
@@ -11,9 +11,8 @@ Dense checks that gate_matrix.check_dense_cap refuses (above 12 qubits) and
 verify sizes out of range exit 3 before any output. Before a command
 allocates its state, Hamiltonian terms or dense check matrices, it estimates
 their peak bytes and refuses (exit 3) when the estimate exceeds MemAvailable
-in /proc/meminfo. Estimates up to BUDGET_FREE_BYTES skip that read. The
-estimate prices memory only; the size of the text a command writes is not
-bounded.
+in /proc/meminfo. Estimates up to BUDGET_FREE_BYTES skip that read. Then
+`hamiltonian` refuses (exit 3) schema-1 text above hamiltonian.JSON_MAX_BYTES.
 """
 from __future__ import annotations
 
@@ -37,12 +36,14 @@ from .circuit_ir import (
     parse_circuit,
 )
 from .core import OneQubitGate, rotation_gate
-from .engine import NormDriftError, StateVector, probabilities_csv, run_circuit
+from .engine import NormDriftError, StateVector, amplitudes_csv, probabilities_csv, run_circuit
 from .gate_matrix import DENSE_MAX_QUBITS, SparseUnitary, check_dense_cap, dense_gate
-from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian, exp_minus_ih
+from .hamiltonian import check_json_size, circuit_json_chunks, exp_minus_ih
+from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian
 from .verify import (
     dense_chain,
     dense_circuit_unitary,
+    deviations_csv,
     engine_equivalence_deviations,
     frobenius_error,
     gate_hamiltonian_sweep,
@@ -58,9 +59,9 @@ BUDGET_FREE_BYTES = 256 << 20
 # numpy 2.4) and rounded up. `run` holds about 200 bytes per amplitude: the
 # state and the Python text of its output line. TERM_BYTES and
 # TERM_BUILD_BYTES price a Hamiltonian as packed terms, which over-counts its
-# O(1) stored form. They price memory only and do not bound the schema-1
-# text: `hamiltonian -n 20 -j 1 --gate x` prices 168 MiB, under
-# BUDGET_FREE_BYTES, and streams about 6.6 TB. Counted in complex 2^n x 2^n
+# O(1) stored form. They price memory only: the schema-1 text is bounded by
+# hamiltonian.check_json_size (`hamiltonian -n 20 -j 1 --gate x` prices
+# 168 MiB of memory and about 6.6 TB of text). Counted in complex 2^n x 2^n
 # matrices alive at once: 6 for a gate's --check, the run oracle or a crx or
 # engine sweep, 12 for a circuit's --check or a strings sweep, 2 for --dense:
 # it streams its rows, but a caller that captures stdout holds all of its
@@ -142,20 +143,6 @@ def _ended(chunks):
     yield "\n"
 
 
-def _circuit_json(n: int, groups):
-    """Schema-1 text of a circuit's Hamiltonian groups, in pieces:
-    {"schema": 1, "n": n, "groups": [{"kind": k, "hamiltonians": [...]}, ...]}."""
-    yield f'{{"schema": 1, "n": {n}, "groups": ['
-    for k, g in enumerate(groups):
-        yield f'{", " if k else ""}{{"kind": "{g.kind}", "hamiltonians": ['
-        for m, h in enumerate(g.hamiltonians):
-            if m:
-                yield ", "
-            yield from h.json_chunks()
-        yield "]}"
-    yield "]}"
-
-
 def cmd_build_gate(args) -> int:
     _require_memory(
         "build-gate", args.n, SPARSE_BYTES_PER_ROW, DENSE_JSON_MATRICES if args.dense else 0
@@ -181,6 +168,7 @@ def cmd_hamiltonian(args) -> int:
             h = embedded_gate_hamiltonian(args.n, args.j, u)
         else:
             h = controlled_gate_hamiltonian(args.n, args.i, args.j, u)
+        check_json_size([h])
         _write(_ended(h.json_chunks()), args.output)
         if args.check:
             error = frobenius_error(dense_gate(args.n, args.j, u, args.i), exp_minus_ih(h))
@@ -197,7 +185,8 @@ def cmd_hamiltonian(args) -> int:
         CIRCUIT_CHECK_MATRICES if args.check else 0,
     )
     groups = circuit_hamiltonians(circuit)
-    _write(_ended(_circuit_json(circuit.n, groups)), args.output)
+    check_json_size(h for g in groups for h in g.hamiltonians)
+    _write(_ended(circuit_json_chunks(circuit.n, groups)), args.output)
     if args.check:
         error = frobenius_error(dense_circuit_unitary(circuit), groups_unitary(groups, circuit.n))
         print(f"reconstruction_error={error!r}")
@@ -206,33 +195,14 @@ def cmd_hamiltonian(args) -> int:
     return 0
 
 
-def _load_params(path: str | None) -> dict[str, float]:
+def _load_params(path: str | None) -> dict:
+    """The JSON object in the file at path; bind judges its values."""
     if path is None:
         return {}
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("params file must hold a JSON object of name -> value")
-    params = {}
-    for k, v in data.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"parameter {k!r} must be a number, got {v!r}")
-        try:
-            params[str(k)] = float(v)
-        except OverflowError:
-            raise ValueError(f"parameter {k!r} is out of float range") from None
-    return params
-
-
-def _load_state(path: str) -> StateVector:
-    """The state file at path. numpy reads JSON true and false beside numbers
-    as 1 and 0, so a file holding either is refused like any other pair that
-    is not numbers. Once the text parses as number pairs it holds no strings,
-    so the words can only be those literals."""
-    text = Path(path).read_text(encoding="utf-8")
-    state = StateVector.from_json(text)
-    if "true" in text or "false" in text:
-        raise ValueError("state must be a JSON array of [re, im] number pairs")
-    return state
+    return data
 
 
 def cmd_run(args) -> int:
@@ -243,7 +213,7 @@ def cmd_run(args) -> int:
         check_dense_cap(circuit.n)
     _require_memory("run", circuit.n, RUN_BYTES_PER_AMP, CHECK_MATRICES if args.oracle else 0)
     if args.input is not None:
-        state = _load_state(args.input)
+        state = StateVector.from_json(Path(args.input).read_text(encoding="utf-8"))
         if state.n != circuit.n:
             raise ValueError(
                 f"input state has {state.n} qubits, circuit {circuit.n}"
@@ -252,15 +222,7 @@ def cmd_run(args) -> int:
         state = StateVector.zero(circuit.n)
     initial = state.copy() if args.oracle else None
     result = run_circuit(circuit, state)
-    if args.amplitudes:
-        lines = ["index,re,im"]
-        lines += [
-            f"{k},{float(a.real) + 0.0!r},{float(a.imag) + 0.0!r}"
-            for k, a in enumerate(result.amps)
-        ]
-        _write(["\n".join(lines) + "\n"], args.output)
-    else:
-        _write([probabilities_csv(result)], args.output)
+    _write([amplitudes_csv(result) if args.amplitudes else probabilities_csv(result)], args.output)
     if args.oracle:
         reference = dense_chain(circuit, initial)
         deviation = float(np.max(np.abs(result.amps - reference.amps)))
@@ -295,7 +257,7 @@ def cmd_verify(args) -> int:
             for j in range(1, args.n + 1):
                 if i == j:
                     continue
-                sweep = gate_hamiltonian_sweep(args.n, i, j, "X")
+                sweep = gate_hamiltonian_sweep(args.n, i, j)
                 record(sweep.label, sweep.to_csv(), sweep.max_error, tol)
     elif args.suite == "strings":
         for axis in ("X", "Y", "Z"):
@@ -305,10 +267,8 @@ def cmd_verify(args) -> int:
         deviations = engine_equivalence_deviations(
             args.circuits, max_qubits=args.n, seed=args.seed
         )
-        lines = ["circuit,deviation"]
-        lines += [f"{k},{d!r}" for k, d in enumerate(deviations)]
         # Chains of up to verify.MAX_GATES gates accumulate; allow 10x the per-gate tol.
-        record(f"engine_n{args.n}", "\n".join(lines) + "\n", max(deviations), 10 * tol)
+        record(f"engine_n{args.n}", deviations_csv(deviations), max(deviations), 10 * tol)
     if failures:
         print("exceeded tolerance: " + ", ".join(failures))
         return 1

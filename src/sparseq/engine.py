@@ -133,6 +133,13 @@ def _mix_chunks(amps: np.ndarray, n: int, j: int, i: int | None, u: OneQubitGate
         np.add(x, t, out=x)
 
 
+def _pairs(amps: np.ndarray) -> list[list[float]]:
+    """[re, im] of each amplitude, every exact zero unsigned: x + 0.0 is x
+    for every other x, and 0.0 for both signs of zero."""
+    amps = amps + 0.0
+    return np.stack((amps.real, amps.imag), axis=1).tolist()
+
+
 def _norm(a: np.ndarray) -> float:
     """sqrt(<a|a>) in one pass over a, unlike np.linalg.norm."""
     return math.sqrt(np.vdot(a, a).real)
@@ -185,11 +192,13 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
     def to_json(self) -> str:
-        # + 0.0 prints an exact zero as 0.0, whichever sign the kernels left it
-        return json.dumps([[float(a.real) + 0.0, float(a.imag) + 0.0] for a in self.amps])
+        return json.dumps(_pairs(self.amps))
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":
+        """numpy reads JSON true and false beside numbers as 1 and 0, so they
+        are refused last. A text that parses as number pairs holds no
+        strings, so the words can only be those literals."""
         pairs = np.array(json.loads(text))  # ragged nesting raises ValueError here
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
             raise ValueError("state must be a JSON array of [re, im] number pairs")
@@ -198,7 +207,10 @@ class StateVector:
             raise ValueError(f"amplitude count {len(pairs)} is not a power of 2")
         amps = np.empty(len(pairs), dtype=complex)
         amps.real, amps.imag = pairs[:, 0], pairs[:, 1]
-        return cls(n, amps)
+        state = cls(n, amps)
+        if "true" in text or "false" in text:
+            raise ValueError("state must be a JSON array of [re, im] number pairs")
+        return state
 
 
 @dataclass(frozen=True)
@@ -274,4 +286,11 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
 def probabilities_csv(state: StateVector) -> str:
     lines = ["index,probability"]
     lines += [f"{k},{float(p)!r}" for k, p in enumerate(state.probabilities())]
+    return "\n".join(lines) + "\n"
+
+
+def amplitudes_csv(state: StateVector) -> str:
+    """index,re,im rows, with exact zeros written as to_json writes them."""
+    lines = ["index,re,im"]
+    lines += [f"{k},{re!r},{im!r}" for k, (re, im) in enumerate(_pairs(state.amps))]
     return "\n".join(lines) + "\n"

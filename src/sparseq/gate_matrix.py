@@ -56,13 +56,18 @@ class SparseUnitary:
     every other row is an identity row. Structural zeros stay stored, so the
     pattern depends only on the placement, never on the particular unitary.
     Nothing per row is kept: the rows are walked from the pair indices.
+    Attributes are read-only, so check_placement's verdict stays true.
     """
 
     __slots__ = ("n", "j", "u", "i")
 
     def __init__(self, n: int, j: int, u: OneQubitGate, i: int | None = None):
         check_placement(n, j, i)
-        self.n, self.j, self.u, self.i = n, j, u, i
+        for name, value in zip(self.__slots__, (n, j, u, i)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseUnitary is immutable")
 
     @property
     def dim(self) -> int:

@@ -16,8 +16,9 @@ the `terms` view, each refused by gate_matrix.check_dense_cap above 12 qubits
 before it allocates. exp_minus_ih checks orthonormality on the rows alone,
 since lifted vectors on different pairs have disjoint support.
 
-The schema-1 JSON writer (json_chunks) streams a bounded batch of terms at a
-time, each term zero padding around its row's text, formatted once.
+All schema-1 text is written here (json_chunks, circuit_json_chunks). It
+streams a bounded batch of terms at a time, each term zero padding around its
+row's text, formatted once. check_json_size bounds its 4^n entries per gate.
 """
 from __future__ import annotations
 
@@ -43,6 +44,11 @@ UNIT_TOL = 1e-12
 #: stay in cache while it is joined, encoded and written (at 64 Ki entries
 #: `hamiltonian -n 12 -j 2 --gate x` ran 2.8x slower).
 _JSON_PIECE_ENTRIES = 1 << 12
+
+#: Largest schema-1 text that check_json_size lets through, at 12 bytes
+#: ("[0.0, 0.0], ") per term-vector entry: above the 1.92 GB of a one-layer
+#: hardware-efficient ansatz at n=11, far below the 6.6 TB of x at n=20.
+JSON_MAX_BYTES = 4 << 30
 
 
 def _check_terms(z: np.ndarray, vectors: np.ndarray):
@@ -180,6 +186,31 @@ class LocalHamiltonian:
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
+
+
+def circuit_json_chunks(n: int, groups):
+    """Schema-1 text of a circuit's Hamiltonian groups (circuit_ir.
+    HamiltonianGroup), in pieces: {"schema": 1, "n": n, "groups": [{"kind":
+    k, "hamiltonians": [...]}, ...]}, each Hamiltonian as json_chunks."""
+    yield f'{{"schema": 1, "n": {n}, "groups": ['
+    for k, g in enumerate(groups):
+        yield f'{", " if k else ""}{{"kind": "{g.kind}", "hamiltonians": ['
+        for m, h in enumerate(g.hamiltonians):
+            if m:
+                yield ", "
+            yield from h.json_chunks()
+        yield "]}"
+    yield "]}"
+
+
+def check_json_size(hamiltonians):
+    """Refuse (ValueError) schema-1 text of these Hamiltonians above
+    JSON_MAX_BYTES, priced from their term counts and n alone."""
+    nbytes = 12 * sum(len(h.weights) * h._per_row * h.dim for h in hamiltonians)
+    if nbytes > JSON_MAX_BYTES:
+        raise ValueError(
+            f"schema-1 text of about {nbytes >> 20} MiB exceeds the {JSON_MAX_BYTES >> 20} MiB bound"
+        )
 
 
 def _block_eigenpairs(

@@ -72,21 +72,17 @@ class ErrorSweep:
         return "\n".join(lines) + "\n"
 
 
-def gate_hamiltonian_sweep(
-    n: int, i: int, j: int, axis: str = "X", thetas: np.ndarray | None = None
-) -> ErrorSweep:
-    """Per theta: build the controlled rotation's Kronecker oracle C, extract
-    H, exponentiate, and record ||C - e^{-iH}||_F."""
-    thetas = theta_grid() if thetas is None else np.asarray(thetas, dtype=float)
+def gate_hamiltonian_sweep(n: int, i: int, j: int) -> ErrorSweep:
+    """Per theta of the grid: build the Kronecker oracle C of R_X(theta) with
+    control i and target j, extract H, exponentiate, record ||C - e^{-iH}||_F."""
+    thetas = theta_grid()
     errors = []
     for theta in thetas:
-        u = rotation_gate(axis, float(theta))
+        u = rotation_gate("X", float(theta))
         dense = dense_gate(n, j, u, i)
         h = controlled_gate_hamiltonian(n, i, j, u)
         errors.append(frobenius_error(dense, exp_minus_ih(h)))
-    return ErrorSweep(
-        f"cr{axis.lower()}_n{n}_i{i}_j{j}", tuple(float(t) for t in thetas), tuple(errors)
-    )
+    return ErrorSweep(f"crx_n{n}_i{i}_j{j}", tuple(float(t) for t in thetas), tuple(errors))
 
 
 def string_hamiltonian_sweep(n: int, axis: str = "X") -> ErrorSweep:
@@ -181,3 +177,10 @@ def engine_equivalence_deviations(
         result = run_circuit(circuit, state)
         deviations.append(float(np.max(np.abs(result.amps - reference.amps))))
     return deviations
+
+
+def deviations_csv(deviations: list[float]) -> str:
+    """The engine sweep's table: one circuit,deviation row per circuit."""
+    lines = ["circuit,deviation"]
+    lines += [f"{k},{d!r}" for k, d in enumerate(deviations)]
+    return "\n".join(lines) + "\n"

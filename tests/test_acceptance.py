@@ -47,7 +47,7 @@ def ordered_pairs(n):
 def test_criterion_1_controlled_gate_reconstruction():
     worst = 0.0
     for i, j in ordered_pairs(4):
-        worst = max(worst, gate_hamiltonian_sweep(4, i, j, "X").max_error)
+        worst = max(worst, gate_hamiltonian_sweep(4, i, j).max_error)
     report(1, "controlled-gate Hamiltonian reconstruction, 12 pairs x 100 angles",
            worst <= GATE_TOL, f"max_error={worst:.3e} <= {GATE_TOL}")
 

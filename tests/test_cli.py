@@ -7,6 +7,7 @@ import pytest
 from sparseq import (
     ControlledGateSpec,
     ErrorSweep,
+    LocalHamiltonian,
     SparseUnitary,
     cli,
     controlled_gate_hamiltonian,
@@ -552,6 +553,43 @@ class TestRefusedBeforeOutput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == self.CAP
+        assert not out.exists()
+
+    TEXT = "validation error: schema-1 text of about 6291456 MiB exceeds the 4096 MiB bound\n"
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    @pytest.mark.parametrize("route", ["gate", "circuit"])
+    def test_schema1_text_above_the_bound_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                         route, to_file):
+        """x at n=20 has 2^19 terms of 2^20 entries: about 6.6 TB of text,
+        priced from the term count before any of it is formatted."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("formatted text above the bound")
+
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)
+        monkeypatch.setattr(LocalHamiltonian, "json_chunks", refuse)
+        if route == "gate":
+            argv = ["hamiltonian", "-n", "20", "-j", "1", "--gate", "x"]
+        else:
+            argv = ["hamiltonian", "--circuit", write(tmp_path, "c.sq", "qubits 20\nu q1 x\n")]
+        out = tmp_path / "h.json"
+        assert main(argv + (["-o", str(out)] if to_file else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.TEXT
+        assert not out.exists()
+
+    def test_schema1_text_bound_counts_every_hamiltonian(self, tmp_path, capsys, monkeypatch):
+        """Each gate of a one-layer HEA at n=12 writes under 0.3 GiB, and all
+        of them about 7.8 GiB: the circuit is refused as a whole."""
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)
+        hea = write(tmp_path, "c.sq", serialize(hea_template(12, 1)))
+        params = write(tmp_path, "p.json", json.dumps(
+            {name: 0.3 for name in hea_template(12, 1).param_names()}))
+        out = tmp_path / "h.json"
+        assert main(["hamiltonian", "--circuit", hea, "--params", params, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "validation error: schema-1 text of about 7968 MiB exceeds the 4096 MiB bound\n"
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 import tracemalloc
@@ -16,7 +17,7 @@ from sparseq import (
 )
 from sparseq import engine
 from sparseq.circuit_ir import GATES
-from sparseq.engine import probabilities_csv
+from sparseq.engine import amplitudes_csv, probabilities_csv
 from sparseq.gate_matrix import dense_gate
 from sparseq.qindex import pair_views
 from sparseq.verify import dense_apply_oracle, random_gate
@@ -100,6 +101,16 @@ class TestStateVector:
     def test_to_json_prints_exact_zeros_unsigned(self):
         s = StateVector(2, np.array([-0.0 + 1j, complex(0.0, -0.0), 0.0, 0.0]))
         assert s.to_json() == "[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"
+
+    def test_amplitudes_csv_writes_the_json_values(self, rng):
+        s = random_state(rng, 3)
+        s.amps[[1, 6]] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        s.amps[2] = complex(s.amps[2].real, -0.0)
+        header, *rows = amplitudes_csv(s).splitlines()
+        assert header == "index,re,im"
+        pairs = json.loads(s.to_json())
+        assert rows == [f"{k},{re!r},{im!r}" for k, (re, im) in enumerate(pairs)]
+        assert rows[1] == "1,0.0,0.0" and rows[6] == "6,0.0,0.0" and rows[2].endswith(",0.0")
 
     def test_from_json_keeps_signed_zeros(self):
         s = StateVector.from_json("[[-0.0, 1.0], [0.0, -0.0]]")

@@ -314,6 +314,18 @@ class TestSparseUnitaryFormat:
             with pytest.raises(ValueError, match="^control position"):
                 SparseUnitary(n, j, generic_gate, i)
 
+    def test_placement_and_gate_cannot_be_reassigned(self, generic_gate):
+        """check_placement judged (n, j, i) once, in the constructor, so a
+        built gate keeps it: n = 30 would price a 2^30 walk, and a u that is
+        not a OneQubitGate would reach the writers."""
+        sparse = SparseUnitary(3, 2, generic_gate, 1)
+        before = sparse.to_json()
+        for name, value in (("n", 30), ("j", 9), ("i", 0), ("u", "x"), ("other", 1)):
+            with pytest.raises(AttributeError, match="^SparseUnitary is immutable$"):
+                setattr(sparse, name, value)
+        assert (sparse.n, sparse.j, sparse.i, sparse.u) == (3, 2, 1, generic_gate)
+        assert sparse.to_json() == before
+
 
 def pair_sparse_arrays(n, j, u, i=None):
     """cols and vals of the 2-sparse matrix as the array-built constructor

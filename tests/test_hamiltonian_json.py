@@ -25,8 +25,10 @@ from sparseq import (
     phase_of,
     rotation_gate,
 )
+from sparseq import hamiltonian
 from sparseq.circuit_ir import GATES, bind, circuit_hamiltonians, hea_template
 from sparseq.cli import main
+from sparseq.hamiltonian import check_json_size
 from sparseq.qindex import pair_indices
 from sparseq.verify import dense_circuit_unitary, frobenius_error
 
@@ -225,6 +227,27 @@ def test_n11_output_is_unchanged_and_small(tmp_path, cli_maxrss):
     assert maxrss < 200 * 1024  # kilobytes on Linux
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "9594c4be6b4b9f76da141a461ee100561b2b2cd08916e672998d92b0371e0d5a"
+
+
+def test_text_bound_prices_a_lower_bound_of_the_written_bytes(monkeypatch):
+    """check_json_size prices 12 bytes per term-vector entry: never more than
+    the text json_chunks writes, and within 3% of it from n=8 up. The bound
+    itself is inclusive."""
+    x, rx = GATES["x"].fixed, rotation_gate("X", 0.7)
+    for h in (embedded_gate_hamiltonian(4, 1, rx), controlled_gate_hamiltonian(4, 3, 1, x),
+              embedded_gate_hamiltonian(8, 3, rx), controlled_gate_hamiltonian(9, 1, 9, rx)):
+        priced = 12 * len(h.weights) * h._per_row * h.dim
+        written = len(h.to_json())
+        assert priced <= written, (h.n, priced, written)
+        assert h.n < 8 or written <= 1.03 * priced, (h.n, priced, written)
+        monkeypatch.setattr(hamiltonian, "JSON_MAX_BYTES", priced)
+        check_json_size([h])
+        monkeypatch.setattr(hamiltonian, "JSON_MAX_BYTES", priced - 1)
+        with pytest.raises(ValueError, match="^schema-1 text of about "):
+            check_json_size([h])
+        with pytest.raises(ValueError, match="^schema-1 text of about "):
+            check_json_size(iter([embedded_gate_hamiltonian(2, 1, x), h]))
+    check_json_size([embedded_gate_hamiltonian(20, 1, GATES["i"].fixed)])
 
 
 SIGNED_ZERO_ROWS = [

@@ -11,6 +11,8 @@ from sparseq import (
     gate_hamiltonian_sweep,
     string_hamiltonian_sweep,
 )
+from sparseq.core import rotation_gate
+from sparseq.gate_matrix import dense_gate
 from sparseq.hamiltonian import controlled_gate_hamiltonian
 from sparseq.verify import engine_equivalence_deviations, random_gate, theta_grid
 
@@ -27,22 +29,34 @@ class TestFrobeniusError:
             frobenius_error(np.eye(2), np.eye(3))
 
 
+def reconstruction_error(n, i, j, axis, theta):
+    """||C - e^{-iH}||_F of R_axis(theta) with control i and target j: the
+    step that gate_hamiltonian_sweep takes for R_X, on any axis."""
+    u = rotation_gate(axis, theta)
+    return frobenius_error(dense_gate(n, j, u, i), exp_minus_ih(controlled_gate_hamiltonian(n, i, j, u)))
+
+
 class TestGateHamiltonianSweep:
     def test_control_before_target(self):
-        sweep = gate_hamiltonian_sweep(4, 1, 2, "X")
+        sweep = gate_hamiltonian_sweep(4, 1, 2)
         assert len(sweep.errors) == 100
         assert sweep.max_error <= 1e-12
 
     def test_control_after_target(self):
-        assert gate_hamiltonian_sweep(4, 3, 2, "X").max_error <= 1e-12
+        assert gate_hamiltonian_sweep(4, 3, 2).max_error <= 1e-12
+
+    def test_sweeps_rx_over_the_grid(self):
+        sweep = gate_hamiltonian_sweep(3, 3, 1)
+        assert sweep.label == "crx_n3_i3_j1"
+        assert sweep.thetas == tuple(theta_grid().tolist())
+        assert sweep.errors[7] == reconstruction_error(3, 3, 1, "X", sweep.thetas[7])
 
     def test_zero_angle_grid_reconstructs_identity(self):
-        sweep = gate_hamiltonian_sweep(4, 2, 3, "X", thetas=np.zeros(5))
-        assert sweep.max_error <= 1e-14
+        assert max(reconstruction_error(4, 2, 3, "X", t) for t in (0.0, -0.0)) <= 1e-14
 
     def test_other_axes(self):
-        assert gate_hamiltonian_sweep(3, 1, 3, "Y").max_error <= 1e-12
-        assert gate_hamiltonian_sweep(3, 3, 1, "Z").max_error <= 1e-12
+        for axis, i, j in (("Y", 1, 3), ("Z", 3, 1)):
+            assert max(reconstruction_error(3, i, j, axis, t) for t in theta_grid()) <= 1e-12
 
     def test_all_axes_all_pairs_stay_below_ceiling(self):
         for axis in ("X", "Y", "Z"):
@@ -50,11 +64,12 @@ class TestGateHamiltonianSweep:
                 for j in range(1, 5):
                     if i == j:
                         continue
-                    assert gate_hamiltonian_sweep(4, i, j, axis).max_error <= 1e-12
+                    worst = max(reconstruction_error(4, i, j, axis, t) for t in theta_grid())
+                    assert worst <= 1e-12
 
     def test_invalid_positions_rejected(self):
         with pytest.raises(ValueError):
-            gate_hamiltonian_sweep(3, 2, 2, "X")
+            gate_hamiltonian_sweep(3, 2, 2)
 
 
 class TestStringHamiltonianSweep:

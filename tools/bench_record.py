@@ -3,9 +3,11 @@
     python tools/bench_record.py --tag <tag> --seed 17 --seconds 50 [--tree DIR]
 
 For each workload that the checkout's BENCHMARK.json declares, this runs the
-checkout's own perfbench/run.py, unchanged, as a subprocess with --trace 0.
-It keeps the final JSON line each run prints, and the machine record and
-op_s_samples from the result file that the run writes under perfbench/out/.
+checkout's own perfbench/run.py, unchanged, as a subprocess: first with
+--trace 0, then with --trace 1. From the untraced run it keeps the final JSON
+line, and the machine record and op_s_samples from the result file that the
+run writes under perfbench/out/. From the traced run it keeps the per-layer
+metrics and traced_op_s_p50 (the median op with every span installed).
 The record also names the checkout: its git commit, whether its working tree
 differs from that commit, and a sha256 of its src/ files, which tells two
 uncommitted trees apart. It is written to BENCH_<tag>.json at the root of the
@@ -45,14 +47,27 @@ def src_sha256(tree: Path) -> str:
     return h.hexdigest()
 
 
-def run_workload(tree: Path, name: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, name: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """The final JSON line and the result file of one perfbench/run.py run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=tree, check=True, stdout=subprocess.PIPE, text=True).stdout
     final = json.loads(out.strip().splitlines()[-1])
-    result_path = tree / "perfbench" / "out" / f"result_{name}_seed{seed}_trace0.json"
-    result = json.loads(result_path.read_text(encoding="utf-8"))
-    return {"final": final, "machine": result["machine"], "op_s_samples": result["op_s_samples"]}
+    result_path = tree / "perfbench" / "out" / f"result_{name}_seed{seed}_trace{trace}.json"
+    return final, json.loads(result_path.read_text(encoding="utf-8"))
+
+
+def run_workload(tree: Path, name: str, seed: int, seconds: float) -> dict:
+    final, result = run_once(tree, name, seed, seconds, 0)
+    traced_final, traced = run_once(tree, name, seed, seconds, 1)
+    return {
+        "final": final, "machine": result["machine"], "op_s_samples": result["op_s_samples"],
+        "traced": {
+            "correct": traced_final["correct"], "attempted": traced_final["attempted"],
+            "failed": traced_final["failed"], "machine": traced["machine"],
+            "per_layer": traced["per_layer"], "traced_op_s_p50": traced["traced_op_s_p50"],
+        },
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         "tag": args.tag,
         "seed": args.seed,
         "seconds": args.seconds,
-        "trace": 0,
+        "traces": [0, 1],
         "git_sha": git(tree, "rev-parse", "HEAD"),
         "git_dirty": bool(git(tree, "status", "--porcelain", "--untracked-files=no")),
         "src_sha256": src_sha256(tree),

@@ -265,6 +265,8 @@ def corpus():
     yield ["run", "drift.sq", "--input", "drift.json", "-o", "out"]
     # JSON booleans beside numbers in a state file.
     yield ["run", "bell.sq", "--input", "bools.json", "-o", "out"]
+    # Schema-1 text of about 6.6 TB, refused before any output.
+    yield ["hamiltonian", "-n", "20", "-j", "1", "--gate", "x"]
 
 
 def sha256(data: bytes) -> str:
