@@ -93,8 +93,7 @@ class CircuitParseError(Exception):
 
 
 class CircuitBindError(Exception):
-    """Raised when binding leaves parameters unresolved, or is given a value
-    that is not a real number in float range."""
+    """Raised when binding leaves parameters unresolved or meets a bad value."""
 
 
 @dataclass(frozen=True)

@@ -196,9 +196,6 @@ class StateVector:
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":
-        """numpy reads JSON true and false beside numbers as 1 and 0, so they
-        are refused last. A text that parses as number pairs holds no
-        strings, so the words can only be those literals."""
         pairs = np.array(json.loads(text))  # ragged nesting raises ValueError here
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf":
             raise ValueError("state must be a JSON array of [re, im] number pairs")
@@ -208,6 +205,8 @@ class StateVector:
         amps = np.empty(len(pairs), dtype=complex)
         amps.real, amps.imag = pairs[:, 0], pairs[:, 1]
         state = cls(n, amps)
+        # numpy read any JSON true/false beside numbers as 1/0; text that
+        # parses as number pairs holds no strings, so these are the literals.
         if "true" in text or "false" in text:
             raise ValueError("state must be a JSON array of [re, im] number pairs")
         return state

@@ -189,9 +189,8 @@ class LocalHamiltonian:
 
 
 def circuit_json_chunks(n: int, groups):
-    """Schema-1 text of a circuit's Hamiltonian groups (circuit_ir.
-    HamiltonianGroup), in pieces: {"schema": 1, "n": n, "groups": [{"kind":
-    k, "hamiltonians": [...]}, ...]}, each Hamiltonian as json_chunks."""
+    """Schema-1 text of a circuit's HamiltonianGroups, in pieces: {"schema":
+    1, "n": n, "groups": [{"kind": k, "hamiltonians": [...]}, ...]}."""
     yield f'{{"schema": 1, "n": {n}, "groups": ['
     for k, g in enumerate(groups):
         yield f'{", " if k else ""}{{"kind": "{g.kind}", "hamiltonians": ['
