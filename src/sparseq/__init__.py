@@ -20,6 +20,7 @@ from .gate_matrix import (
 from .hamiltonian import (
     LocalHamiltonian,
     ProjectorTerm,
+    apply_exp_minus_ih,
     controlled_gate_hamiltonian,
     embedded_gate_hamiltonian,
     exp_minus_ih,
@@ -70,6 +71,7 @@ __all__ = [
     "ProjectorTerm",
     "SparseUnitary",
     "StateVector",
+    "apply_exp_minus_ih",
     "apply_op",
     "bind",
     "circuit_hamiltonians",

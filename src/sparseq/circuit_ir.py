@@ -22,7 +22,6 @@ import math
 import numbers
 import re as _re
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -31,9 +30,9 @@ from .engine import Circuit, GateOp
 from .gate_matrix import check_dense_cap
 from .hamiltonian import (
     LocalHamiltonian,
+    apply_exp_minus_ih,
     controlled_gate_hamiltonian,
     embedded_gate_hamiltonian,
-    exp_minus_ih,
 )
 
 
@@ -286,7 +285,7 @@ def serialize(template: CircuitTemplate) -> str:
 
 def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> Circuit:
     """Resolve all parameters into an executable circuit. Every value, used
-    or not, must be a real number in float range that is not a bool."""
+    or not, must be a finite real number in float range that is not a bool."""
     values = {}
     for k, v in (params or {}).items():
         if isinstance(v, bool) or not isinstance(v, numbers.Real):
@@ -295,6 +294,8 @@ def bind(template: CircuitTemplate, params: dict[str, float] | None = None) -> C
             values[k] = float(v)
         except OverflowError:
             raise CircuitBindError(f"parameter {k!r} is out of float range") from None
+        if not math.isfinite(values[k]):
+            raise CircuitBindError(f"parameter {k!r} must be finite")
     missing = [name for name in template.param_names() if name not in values]
     if missing:
         raise CircuitBindError(
@@ -378,12 +379,12 @@ def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
 
 def groups_unitary(groups: list[HamiltonianGroup], n: int) -> np.ndarray:
     """Dense unitary of an n-qubit circuit from its Hamiltonian groups, last
-    group leftmost. Each group is the product of its exponentials, built one
-    factor at a time so that at most two of them are alive at once."""
+    group leftmost: every exponential applied in circuit order to one
+    identity matrix, O(4^n) per Hamiltonian."""
     check_dense_cap(n)
-    if not groups:
-        return np.eye(1 << n, dtype=complex)
-    return reduce(np.matmul, (
-        reduce(np.matmul, map(exp_minus_ih, reversed(g.hamiltonians))) for g in reversed(groups)
-    ))
+    out = np.eye(1 << n, dtype=complex)
+    for g in groups:
+        for h in g.hamiltonians:
+            apply_exp_minus_ih(h, out)
+    return out
 

@@ -62,16 +62,18 @@ BUDGET_FREE_BYTES = 256 << 20
 # O(1) stored form. They price memory only: the schema-1 text is bounded by
 # hamiltonian.check_json_size (`hamiltonian -n 20 -j 1 --gate x` prices
 # 168 MiB of memory and about 6.6 TB of text). Counted in complex 2^n x 2^n
-# matrices alive at once: 6 for a gate's --check, the run oracle or a crx or
-# engine sweep, 12 for a circuit's --check or a strings sweep, 2 for --dense:
-# it streams its rows, but a caller that captures stdout holds all of its
-# text.
+# matrices alive at once: 6 for a gate's --check, the run oracle or a verify
+# sweep (a strings sweep measured 3.5 beyond the interpreter at n = 10..12),
+# 8 for a circuit's --check (6.1-7.2 at n = 12..10: the Kronecker product,
+# the identity the exponentials are applied to, and the error's temporaries),
+# 2 for --dense: it streams its rows, but a caller that captures stdout holds
+# all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56
 TERM_BUILD_BYTES = 112
 CHECK_MATRICES = 6
-CIRCUIT_CHECK_MATRICES = 12
+CIRCUIT_CHECK_MATRICES = 8
 DENSE_JSON_MATRICES = 2
 
 
@@ -238,9 +240,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--suite {args.suite} needs -n in {low}..{DENSE_MAX_QUBITS}, got {args.n}")
     if args.circuits < 1:
         raise ValueError(f"--circuits must be at least 1, got {args.circuits}")
-    _require_memory(
-        "verify", args.n, 0, CIRCUIT_CHECK_MATRICES if args.suite == "strings" else CHECK_MATRICES
-    )
+    _require_memory("verify", args.n, 0, CHECK_MATRICES)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = []

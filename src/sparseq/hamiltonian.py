@@ -11,14 +11,19 @@ Every term vector therefore has at most two nonzero entries, and the whole
 operator is fixed by the gate placement (n, j, i) and at most two (z, v)
 rows, one per non-unit gate eigenpair. A LocalHamiltonian stores just that;
 its terms are laid on the target pairs of qindex.pair_indices when they are
-read. Dense vectors exist only in to_dense, gram_defect, exp_minus_ih and
-the `terms` view, each refused by gate_matrix.check_dense_cap above 12 qubits
-before it allocates. exp_minus_ih checks orthonormality on the rows alone,
-since lifted vectors on different pairs have disjoint support.
+read. Dense vectors exist only in to_dense, gram_defect and the `terms` view,
+each refused by gate_matrix.check_dense_cap above 12 qubits before it
+allocates.
+
+apply_exp_minus_ih is the one route to e^{-iH}: rank-1 updates on the pair
+views of a state or of a matrix's columns, O(2^n) per column. exp_minus_ih
+applies it to the identity. Lifted vectors on different pairs have disjoint
+support, so orthonormality is checked on the stored rows alone.
 
 All schema-1 text is written here (json_chunks, circuit_json_chunks). It
-streams a bounded batch of terms at a time, each term zero padding around its
-row's text, formatted once. check_json_size bounds its 4^n entries per gate.
+streams a bounded batch of terms at a time, each term one slice of a window
+of zero padding around its row's text, formatted once. check_json_size
+bounds its 4^n entries per gate.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import numpy as np
 
 from .core import EigenPair2, OneQubitGate, eigenpairs_2x2, phase_of
 from .gate_matrix import check_dense_cap
-from .qindex import check_placement, pair_indices
+from .qindex import check_placement, pair_indices, pair_views
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
 ORTHO_TOL = 1e-10
@@ -156,14 +161,21 @@ class LocalHamiltonian:
 
     def _term_texts(self):
         """The text of every term, in storage order. Each row's text is
-        formatted once; a term is zero padding around it."""
-        low, high = (side.tolist() for side in pair_indices(self.n, self.j, self.i))
+        formatted once, between runs of zero padding as long as any term
+        needs; a term is the slice of that window that puts the row's first
+        entry at its pair's low index."""
+        low = pair_indices(self.n, self.j, self.i)[0].tolist()
+        stride = 1 << (self.n - self.j)
+        span = self.dim - 1 - stride  # zero entries around the row's two in every term
         zero, tail = "[0.0, 0.0], ", ", [0.0, 0.0]"
         for z, (va, vb) in zip(self.weights.tolist(), self.vectors.tolist()):
             head = f'{{"z": {z!r}, "w": ['
-            a, b = f"[{va.real!r}, {va.imag!r}], ", f"[{vb.real!r}, {vb.imag!r}]"
-            for lo, hi in zip(low, high):
-                yield f"{head}{zero * lo}{a}{zero * (hi - lo - 1)}{b}{tail * (self.dim - hi - 1)}]}}"
+            core = f"[{va.real!r}, {va.imag!r}], {zero * (stride - 1)}[{vb.real!r}, {vb.imag!r}]"
+            window = f"{zero * span}{core}{tail * span}"
+            width = len(core) + len(zero) * span
+            for lo in low:
+                start = len(zero) * (span - lo)
+                yield f"{head}{window[start:start + width]}]}}"
 
     def json_chunks(self):
         """Schema-1 JSON text in pieces: the opening, runs of up to max(1,
@@ -282,24 +294,43 @@ def controlled_gate_hamiltonian(n: int, i: int, j: int, u: OneQubitGate) -> Loca
     return _lift(n, j, i, u)
 
 
-def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:
-    """e^{-iH} for a projector-sum H with orthonormal term vectors.
+def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
+    """Apply e^{-iH} in place to a, a C-contiguous complex array whose first
+    axis has h.dim rows: a state, or a matrix whose columns are transformed.
+    Returns a.
 
-    Exact rank-1 update: I + sum (e^{-iz} - 1) w w†, valid because every
-    direction outside the terms carries eigenvalue 1. Rejects Hamiltonians
-    whose term vectors are not orthonormal within ORTHO_TOL. Term vectors on
-    different pairs have disjoint support, so W†W - I is the Gram of the
-    stored rows less I, repeated on each pair; that small Gram is checked
-    before W is built. The identity is added on the diagonal of the update,
-    never built.
+    Exact rank-1 updates: on every target pair of rows,
+    a_pair += sum_s (e^{-iz_s} - 1) v_s (v_s† a_pair), valid because every
+    direction outside the terms carries eigenvalue 1. Every projection
+    v_s† a_pair reads the input a, before any update writes it. Rejects,
+    before a is touched, Hamiltonians whose rows are not orthonormal within
+    ORTHO_TOL; rows on different pairs have disjoint support, so that is the
+    whole check.
+
+    The pairs are qindex.pair_views of a, the index rule the engine kernels
+    share, but the 2x2 mix is the Hamiltonian's own. gate_matrix.dense_gate
+    pins the index rule independently up to 12 qubits.
     """
-    check_dense_cap(h.n)
-    if not len(h.weights):
-        return np.eye(h.dim, dtype=complex)
     v = h.vectors
-    if np.max(np.abs(v.conj() @ v.T - np.eye(len(v)))) > ORTHO_TOL:
+    if len(v) and np.max(np.abs(v.conj() @ v.T - np.eye(len(v)))) > ORTHO_TOL:
         raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
-    w = h._columns()
-    out = (w * (np.exp(-1j * h.z) - 1.0)) @ w.conj().T
-    out.reshape(-1)[:: h.dim + 1] += 1.0
-    return out
+    if a.dtype != complex or not a.flags.c_contiguous or a.shape[:1] != (h.dim,):
+        raise ValueError(
+            f"need a C-contiguous complex array of {h.dim} rows, got {a.dtype} {a.shape}"
+        )
+    low, high = pair_views(a.reshape(-1), h.n, h.j, h.i)
+    coefs = (np.exp(-1j * h.weights) - 1.0).tolist()
+    rows = [(c * v0, c * v1, v0.conjugate(), v1.conjugate())
+            for c, (v0, v1) in zip(coefs, v.tolist())]
+    projections = [r0 * low + r1 * high for _, _, r0, r1 in rows]
+    for (c0, c1, _, _), p in zip(rows, projections):
+        low += c0 * p
+        high += c1 * p
+    return a
+
+
+def exp_minus_ih(h: LocalHamiltonian) -> np.ndarray:
+    """e^{-iH} for a projector-sum H with orthonormal term vectors, as a
+    dense matrix: apply_exp_minus_ih on the identity."""
+    check_dense_cap(h.n)
+    return apply_exp_minus_ih(h, np.eye(h.dim, dtype=complex))

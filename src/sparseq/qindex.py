@@ -35,6 +35,8 @@ def pair_views(
     low holds the entries at indices k with qubit j = 0 (and qubit i = 1 if i
     is given), high those at the partners k + 2^(n-j), both in ascending
     order of k. They share a's memory, so writing them updates a in place.
+    A flattened 2^n x m matrix works the same way, each index k owning its
+    m consecutive entries (row k), carried on the views' last axis.
     """
     check_placement(n, j, i)
     if i is None:

@@ -17,6 +17,7 @@ from .core import OneQubitGate, rotation_gate
 from .engine import Circuit, GateOp, StateVector, run_circuit
 from .gate_matrix import check_dense_cap, dense_gate, kron_chain
 from .hamiltonian import (
+    apply_exp_minus_ih,
     controlled_gate_hamiltonian,
     embedded_gate_hamiltonian,
     exp_minus_ih,
@@ -87,16 +88,17 @@ def gate_hamiltonian_sweep(n: int, i: int, j: int) -> ErrorSweep:
 
 def string_hamiltonian_sweep(n: int, axis: str = "X") -> ErrorSweep:
     """Per theta of the grid: the n-fold tensor power of R_axis(theta) against
-    the product of the per-qubit Hamiltonian exponentials, O(n 8^n)."""
+    the product of the per-qubit Hamiltonian exponentials, applied to one
+    identity matrix, O(n 4^n)."""
     check_dense_cap(n)
     thetas = theta_grid()
     errors = []
     for theta in thetas:
         u = rotation_gate(axis, float(theta))
         target = kron_chain([np.asarray(u.matrix)] * n)
-        product = reduce(np.matmul, (
-            exp_minus_ih(embedded_gate_hamiltonian(n, j, u)) for j in range(1, n + 1)
-        ))
+        product = np.eye(1 << n, dtype=complex)
+        for j in range(1, n + 1):
+            apply_exp_minus_ih(embedded_gate_hamiltonian(n, j, u), product)
         errors.append(frobenius_error(target, product))
     return ErrorSweep(
         f"strings_{axis.lower()}_n{n}", tuple(float(t) for t in thetas), tuple(errors)

@@ -37,8 +37,9 @@ PARAMS = {
     '{"a": 0.5, "unused": {"x": 1}}': "parameter 'unused' must be a number, got {'x': 1}",
     '{"b": true}': "parameter 'b' must be a number, got True",
     '{"a": ' + "9" * 400 + "}": "parameter 'a' is out of float range",
-    '{"a": 1e999}': "rotation angle must be finite",
-    '{"a": NaN}': "rotation angle must be finite",
+    '{"a": 1e999}': "parameter 'a' must be finite",
+    '{"a": NaN}': "parameter 'a' must be finite",
+    '{"a": 0.5, "unused": -Infinity}': "parameter 'unused' must be finite",
 }
 
 #: A params file that is not a JSON object. bind takes a mapping, so this

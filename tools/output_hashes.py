@@ -170,6 +170,7 @@ def write_inputs(work: Path):
     amps = [[math.cos(k + 0.5) / 2.0, math.sin(k + 0.5) / 2.0] for k in range(4)]
     (work / "state.json").write_text(json.dumps(amps), encoding="utf-8")
     (work / "bools.json").write_text("[[true, false], [0, 0], [0, 0], [0, 0]]", encoding="utf-8")
+    (work / "nan.json").write_text('{"a": NaN, "b": -1.3}', encoding="utf-8")
 
 
 def corpus():
@@ -267,6 +268,8 @@ def corpus():
     yield ["run", "bell.sq", "--input", "bools.json", "-o", "out"]
     # Schema-1 text of about 6.6 TB, refused before any output.
     yield ["hamiltonian", "-n", "20", "-j", "1", "--gate", "x"]
+    # A parameter value that is not finite, refused by bind before any output.
+    yield ["run", "mixed.sq", "--params", "nan.json", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
