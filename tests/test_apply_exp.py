@@ -125,7 +125,8 @@ def test_refusals_leave_the_input_untouched(rng):
     skewed = LocalHamiltonian(2, 1, None, [1.0, 1.0], [[1.0, 0.0], [s, s]])
     a = complex_normal(rng, (4, 3))
     before = a.copy()
-    with pytest.raises(ValueError, match="^term vectors are not orthonormal; rank-1 exponential invalid$"):
+    message = "^term vectors are not orthonormal; rank-1 exponential invalid$"
+    with pytest.raises(ValueError, match=message):
         apply_exp_minus_ih(skewed, a)
     assert a.tobytes() == before.tobytes()
     h = embedded_gate_hamiltonian(2, 1, rotation_gate("X", 0.7))
