@@ -64,16 +64,16 @@ BUDGET_FREE_BYTES = 256 << 20
 # 168 MiB of memory and about 6.6 TB of text). Counted in complex 2^n x 2^n
 # matrices alive at once: 6 for a gate's --check, the run oracle or a verify
 # sweep (a strings sweep measured 3.5-3.9 beyond the interpreter's 29 MiB at
-# n = 10..12), 8 for a circuit's --check (6.1-7.25 at n = 12..10: the
-# Kronecker product, the identity the exponentials are applied to, and the
-# error's temporaries), 2 for --dense: it streams its rows, but a caller that
-# captures stdout holds all of its text.
+# n = 10..12), 4 for a circuit's --check (3.5-3.6 at n = 10..12: the oracle's
+# matrix and the identity the exponentials are applied to, then 1.5 matrices
+# of temporaries in the exponentials or in the error), 2 for --dense: it
+# streams its rows, but a caller that captures stdout holds all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56
 TERM_BUILD_BYTES = 112
 CHECK_MATRICES = 6
-CIRCUIT_CHECK_MATRICES = 8
+CIRCUIT_CHECK_MATRICES = 4
 DENSE_JSON_MATRICES = 2
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,10 +13,18 @@ from sparseq import (
     gate_hamiltonian_sweep,
     string_hamiltonian_sweep,
 )
+from sparseq.circuit_ir import GATES, bind, hea_template
 from sparseq.core import rotation_gate
+from sparseq.engine import Circuit, GateOp
 from sparseq.gate_matrix import dense_gate
 from sparseq.hamiltonian import controlled_gate_hamiltonian
-from sparseq.verify import engine_equivalence_deviations, random_gate, theta_grid
+from sparseq.verify import (
+    dense_circuit_unitary,
+    engine_equivalence_deviations,
+    random_circuit,
+    random_gate,
+    theta_grid,
+)
 
 
 class TestFrobeniusError:
@@ -141,3 +151,53 @@ class TestEngineEquivalence:
 
     def test_deviations_are_tiny(self):
         assert max(engine_equivalence_deviations(25, max_qubits=6, seed=3)) <= 1e-11
+
+
+def kron_product_chain(circuit):
+    """The circuit's unitary as the product of explicit np.kron gate matrices,
+    rightmost op first: the reference for the index rule of the factor route."""
+    eye, p0, p1 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+    def placed(factors):
+        return reduce(np.kron, [factors.get(q, eye) for q in range(1, circuit.n + 1)])
+
+    out = np.eye(1 << circuit.n, dtype=complex)
+    for op in circuit.ops:
+        if op.i is None:
+            gate = placed({op.j: op.u.matrix})
+        else:
+            gate = placed({op.i: p0}) + placed({op.i: p1, op.j: op.u.matrix})
+        out = gate @ out
+    return out
+
+
+class TestDenseCircuitUnitary:
+    def test_one_gate_equals_dense_gate_for_every_kind_and_placement(self, generic_gate):
+        for name, kind in GATES.items():
+            u = kind.fixed or (rotation_gate(kind.axis, 0.7) if kind.axis else generic_gate)
+            for n in range(1, 6):
+                for j in range(1, n + 1):
+                    controls = [i for i in range(1, n + 1) if i != j] if kind.controlled else [None]
+                    for i in controls:
+                        got = dense_circuit_unitary(Circuit(n, (GateOp(j, u, i=i),)))
+                        assert np.array_equal(got, dense_gate(n, j, u, i)), (name, n, j, i)
+
+    def test_random_circuits_match_the_kron_product_chain(self):
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            circuit = random_circuit(rng, n, int(rng.integers(1, 21)))
+            deviation = np.max(np.abs(dense_circuit_unitary(circuit) - kron_product_chain(circuit)))
+            assert deviation <= 1e-15, (n, len(circuit.ops))
+
+    def test_hea_oracle_holds_few_matrices(self):
+        n = 9
+        template = hea_template(n, 1)
+        circuit = bind(template, {p: 0.3 * k for k, p in enumerate(template.param_names())})
+        tracemalloc.start()
+        try:
+            dense_circuit_unitary(circuit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * 4 ** n
