@@ -48,7 +48,6 @@ from .circuit_ir import (
 from .verify import (
     ErrorSweep,
     dense_apply_oracle,
-    exp_oracle,
     frobenius_error,
     gate_hamiltonian_sweep,
     string_hamiltonian_sweep,
@@ -83,7 +82,6 @@ __all__ = [
     "embedded_gate_hamiltonian",
     "embedded_sparse",
     "exp_minus_ih",
-    "exp_oracle",
     "frobenius_error",
     "gate_hamiltonian_sweep",
     "hea_template",

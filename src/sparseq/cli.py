@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -64,9 +65,10 @@ BUDGET_FREE_BYTES = 256 << 20
 # 168 MiB of memory and about 6.6 TB of text). Counted in complex 2^n x 2^n
 # matrices alive at once: 6 for a gate's --check, the run oracle or a verify
 # sweep (a strings sweep measured 3.5-3.9 beyond the interpreter's 29 MiB at
-# n = 10..12), 4 for a circuit's --check (3.5-3.6 at n = 10..12: the oracle's
+# n = 10..12), 4 for a circuit's --check (3.5 at n = 10..12: the oracle's
 # matrix and the identity the exponentials are applied to, then 1.5 matrices
-# of temporaries in the exponentials or in the error), 2 for --dense: it
+# in the error's temporaries, or in the one buffer of a two-row exponential:
+# two projections and a product, half a matrix each), 2 for --dense: it
 # streams its rows, but a caller that captures stdout holds all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
@@ -131,12 +133,24 @@ def parse_gate_spec(spec: str) -> OneQubitGate:
 
 
 def _write(chunks, path: str | None):
-    """Write text pieces to path, or to stdout when path is None."""
+    """Write text pieces to path, or to stdout when path is None.
+
+    An existing file is rewritten in place, not truncated first, and a
+    regular file is then cut to the length written, even when a piece
+    raises: the file system keeps the old file's blocks instead of freeing
+    and allocating them again on every run. A run killed mid-write can
+    therefore leave old bytes after the new prefix."""
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(chunks)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        try:
+            f.writelines(chunks)
+        finally:
+            f.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, f.tell())
 
 
 def _ended(chunks):

@@ -27,6 +27,7 @@ bounds its 4^n entries per gate.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,6 +70,34 @@ def _check_terms(z: np.ndarray, vectors: np.ndarray):
         raise ValueError("term vector is not a finite unit vector")
 
 
+def _check_rows(z: list[float], vectors: list[list[complex]]):
+    """_check_terms on Python scalars, for the at most two 2-entry rows a
+    LocalHamiltonian stores: the same conditions, in the same order, with
+    the same messages, without numpy's per-call cost on 2-element data."""
+    for w in z:
+        if not (w > -math.pi and w <= math.pi and w != 0.0):
+            raise ValueError(f"term weight {w} outside (-pi, pi] or zero")
+    if not all(cmath.isfinite(x) for row in vectors for x in row):
+        raise ValueError("term vector is not a finite unit vector")
+    for a, b in vectors:
+        norm = math.sqrt((a.conjugate() * a).real + (b.conjugate() * b).real)
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise ValueError("term vector is not a finite unit vector")
+
+
+def _orthonormal(v: list[list[complex]]) -> bool:
+    """True iff max |V* V^T - I| <= ORTHO_TOL for the at most two 2-entry
+    rows v, in closed form on Python scalars as core._unitary_2x2 does: each
+    row's squared norm less 1, and the overlap of two rows (the other
+    off-diagonal entry is its conjugate), summed in the order of the
+    product."""
+    units = all(abs(a.conjugate() * a + b.conjugate() * b - 1.0) <= ORTHO_TOL for a, b in v)
+    if len(v) < 2:
+        return units
+    (a, b), (c, d) = v
+    return units and abs(a.conjugate() * c + b.conjugate() * d) <= ORTHO_TOL
+
+
 @dataclass(frozen=True)
 class ProjectorTerm:
     """One summand z * |w><w| with real weight z in (-pi, pi], z != 0."""
@@ -104,7 +133,7 @@ class LocalHamiltonian:
         if len(z) > 2 or vectors.size != 2 * len(z):
             raise ValueError("need at most two rows, each a weight and a 2-vector")
         vectors = vectors.reshape(-1, 2)
-        _check_terms(z, vectors)
+        _check_rows(z.tolist(), vectors.tolist())
         for a in (z, vectors):
             a.setflags(write=False)
         for name, value in zip(self.__slots__, (n, j, i, z, vectors)):
@@ -311,8 +340,8 @@ def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
     share, but the 2x2 mix is the Hamiltonian's own. gate_matrix.dense_gate
     pins the index rule independently up to 12 qubits.
     """
-    v = h.vectors
-    if len(v) and np.max(np.abs(v.conj() @ v.T - np.eye(len(v)))) > ORTHO_TOL:
+    v = h.vectors.tolist()
+    if not _orthonormal(v):
         raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
     if a.dtype != complex or not a.flags.c_contiguous or a.shape[:1] != (h.dim,):
         raise ValueError(
@@ -320,12 +349,21 @@ def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
         )
     low, high = pair_views(a.reshape(-1), h.n, h.j, h.i)
     coefs = (np.exp(-1j * h.weights) - 1.0).tolist()
-    rows = [(c * v0, c * v1, v0.conjugate(), v1.conjugate())
-            for c, (v0, v1) in zip(coefs, v.tolist())]
-    projections = [r0 * low + r1 * high for _, _, r0, r1 in rows]
+    rows = [(c * v0, c * v1, v0.conjugate(), v1.conjugate()) for c, (v0, v1) in zip(coefs, v)]
+    # One buffer for every projection and the product being added: the same
+    # ufuncs, operands in the same order, as r0 * low + r1 * high and
+    # low += c0 * p, without a fresh half-size array for each.
+    buf = np.empty((len(rows) + 1,) + low.shape, dtype=complex)
+    tmp, projections = buf[0], buf[1:]
+    for (_, _, r0, r1), p in zip(rows, projections):
+        np.multiply(r0, low, out=p)
+        np.multiply(r1, high, out=tmp)
+        np.add(p, tmp, out=p)
     for (c0, c1, _, _), p in zip(rows, projections):
-        low += c0 * p
-        high += c1 * p
+        np.multiply(c0, p, out=tmp)
+        np.add(low, tmp, out=low)
+        np.multiply(c1, p, out=tmp)
+        np.add(high, tmp, out=high)
     return a
 
 

@@ -1,12 +1,12 @@
 """Dense oracles and error-sweep harness.
 
 Everything here recomputes results along an independent route: Kronecker
-products instead of sparse assembly, full Hermitian eigendecomposition
-instead of the rank-1 exponential, dense matrix-vector chains instead of the
-pair-update kernels. The circuit unitary applies each gate's Kronecker
-factors to the axes of one identity matrix by reshapes, O(4^n) per gate,
-without forming a gate matrix or taking an index from qindex. Sweeps record
-Frobenius-norm errors over a theta grid.
+products instead of sparse assembly and instead of the rank-1 exponential,
+dense matrix-vector chains instead of the pair-update kernels. The circuit
+unitary applies each gate's Kronecker factors to the axes of one identity
+matrix by reshapes, O(4^n) per gate, without forming a gate matrix or
+taking an index from qindex. Sweeps record Frobenius-norm errors over a
+theta grid.
 """
 from __future__ import annotations
 
@@ -27,9 +27,6 @@ from .hamiltonian import (
 
 #: Number of theta samples per sweep.
 GRID_POINTS = 100
-
-#: Allowed max |H - H†| entry of exp_oracle's input.
-HERM_TOL = 1e-10
 
 #: Share of controlled gates in a random circuit.
 CONTROLLED_FRACTION = 0.5
@@ -115,15 +112,6 @@ def dense_apply_oracle(m: np.ndarray, state: StateVector) -> StateVector:
     return StateVector(state.n, m @ state.amps)
 
 
-def exp_oracle(h_dense: np.ndarray) -> np.ndarray:
-    """e^{-iH} through a full Hermitian eigendecomposition."""
-    h_dense = np.asarray(h_dense, dtype=complex)
-    if float(np.max(np.abs(h_dense - h_dense.conj().T))) > HERM_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    eigvals, eigvecs = np.linalg.eigh(h_dense)
-    return (eigvecs * np.exp(-1j * eigvals)) @ eigvecs.conj().T
-
-
 def _apply_kron_factors(out: np.ndarray, n: int, op: GateOp) -> None:
     """Left-multiply out in place by op's Kronecker oracle, factor by factor.
     out's rows are viewed as n axes of size 2, qubit 1 first. A controlled
@@ -135,7 +123,10 @@ def _apply_kron_factors(out: np.ndarray, n: int, op: GateOp) -> None:
         t = t[(slice(None),) * (op.i - 1) + (1,)]
         if op.j > op.i:
             axis -= 1
-    moved = np.moveaxis(t, axis, -2)
+    # np.moveaxis(t, axis, -2) as one transpose: the other row axes in
+    # order, then the target axis, then the column axis.
+    last = t.ndim - 1
+    moved = t.transpose((*range(axis), *range(axis + 1, last), axis, last))
     moved[...] = op.u.matrix @ moved
 
 

@@ -21,6 +21,8 @@ from sparseq import (
     target_pair_eigenpairs,
 )
 from sparseq.circuit_ir import GATES
+from sparseq.qindex import pair_views
+from sparseq.verify import random_gate as verify_random_gate
 
 # Deterministic and small, so tier-1 runs the same examples every time.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=8, database=None)
@@ -135,3 +137,46 @@ def test_refusals_leave_the_input_untouched(rng):
         with pytest.raises(ValueError, match="^need a C-contiguous complex array of 4 rows"):
             apply_exp_minus_ih(h, bad)
         assert bad.tobytes() == kept.tobytes()
+
+
+def fresh_array_rank1(h, a):
+    """apply_exp_minus_ih as first written, with a fresh half-size array for
+    every product and sum, and the Gram check through numpy. The route must
+    give the same bits."""
+    v = h.vectors
+    assert np.max(np.abs(v.conj() @ v.T - np.eye(len(v))), initial=0.0) <= 1e-10
+    low, high = pair_views(a.reshape(-1), h.n, h.j, h.i)
+    coefs = (np.exp(-1j * h.weights) - 1.0).tolist()
+    rows = [(c * v0, c * v1, v0.conjugate(), v1.conjugate())
+            for c, (v0, v1) in zip(coefs, v.tolist())]
+    projections = [r0 * low + r1 * high for _, _, r0, r1 in rows]
+    for (c0, c1, _, _), p in zip(rows, projections):
+        low += c0 * p
+        high += c1 * p
+    return a
+
+
+def seeded_rows(rng, count):
+    """count weights in (-pi, pi] and the first count columns of a random
+    2x2 unitary as orthonormal rows."""
+    z = rng.uniform(-math.pi, math.pi, size=count)
+    return z, verify_random_gate(rng).matrix.T[:count]
+
+
+def same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_buffered_updates_give_the_bits_of_fresh_arrays(rng):
+    """Every placement with n <= 7, 1 and 2 rows, on a state and on a
+    matrix, plus full 2^n x 2^n matrices at n = 9, where numpy elides the
+    temporary of a sum of two large arrays."""
+    cases = [(n, j, i, 3) for n, j, i in (*placements(False), *placements(True))]
+    cases += [(9, 1, None, 512), (9, 5, 2, 512), (9, 4, 9, 512)]
+    for n, j, i, columns in cases:
+        for count in (1, 2):
+            h = LocalHamiltonian(n, j, i, *seeded_rows(rng, count))
+            for shape in ((1 << n,), (1 << n, columns)):
+                a = complex_normal(rng, shape)
+                want = fresh_array_rank1(h, a.copy())
+                assert same_bits(apply_exp_minus_ih(h, a), want), (n, j, i, count, shape)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -208,6 +210,61 @@ class TestHamiltonianCommand:
         argv = ["run", circuit] if command == "run" else ["hamiltonian", "--circuit", circuit]
         assert main(argv + ["--params", params]) == 3
         assert "parameter 'a'" in capsys.readouterr().err
+
+
+class TestOutputFile:
+    """-o rewrites an existing file in place and cuts it to the new text."""
+
+    ARGV = ["hamiltonian", "-n", "2", "-i", "1", "-j", "2", "--gate", "x"]
+
+    def want(self, capsys):
+        assert main(self.ARGV) == 0
+        return capsys.readouterr().out.encode()
+
+    def test_shorter_text_over_a_longer_file(self, tmp_path, capsys):
+        want = self.want(capsys)
+        out = tmp_path / "h.json"
+        out.write_bytes(b"#" * (3 * len(want) + 5))
+        assert main([*self.ARGV, "-o", str(out)]) == 0
+        assert out.read_bytes() == want
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
+        out = tmp_path / "h.json"
+        mask = os.umask(0o027)
+        try:
+            assert main([*self.ARGV, "-o", str(out)]) == 0
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+        assert out.read_bytes() == self.want(capsys)
+
+    def test_existing_file_keeps_its_mode_and_inode(self, tmp_path, capsys):
+        out = tmp_path / "h.json"
+        out.write_bytes(b"old")
+        out.chmod(0o600)
+        before = out.stat()
+        assert main([*self.ARGV, "-o", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+        assert out.read_bytes() == self.want(capsys)
+
+    def test_dev_null(self, capsys):
+        assert main([*self.ARGV, "-o", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_a_failing_piece_leaves_the_written_prefix(self, tmp_path, capsys, monkeypatch):
+        def failing(n, groups):
+            yield '{"schema": 1'
+            yield ', "n": 2'
+            raise ValueError("piece failed")
+
+        monkeypatch.setattr(cli, "circuit_json_chunks", failing)
+        circuit = write(tmp_path, "c.sq", BELL)
+        out = tmp_path / "h.json"
+        out.write_bytes(b"#" * 4096)
+        assert main(["hamiltonian", "--circuit", circuit, "-o", str(out)]) == 3
+        assert capsys.readouterr().err == "validation error: piece failed\n"
+        assert out.read_bytes() == b'{"schema": 1, "n": 2'
 
 
 class TestRunCommand:

@@ -279,6 +279,58 @@ class TestExponentialAndDense:
         with pytest.raises(ValueError):
             LocalHamiltonian(1, 1, None, [z], [w])
 
+    WEIGHT = "^term weight {} outside \\(-pi, pi\\] or zero$"
+    VECTOR = "^term vector is not a finite unit vector$"
+
+    @pytest.mark.parametrize("z, w, message", [
+        (math.nan, [1.0, 0.0], WEIGHT.format("nan")),
+        (math.inf, [1.0, 0.0], WEIGHT.format("inf")),
+        (-math.inf, [1.0, 0.0], WEIGHT.format("-inf")),
+        (0.0, [1.0, 0.0], WEIGHT.format("0.0")),
+        (-0.0, [1.0, 0.0], WEIGHT.format("-0.0")),
+        (-math.pi, [1.0, 0.0], WEIGHT.format("-3.141592653589793")),
+        (math.nextafter(math.pi, 4.0), [1.0, 0.0], WEIGHT.format("3.1415926535897936")),
+        (4.0, [1.0, 0.0], WEIGHT.format("4.0")),
+        (0.0, [math.nan, 0.0], WEIGHT.format("0.0")),
+        (1.0, [math.nan, 0.0], VECTOR),
+        (1.0, [0.0, complex(0.0, math.nan)], VECTOR),
+        (1.0, [-math.inf, 0.0], VECTOR),
+        (1.0, [1.0, 1.0], VECTOR),
+        (1.0, [0.0, 0.0], VECTOR),
+        (1.0, [0.6, 0.8 + 1e-11], VECTOR),
+    ])
+    def test_refusals_name_the_first_bad_value(self, z, w, message):
+        """The scalar check of the stored rows and the array check of dense
+        terms refuse the same input with the same message, weights first."""
+        with pytest.raises(ValueError, match=message):
+            LocalHamiltonian(1, 1, None, [z], [w])
+        with pytest.raises(ValueError, match=message):
+            LocalHamiltonian(1, 1, None, [math.pi, z], [[0.0, 1.0], w])
+        with pytest.raises(ValueError, match=message):
+            ProjectorTerm(z, np.array(w))
+
+    def test_weights_are_judged_before_vectors_across_rows(self):
+        with pytest.raises(ValueError, match=self.WEIGHT.format("4.0")):
+            LocalHamiltonian(1, 1, None, [1.0, 4.0], [[math.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=self.WEIGHT.format("nan")):
+            LocalHamiltonian(1, 1, None, [math.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_unit_rows_within_the_tolerance_pass(self):
+        h = LocalHamiltonian(1, 1, None, [math.pi, -1.0], [[0.6, 0.8 + 1e-13], [1j, 0.0]])
+        assert h.weights.tolist() == [math.pi, -1.0]
+
+    @pytest.mark.parametrize("overlap", [math.sqrt(0.5), 1e-9, -2e-10j])
+    def test_non_orthonormal_rows_refused_on_use(self, overlap):
+        """Unit rows pass UNIT_TOL, which is tighter than ORTHO_TOL, so only
+        an overlap above ORTHO_TOL is left for exp_minus_ih to refuse."""
+        second = [overlap, math.sqrt(1.0 - abs(overlap) ** 2)]
+        h = LocalHamiltonian(1, 1, None, [1.0, 1.0], [[1.0, 0.0], second])
+        with pytest.raises(ValueError, match="^term vectors are not orthonormal; rank-1 "
+                                             "exponential invalid$"):
+            exp_minus_ih(h)
+        near = LocalHamiltonian(1, 1, None, [1.0, 1.0], [[1.0, 0.0], [1e-11, 1.0]])
+        assert exp_minus_ih(near).shape == (2, 2)
+
     def test_more_than_two_nonzero_entries_rejected(self):
         c = 1 / math.sqrt(3)
         with pytest.raises(ValueError, match="at most two"):

@@ -8,7 +8,6 @@ import pytest
 from sparseq import (
     ErrorSweep,
     exp_minus_ih,
-    exp_oracle,
     frobenius_error,
     gate_hamiltonian_sweep,
     string_hamiltonian_sweep,
@@ -93,6 +92,20 @@ class TestStringHamiltonianSweep:
 
     def test_y_strings(self):
         assert string_hamiltonian_sweep(4, "Y").max_error <= 1e-12
+
+
+#: Allowed max |H - H†| entry of exp_oracle's input.
+HERM_TOL = 1e-10
+
+
+def exp_oracle(h_dense: np.ndarray) -> np.ndarray:
+    """e^{-iH} through a full Hermitian eigendecomposition: the spectral
+    route that exp_minus_ih's rank-1 updates are checked against."""
+    h_dense = np.asarray(h_dense, dtype=complex)
+    if float(np.max(np.abs(h_dense - h_dense.conj().T))) > HERM_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    eigvals, eigvecs = np.linalg.eigh(h_dense)
+    return (eigvecs * np.exp(-1j * eigvals)) @ eigvecs.conj().T
 
 
 class TestExpOracle:
