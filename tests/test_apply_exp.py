@@ -22,7 +22,7 @@ from sparseq import (
 )
 from sparseq.circuit_ir import GATES
 from sparseq.qindex import pair_views
-from sparseq.verify import random_gate as verify_random_gate
+from sparseq.verify import random_gate
 
 # Deterministic and small, so tier-1 runs the same examples every time.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=8, database=None)
@@ -140,9 +140,9 @@ def test_refusals_leave_the_input_untouched(rng):
 
 
 def fresh_array_rank1(h, a):
-    """apply_exp_minus_ih as first written, with a fresh half-size array for
-    every product and sum, and the Gram check through numpy. The route must
-    give the same bits."""
+    """The rank-1 update in its plainest numpy form: a fresh half-size array
+    for every product and sum, and the Gram check by matrix product.
+    apply_exp_minus_ih must give the same bits."""
     v = h.vectors
     assert np.max(np.abs(v.conj() @ v.T - np.eye(len(v))), initial=0.0) <= 1e-10
     low, high = pair_views(a.reshape(-1), h.n, h.j, h.i)
@@ -160,7 +160,7 @@ def seeded_rows(rng, count):
     """count weights in (-pi, pi] and the first count columns of a random
     2x2 unitary as orthonormal rows."""
     z = rng.uniform(-math.pi, math.pi, size=count)
-    return z, verify_random_gate(rng).matrix.T[:count]
+    return z, random_gate(rng).matrix.T[:count]
 
 
 def same_bits(x, y):
