@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import os
-import stat
 import sys
 from pathlib import Path
 
@@ -133,24 +132,12 @@ def parse_gate_spec(spec: str) -> OneQubitGate:
 
 
 def _write(chunks, path: str | None):
-    """Write text pieces to path, or to stdout when path is None.
-
-    An existing file is rewritten in place, not truncated first, and a
-    regular file is then cut to the length written, even when a piece
-    raises: the file system keeps the old file's blocks instead of freeing
-    and allocating them again on every run. A run killed mid-write can
-    therefore leave old bytes after the new prefix."""
+    """Write text pieces to path, or to stdout when path is None."""
     if path is None:
         sys.stdout.writelines(chunks)
         return
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as f:
-        try:
-            f.writelines(chunks)
-        finally:
-            f.flush()
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, f.tell())
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
 
 
 def _ended(chunks):

@@ -132,13 +132,6 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
     return v * p.conjugate()
 
 
-def _norm2(x: np.ndarray) -> float:
-    """np.linalg.norm of a complex vector, by the same two dot products it
-    takes, without its dispatch."""
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def eigenpairs_2x2(u: OneQubitGate) -> tuple[EigenPair2, EigenPair2]:
     """Closed-form orthonormal eigenpairs of a 2x2 unitary.
 
@@ -161,7 +154,7 @@ def eigenpairs_2x2(u: OneQubitGate) -> tuple[EigenPair2, EigenPair2]:
     # Columns of (U - lam2*I) span the lam1 eigenspace; take the larger one.
     c1 = np.array([u11 - lam2, u21])
     c2 = np.array([u12, u22 - lam2])
-    n1, n2 = _norm2(c1), _norm2(c2)
+    n1, n2 = np.linalg.norm(c1), np.linalg.norm(c2)
     v1 = _phase_normalize(c1 / n1 if n1 >= n2 else c2 / n2)
     v2 = _phase_normalize(np.array([-v1[1].conjugate(), v1[0].conjugate()]))
     return EigenPair2(lam1, v1), EigenPair2(lam2, v2)

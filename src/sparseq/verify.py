@@ -123,10 +123,7 @@ def _apply_kron_factors(out: np.ndarray, n: int, op: GateOp) -> None:
         t = t[(slice(None),) * (op.i - 1) + (1,)]
         if op.j > op.i:
             axis -= 1
-    # np.moveaxis(t, axis, -2) as one transpose: the other row axes in
-    # order, then the target axis, then the column axis.
-    last = t.ndim - 1
-    moved = t.transpose((*range(axis), *range(axis + 1, last), axis, last))
+    moved = np.moveaxis(t, axis, -2)
     moved[...] = op.u.matrix @ moved
 
 

@@ -213,7 +213,7 @@ class TestHamiltonianCommand:
 
 
 class TestOutputFile:
-    """-o rewrites an existing file in place and cuts it to the new text."""
+    """-o truncates the file and writes the text; a failure leaves a prefix."""
 
     ARGV = ["hamiltonian", "-n", "2", "-i", "1", "-j", "2", "--gate", "x"]
 

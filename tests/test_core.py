@@ -13,7 +13,6 @@ from sparseq import (
     rotation_gate,
 )
 from sparseq.circuit_ir import GATES, GateKind
-from sparseq.core import _norm2
 from sparseq.verify import random_gate
 
 
@@ -216,14 +215,6 @@ class TestEigenpairs2x2:
         for _ in range(200):
             p1, p2 = eigenpairs_2x2(random_gate(rng))
             assert abs(np.vdot(p1.vector, p2.vector)) <= 1e-12
-
-    def test_norm2_gives_the_bits_of_np_linalg_norm(self, rng):
-        for size in (2, 2, 2, 3, 8, 17):
-            for _ in range(200):
-                x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                x *= 10.0 ** rng.integers(-100, 100)
-                got, want = _norm2(x), np.linalg.norm(x)
-                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 class TestPhaseOf:
