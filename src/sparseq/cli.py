@@ -36,10 +36,10 @@ from .circuit_ir import (
     parse_circuit,
 )
 from .core import OneQubitGate, rotation_gate
-from .engine import NormDriftError, StateVector, amplitudes_csv, probabilities_csv, run_circuit
-from .gate_matrix import DENSE_MAX_QUBITS, SparseUnitary, check_dense_cap, dense_gate
-from .hamiltonian import check_json_size, circuit_json_chunks, exp_minus_ih
-from .hamiltonian import controlled_gate_hamiltonian, embedded_gate_hamiltonian
+from .engine import Circuit, GateOp, NormDriftError, StateVector, run_circuit
+from .engine import amplitudes_csv, probabilities_csv
+from .gate_matrix import DENSE_MAX_QUBITS, SparseUnitary, check_dense_cap
+from .hamiltonian import check_json_size, circuit_json_chunks
 from .verify import (
     dense_chain,
     dense_circuit_unitary,
@@ -62,13 +62,14 @@ BUDGET_FREE_BYTES = 256 << 20
 # O(1) stored form. They price memory only: the schema-1 text is bounded by
 # hamiltonian.check_json_size (`hamiltonian -n 20 -j 1 --gate x` prices
 # 168 MiB of memory and about 6.6 TB of text). Counted in complex 2^n x 2^n
-# matrices alive at once: 6 for a gate's --check, the run oracle or a verify
-# sweep (a strings sweep measured 3.5-3.9 beyond the interpreter's 29 MiB at
-# n = 10..12), 4 for a circuit's --check (3.5 at n = 10..12: the oracle's
-# matrix and the identity the exponentials are applied to, then 1.5 matrices
-# in the error's temporaries, or in the one buffer of a two-row exponential:
-# two projections and a product, half a matrix each), 2 for --dense: it
-# streams its rows, but a caller that captures stdout holds all of its text.
+# matrices alive at once: 6 for the run oracle or a verify sweep (a strings
+# sweep measured 3.5-3.9 beyond the interpreter's 29 MiB at n = 10..12), 4
+# for `hamiltonian --check`, of a gate or a circuit alike (3.5 at n = 10..12
+# for a circuit, 3.5-3.6 for a gate at n = 10..11: the oracle's matrix and
+# the identity the exponentials are applied to, then 1.5 matrices in the
+# error's temporaries, or in the one buffer of a two-row exponential: two
+# projections and a product, half a matrix each), 2 for --dense: it streams
+# its rows, but a caller that captures stdout holds all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56
@@ -157,44 +158,39 @@ def cmd_build_gate(args) -> int:
 
 def cmd_hamiltonian(args) -> int:
     tol = _tolerance(args)
-    if args.circuit is None:
-        if args.gate is None or args.n is None or args.j is None:
-            print("hamiltonian: need --gate with -n/-j, or --circuit", file=sys.stderr)
-            return 2
-        if args.check:
-            check_dense_cap(args.n)
-        _require_memory(
-            "hamiltonian", args.n, TERM_BYTES + TERM_BUILD_BYTES, CHECK_MATRICES if args.check else 0
-        )
-        u = parse_gate_spec(args.gate)
-        if args.i is None:
-            h = embedded_gate_hamiltonian(args.n, args.j, u)
-        else:
-            h = controlled_gate_hamiltonian(args.n, args.i, args.j, u)
-        check_json_size([h])
-        _write(_ended(h.json_chunks()), args.output)
-        if args.check:
-            error = frobenius_error(dense_gate(args.n, args.j, u, args.i), exp_minus_ih(h))
-            print(f"reconstruction_error={error!r}")
-            return 0 if error <= tol else 1
-        return 0
-    template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
-    params = _load_params(args.params)
-    circuit = bind(template, params)
+    single = args.circuit is None
+    if single and None in (args.gate, args.n, args.j):
+        usage = "need --gate with -n/-j, or --circuit"
+    elif single and args.params is not None:
+        usage = "--params needs --circuit"
+    elif not single and (args.n, args.i, args.j, args.gate) != (None,) * 4:
+        usage = "--circuit takes no -n/-i/-j/--gate"
+    else:
+        usage = None
+    if usage:
+        print(f"hamiltonian: {usage}", file=sys.stderr)
+        return 2
+    if single:
+        n, what, ops = args.n, "hamiltonian", 1
+    else:
+        circuit = bind(parse_circuit(Path(args.circuit).read_text(encoding="utf-8")),
+                       _load_params(args.params))
+        n, what, ops = circuit.n, "hamiltonian --circuit", len(circuit.ops)
     if args.check:
-        check_dense_cap(circuit.n)
-    _require_memory(
-        "hamiltonian --circuit", circuit.n, TERM_BYTES * len(circuit.ops) + TERM_BUILD_BYTES,
-        CIRCUIT_CHECK_MATRICES if args.check else 0,
-    )
+        check_dense_cap(n)
+    _require_memory(what, n, TERM_BYTES * ops + TERM_BUILD_BYTES,
+                    CIRCUIT_CHECK_MATRICES if args.check else 0)
+    if single:
+        circuit = Circuit(n, (GateOp(args.j, parse_gate_spec(args.gate), args.i),))
     groups = circuit_hamiltonians(circuit)
     check_json_size(h for g in groups for h in g.hamiltonians)
-    _write(_ended(circuit_json_chunks(circuit.n, groups)), args.output)
+    chunks = groups[0].hamiltonians[0].json_chunks() if single else circuit_json_chunks(n, groups)
+    _write(_ended(chunks), args.output)
     if args.check:
-        error = frobenius_error(dense_circuit_unitary(circuit), groups_unitary(groups, circuit.n))
+        error = frobenius_error(dense_circuit_unitary(circuit), groups_unitary(groups, n))
         print(f"reconstruction_error={error!r}")
-        # Products accumulate; scale the per-factor tolerance by 10*K.
-        return 0 if error <= 10 * max(1, len(circuit.ops)) * tol else 1
+        # Products accumulate; a circuit scales the per-factor tolerance by 10*K.
+        return 0 if error <= (tol if single else 10 * max(1, ops) * tol) else 1
     return 0
 
 
@@ -241,6 +237,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--suite {args.suite} needs -n in {low}..{DENSE_MAX_QUBITS}, got {args.n}")
     if args.circuits < 1:
         raise ValueError(f"--circuits must be at least 1, got {args.circuits}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     _require_memory("verify", args.n, 0, CHECK_MATRICES)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

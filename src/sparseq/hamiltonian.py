@@ -57,31 +57,22 @@ _JSON_PIECE_ENTRIES = 1 << 12
 JSON_MAX_BYTES = 4 << 30
 
 
-def _check_terms(z: np.ndarray, vectors: np.ndarray):
-    """Reject weights outside (-pi, pi] or zero, and term vectors (the rows of
-    vectors) that are not finite unit vectors. Written so that NaN fails
-    every comparison; non-finite rows are refused before any norm is taken."""
-    good = (z > -math.pi) & (z <= math.pi) & (z != 0.0)
-    if not good.all():
-        raise ValueError(f"term weight {z[~good][0]} outside (-pi, pi] or zero")
-    finite = np.isfinite(vectors).all()
-    norms = np.sqrt((vectors.conj() * vectors).real.sum(axis=1)) if finite else math.nan
-    if not (np.abs(norms - 1.0) <= UNIT_TOL).all():
-        raise ValueError("term vector is not a finite unit vector")
-
-
 def _check_rows(z: list[float], vectors: list[list[complex]]):
-    """_check_terms on Python scalars, for the at most two 2-entry rows a
-    LocalHamiltonian stores: the same conditions, in the same order, with
-    the same messages, without numpy's per-call cost on 2-element data."""
+    """Reject weights outside (-pi, pi] or zero, and term vectors (the rows
+    of vectors, of any length) that are not finite unit vectors, on Python
+    scalars: numpy's per-call cost would dominate the at most two 2-entry
+    rows a LocalHamiltonian stores. Written so that NaN fails every
+    comparison; non-finite rows are refused before any norm is taken."""
     for w in z:
         if not (w > -math.pi and w <= math.pi and w != 0.0):
             raise ValueError(f"term weight {w} outside (-pi, pi] or zero")
     if not all(cmath.isfinite(x) for row in vectors for x in row):
         raise ValueError("term vector is not a finite unit vector")
-    for a, b in vectors:
-        norm = math.sqrt((a.conjugate() * a).real + (b.conjugate() * b).real)
-        if not abs(norm - 1.0) <= UNIT_TOL:
+    for row in vectors:
+        square = 0.0  # a plain loop: from Python 3.12 on, sum() compensates rounding
+        for x in row:
+            square += (x.conjugate() * x).real
+        if not abs(math.sqrt(square) - 1.0) <= UNIT_TOL:
             raise ValueError("term vector is not a finite unit vector")
 
 
@@ -109,7 +100,7 @@ class ProjectorTerm:
         w = np.array(self.w, dtype=complex)
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        _check_terms(np.array([self.z], dtype=float), w[None])
+        _check_rows([float(self.z)], [w[w != 0].tolist()])  # zeros add nothing to the norm
 
 
 class LocalHamiltonian:

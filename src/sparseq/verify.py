@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit_ir import circuit_hamiltonians, groups_unitary
 from .core import OneQubitGate, rotation_gate
 from .engine import Circuit, GateOp, StateVector, run_circuit
 from .gate_matrix import check_dense_cap, dense_gate, kron_chain
-from .hamiltonian import (
-    apply_exp_minus_ih,
-    controlled_gate_hamiltonian,
-    embedded_gate_hamiltonian,
-    exp_minus_ih,
-)
 
 #: Number of theta samples per sweep.
 GRID_POINTS = 100
@@ -73,32 +68,31 @@ class ErrorSweep:
 
 
 def gate_hamiltonian_sweep(n: int, i: int, j: int) -> ErrorSweep:
-    """Per theta of the grid: build the Kronecker oracle C of R_X(theta) with
-    control i and target j, extract H, exponentiate, record ||C - e^{-iH}||_F."""
+    """Per theta of the grid, the check of `hamiltonian --check` on R_X(theta)
+    with control i and target j as a one-gate circuit: its Kronecker oracle C
+    against e^{-iH} from circuit_hamiltonians, recording ||C - e^{-iH}||_F."""
     thetas = theta_grid()
     errors = []
     for theta in thetas:
-        u = rotation_gate("X", float(theta))
-        dense = dense_gate(n, j, u, i)
-        h = controlled_gate_hamiltonian(n, i, j, u)
-        errors.append(frobenius_error(dense, exp_minus_ih(h)))
+        circuit = Circuit(n, (GateOp(j, rotation_gate("X", float(theta)), i),))
+        unitary = groups_unitary(circuit_hamiltonians(circuit), n)
+        errors.append(frobenius_error(dense_circuit_unitary(circuit), unitary))
     return ErrorSweep(f"crx_n{n}_i{i}_j{j}", tuple(float(t) for t in thetas), tuple(errors))
 
 
 def string_hamiltonian_sweep(n: int, axis: str = "X") -> ErrorSweep:
     """Per theta of the grid: the n-fold tensor power of R_axis(theta) against
-    the product of the per-qubit Hamiltonian exponentials, applied to one
-    identity matrix, O(n 4^n)."""
+    groups_unitary of the string circuit R_axis(theta) on qubits 1..n, whose
+    per-qubit Hamiltonian exponentials are applied to one identity matrix,
+    O(n 4^n)."""
     check_dense_cap(n)
     thetas = theta_grid()
     errors = []
     for theta in thetas:
         u = rotation_gate(axis, float(theta))
         target = kron_chain([np.asarray(u.matrix)] * n)
-        product = np.eye(1 << n, dtype=complex)
-        for j in range(1, n + 1):
-            apply_exp_minus_ih(embedded_gate_hamiltonian(n, j, u), product)
-        errors.append(frobenius_error(target, product))
+        circuit = Circuit(n, tuple(GateOp(j, u) for j in range(1, n + 1)))
+        errors.append(frobenius_error(target, groups_unitary(circuit_hamiltonians(circuit), n)))
     return ErrorSweep(
         f"strings_{axis.lower()}_n{n}", tuple(float(t) for t in thetas), tuple(errors)
     )

@@ -14,8 +14,12 @@ from sparseq import (
     cli,
     controlled_gate_hamiltonian,
     controlled_sparse,
+    dense_gate,
+    embedded_gate_hamiltonian,
+    exp_minus_ih,
+    frobenius_error,
 )
-from sparseq.circuit_ir import hea_template, serialize
+from sparseq.circuit_ir import GATES, hea_template, serialize
 from sparseq.cli import main, parse_gate_spec
 from sparseq.engine import NORM_TOL, StateVector
 from sparseq.qindex import check_placement
@@ -210,6 +214,68 @@ class TestHamiltonianCommand:
         argv = ["run", circuit] if command == "run" else ["hamiltonian", "--circuit", circuit]
         assert main(argv + ["--params", params]) == 3
         assert "parameter 'a'" in capsys.readouterr().err
+
+
+#: Every single-qubit gate spec of GATES: the fixed gates, and each rotation
+#: at a generic, a near-identity and a negative angle.
+SINGLE_SPECS = [name for name, kind in GATES.items() if kind.named] + [
+    f"{name}:{angle}" for name, kind in GATES.items() if kind.axis and not kind.controlled
+    for angle in ("0.7", "1e-9", "-2.1")
+]
+
+
+def gate_check_reference(n, i, j, spec):
+    """The reconstruction error that `hamiltonian --check` printed when a
+    single gate had its own route: the np.kron oracle against exp_minus_ih."""
+    u = parse_gate_spec(spec)
+    h = embedded_gate_hamiltonian(n, j, u) if i is None else controlled_gate_hamiltonian(n, i, j, u)
+    return frobenius_error(dense_gate(n, j, u, i), exp_minus_ih(h))
+
+
+class TestGateCheckIsTheOneGateCircuit:
+    """A single gate is checked as a one-gate circuit. Its printed error
+    keeps every digit of the single-gate route it replaced."""
+
+    @pytest.mark.parametrize("spec", SINGLE_SPECS)
+    def test_printed_error_equals_the_kron_route(self, capsys, spec):
+        for n in range(1, 5):
+            for j in range(1, n + 1):
+                for i in [None, *(q for q in range(1, n + 1) if q != j)]:
+                    argv = ["hamiltonian", "-n", str(n), "-j", str(j), "--gate", spec, "--check"]
+                    argv += [] if i is None else ["-i", str(i)]
+                    assert main(argv + ["-o", os.devnull]) in (0, 1)
+                    want = gate_check_reference(n, i, j, spec)
+                    assert capsys.readouterr().out == f"reconstruction_error={want!r}\n", argv
+
+    def test_printed_error_at_the_cap(self, capsys):
+        argv = ["hamiltonian", "-n", "12", "-i", "11", "-j", "3", "--gate", "ry:-2.1", "--check"]
+        assert main(argv + ["-o", os.devnull]) == 0
+        printed = capsys.readouterr().out
+        assert printed == f"reconstruction_error={gate_check_reference(12, 11, 3, 'ry:-2.1')!r}\n"
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--circuit", "c.sq", "-n", "2"], "--circuit takes no -n/-i/-j/--gate"),
+        (["--circuit", "c.sq", "-i", "1"], "--circuit takes no -n/-i/-j/--gate"),
+        (["--circuit", "c.sq", "-j", "1"], "--circuit takes no -n/-i/-j/--gate"),
+        (["--circuit", "c.sq", "--gate", "x", "--check"], "--circuit takes no -n/-i/-j/--gate"),
+        (["-n", "2", "-j", "1", "--gate", "x", "--params", "p.json"], "--params needs --circuit"),
+        (["-n", "2", "-j", "1", "--gate", "x", "--params", "p.json", "--check"],
+         "--params needs --circuit"),
+    ])
+    def test_mixed_forms_are_usage_errors(self, tmp_path, capsys, monkeypatch, argv, usage):
+        """Flags of the other form are refused, not dropped, before any
+        input is read or any output written."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Hamiltonian for a usage error")
+
+        monkeypatch.setattr(cli, "circuit_hamiltonians", refuse)
+        out = tmp_path / "h.json"
+        argv = [str(tmp_path / a) if a in ("c.sq", "p.json") else a for a in argv]
+        assert main(["hamiltonian", *argv, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hamiltonian: {usage}\n"
+        assert not out.exists()
 
 
 class TestOutputFile:
@@ -423,8 +489,8 @@ class TestMemoryBudget:
         def refuse(*args, **kwargs):
             raise AssertionError("allocated past a refused budget")
 
-        for name in ("SparseUnitary", "embedded_gate_hamiltonian", "controlled_gate_hamiltonian",
-                     "circuit_hamiltonians", "run_circuit", "gate_hamiltonian_sweep"):
+        for name in ("SparseUnitary", "circuit_hamiltonians", "run_circuit",
+                     "gate_hamiltonian_sweep"):
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(cli.StateVector, "zero", refuse)
 
@@ -556,6 +622,17 @@ class TestRefusedBeforeOutput:
         assert captured.err == f"validation error: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("suite", ["crx", "strings", "engine"])
+    def test_verify_negative_seed_exits_3(self, tmp_path, capsys, no_sweeps, suite):
+        """--seed is judged with -n and --circuits for every suite, before
+        --out-dir is created."""
+        out_dir = tmp_path / "sweeps"
+        assert main(["verify", "--suite", suite, "--seed", "-1", "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: --seed must be a non-negative integer, got -1\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("suite, n", [
         ("strings", 1), ("strings", 12), ("crx", 2), ("crx", 12), ("engine", 2), ("engine", 12),
     ])
@@ -603,7 +680,7 @@ class TestRefusedBeforeOutput:
         def refuse(*args, **kwargs):
             raise AssertionError("built a Hamiltonian whose check is refused")
 
-        monkeypatch.setattr(cli, "embedded_gate_hamiltonian", refuse)
+        monkeypatch.setattr(cli, "circuit_hamiltonians", refuse)
         out = tmp_path / "h.json"
         argv = ["hamiltonian", "-n", "13", "-j", "1", "--gate", "x", "--check"]
         assert main(argv + (["-o", str(out)] if to_file else [])) == 3

@@ -12,11 +12,15 @@ from sparseq import (
     gate_hamiltonian_sweep,
     string_hamiltonian_sweep,
 )
-from sparseq.circuit_ir import GATES, bind, hea_template
+from sparseq.circuit_ir import GATES, bind, circuit_hamiltonians, groups_unitary, hea_template
 from sparseq.core import rotation_gate
 from sparseq.engine import Circuit, GateOp
-from sparseq.gate_matrix import dense_gate
-from sparseq.hamiltonian import controlled_gate_hamiltonian
+from sparseq.gate_matrix import dense_gate, kron_chain
+from sparseq.hamiltonian import (
+    apply_exp_minus_ih,
+    controlled_gate_hamiltonian,
+    embedded_gate_hamiltonian,
+)
 from sparseq.verify import (
     dense_circuit_unitary,
     engine_equivalence_deviations,
@@ -92,6 +96,48 @@ class TestStringHamiltonianSweep:
 
     def test_y_strings(self):
         assert string_hamiltonian_sweep(4, "Y").max_error <= 1e-12
+
+
+def string_product_error(n, axis, theta):
+    """||R^{⊗n} - product||_F with the per-qubit exponentials applied by hand
+    to one identity: the step string_hamiltonian_sweep took before it went
+    through groups_unitary."""
+    u = rotation_gate(axis, theta)
+    product = np.eye(1 << n, dtype=complex)
+    for j in range(1, n + 1):
+        apply_exp_minus_ih(embedded_gate_hamiltonian(n, j, u), product)
+    return frobenius_error(kron_chain([np.asarray(u.matrix)] * n), product)
+
+
+class TestSweepsKeepTheirDigits:
+    """Both sweeps build e^{-iH} through circuit_hamiltonians and
+    groups_unitary, and every error equals the one of the route each had
+    before."""
+
+    def test_crx_sweep_equals_the_kron_route(self):
+        for i in range(1, 4):
+            for j in range(1, 4):
+                if i != j:
+                    sweep = gate_hamiltonian_sweep(3, i, j)
+                    want = tuple(reconstruction_error(3, i, j, "X", t) for t in sweep.thetas)
+                    assert sweep.errors == want, (i, j)
+
+    def test_strings_sweep_equals_the_hand_product(self):
+        for axis in ("X", "Y", "Z"):
+            sweep = string_hamiltonian_sweep(3, axis)
+            assert sweep.errors == tuple(string_product_error(3, axis, t) for t in sweep.thetas)
+
+    def test_one_gate_groups_unitary_is_exp_minus_ih(self, generic_gate):
+        for kind in GATES.values():
+            u = kind.fixed or (rotation_gate(kind.axis, -2.1) if kind.axis else generic_gate)
+            for n in range(1, 5):
+                for j in range(1, n + 1):
+                    controls = [i for i in range(1, n + 1) if i != j] if kind.controlled else [None]
+                    for i in controls:
+                        groups = circuit_hamiltonians(Circuit(n, (GateOp(j, u, i),)))
+                        (h,) = groups[0].hamiltonians
+                        got = groups_unitary(groups, n).view(np.uint64)
+                        assert np.array_equal(got, exp_minus_ih(h).view(np.uint64)), (n, j, i)
 
 
 #: Allowed max |H - H†| entry of exp_oracle's input.

@@ -270,6 +270,13 @@ def corpus():
     yield ["hamiltonian", "-n", "20", "-j", "1", "--gate", "x"]
     # A parameter value that is not finite, refused by bind before any output.
     yield ["run", "mixed.sq", "--params", "nan.json", "-o", "out"]
+    # A negative seed, refused for every suite before the output directory
+    # is made, and the two forms of `hamiltonian` mixed: usage errors.
+    for suite in ("crx", "strings", "engine"):
+        yield ["verify", "--suite", suite, "--seed", "-1", "--out-dir", "out"]
+    yield ["hamiltonian", "--circuit", "bell.sq", "-n", "2", "-j", "1", "--gate", "x", "-o", "out"]
+    yield ["hamiltonian", "--circuit", "bell.sq", "-i", "1", "--check", "-o", "out"]
+    yield ["hamiltonian", "-n", "5", "-j", "2", "--gate", "x", "--params", "mixed.json", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
