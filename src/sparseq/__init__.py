@@ -47,7 +47,6 @@ from .circuit_ir import (
 )
 from .verify import (
     ErrorSweep,
-    dense_apply_oracle,
     frobenius_error,
     gate_hamiltonian_sweep,
     string_hamiltonian_sweep,
@@ -76,7 +75,6 @@ __all__ = [
     "circuit_hamiltonians",
     "controlled_gate_hamiltonian",
     "controlled_sparse",
-    "dense_apply_oracle",
     "dense_gate",
     "eigenpairs_2x2",
     "embedded_gate_hamiltonian",

@@ -1,5 +1,6 @@
 """Command-line interface: argv parsing, preflight, routing and the exit-code
-map. The library judges each input and writes each output format.
+map. The library judges each input and writes each output format, and verify
+computes each printed check (reconstruction_error=, oracle_deviation=).
 
 Exit codes: 0 success, 1 verification exceedance (a run whose final state
 is off unit norm by more than engine.NORM_TOL included: one stderr line, no
@@ -24,15 +25,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .circuit_ir import (
     CircuitBindError,
     CircuitParseError,
     GATES,
     bind,
     circuit_hamiltonians,
-    groups_unitary,
     parse_circuit,
 )
 from .core import OneQubitGate, rotation_gate
@@ -41,12 +39,11 @@ from .engine import amplitudes_csv, probabilities_csv
 from .gate_matrix import DENSE_MAX_QUBITS, SparseUnitary, check_dense_cap
 from .hamiltonian import check_json_size, circuit_json_chunks
 from .verify import (
-    dense_chain,
-    dense_circuit_unitary,
     deviations_csv,
     engine_equivalence_deviations,
-    frobenius_error,
     gate_hamiltonian_sweep,
+    oracle_deviation,
+    reconstruction_error,
     string_hamiltonian_sweep,
 )
 
@@ -62,20 +59,19 @@ BUDGET_FREE_BYTES = 256 << 20
 # O(1) stored form. They price memory only: the schema-1 text is bounded by
 # hamiltonian.check_json_size (`hamiltonian -n 20 -j 1 --gate x` prices
 # 168 MiB of memory and about 6.6 TB of text). Counted in complex 2^n x 2^n
-# matrices alive at once: 6 for the run oracle or a verify sweep (a strings
-# sweep measured 3.5-3.9 beyond the interpreter's 29 MiB at n = 10..12), 4
-# for `hamiltonian --check`, of a gate or a circuit alike (3.5 at n = 10..12
-# for a circuit, 3.5-3.6 for a gate at n = 10..11: the oracle's matrix and
-# the identity the exponentials are applied to, then 1.5 matrices in the
-# error's temporaries, or in the one buffer of a two-row exponential: two
-# projections and a product, half a matrix each), 2 for --dense: it streams
-# its rows, but a caller that captures stdout holds all of its text.
+# matrices alive at once: 4 for every dense check, `hamiltonian --check`,
+# `run --oracle` and the verify suites alike, which peak at 3.2-3.9 beyond
+# the interpreter at n = 10..12 (reconstruction_error: the oracle's matrix
+# and the identity the exponentials are applied to, then 1.5 matrices in the
+# error's temporaries or in the buffer of a two-row exponential;
+# oracle_deviation: a controlled gate's two Kronecker terms and their sum),
+# 2 for --dense: it streams its rows, but a caller that captures stdout holds
+# all of its text.
 RUN_BYTES_PER_AMP = 208
 SPARSE_BYTES_PER_ROW = 80
 TERM_BYTES = 56
 TERM_BUILD_BYTES = 112
-CHECK_MATRICES = 6
-CIRCUIT_CHECK_MATRICES = 4
+CHECK_MATRICES = 4
 DENSE_JSON_MATRICES = 2
 
 
@@ -179,7 +175,7 @@ def cmd_hamiltonian(args) -> int:
     if args.check:
         check_dense_cap(n)
     _require_memory(what, n, TERM_BYTES * ops + TERM_BUILD_BYTES,
-                    CIRCUIT_CHECK_MATRICES if args.check else 0)
+                    CHECK_MATRICES if args.check else 0)
     if single:
         circuit = Circuit(n, (GateOp(args.j, parse_gate_spec(args.gate), args.i),))
     groups = circuit_hamiltonians(circuit)
@@ -187,7 +183,7 @@ def cmd_hamiltonian(args) -> int:
     chunks = groups[0].hamiltonians[0].json_chunks() if single else circuit_json_chunks(n, groups)
     _write(_ended(chunks), args.output)
     if args.check:
-        error = frobenius_error(dense_circuit_unitary(circuit), groups_unitary(groups, n))
+        error = reconstruction_error(circuit, groups)
         print(f"reconstruction_error={error!r}")
         # Products accumulate; a circuit scales the per-factor tolerance by 10*K.
         return 0 if error <= (tol if single else 10 * max(1, ops) * tol) else 1
@@ -223,8 +219,7 @@ def cmd_run(args) -> int:
     result = run_circuit(circuit, state)
     _write([amplitudes_csv(result) if args.amplitudes else probabilities_csv(result)], args.output)
     if args.oracle:
-        reference = dense_chain(circuit, initial)
-        deviation = float(np.max(np.abs(result.amps - reference.amps)))
+        deviation = oracle_deviation(circuit, initial, result)
         print(f"oracle_deviation={deviation!r}")
         return 0 if deviation <= tol else 1
     return 0

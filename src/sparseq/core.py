@@ -25,19 +25,23 @@ PAULI = {
 }
 
 
-def _unitary_2x2(a: complex, b: complex, c: complex, d: complex) -> bool:
-    """True iff max entry of |M†M - I| <= DEFAULT_TOL for M = [[a, b], [c, d]],
+def orthonormal_rows(v, tol: float) -> bool:
+    """True iff max |V* V^T - I| <= tol for the at most two 2-entry rows v,
     in closed form on Python scalars.
 
-    The entries of M†M - I are the two column norms less 1 and the column
-    overlap (the other off-diagonal entry is its conjugate), each summed in
-    the order of the matrix product.
+    The entries of V* V^T - I are each row's squared norm less 1 and the
+    overlap of two rows (the other off-diagonal entry is its conjugate), each
+    summed in the order of the matrix product. A gate's columns are its rows
+    here: M†M - I for M = [[a, b], [c, d]] is this test of ((a, c), (b, d)).
     """
-    return (
-        abs(a.conjugate() * a + c.conjugate() * c - 1.0) <= DEFAULT_TOL
-        and abs(b.conjugate() * b + d.conjugate() * d - 1.0) <= DEFAULT_TOL
-        and abs(a.conjugate() * b + c.conjugate() * d) <= DEFAULT_TOL
-    )
+    if len(v) == 2:
+        (a, b), (c, d) = v
+        return (
+            abs(a.conjugate() * a + b.conjugate() * b - 1.0) <= tol
+            and abs(c.conjugate() * c + d.conjugate() * d - 1.0) <= tol
+            and abs(a.conjugate() * c + b.conjugate() * d) <= tol
+        )
+    return all(abs(a.conjugate() * a + b.conjugate() * b - 1.0) <= tol for a, b in v)
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class OneQubitGate:
         (a, b), (c, d) = m.tolist()
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError("one-qubit gate has non-finite entries")
-        if not _unitary_2x2(a, b, c, d):
+        if not orthonormal_rows(((a, c), (b, d)), DEFAULT_TOL):
             raise ValueError("matrix is not unitary within 1e-12")
 
     @property

@@ -35,7 +35,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import EigenPair2, OneQubitGate, eigenpairs_2x2, phase_of
+from .core import EigenPair2, OneQubitGate, eigenpairs_2x2, orthonormal_rows, phase_of
 from .gate_matrix import check_dense_cap
 from .qindex import check_placement, pair_indices, pair_views
 
@@ -74,19 +74,6 @@ def _check_rows(z: list[float], vectors: list[list[complex]]):
             square += (x.conjugate() * x).real
         if not abs(math.sqrt(square) - 1.0) <= UNIT_TOL:
             raise ValueError("term vector is not a finite unit vector")
-
-
-def _orthonormal(v: list[list[complex]]) -> bool:
-    """True iff max |V* V^T - I| <= ORTHO_TOL for the at most two 2-entry
-    rows v, in closed form on Python scalars as core._unitary_2x2 does: each
-    row's squared norm less 1, and the overlap of two rows (the other
-    off-diagonal entry is its conjugate), summed in the order of the
-    product."""
-    units = all(abs(a.conjugate() * a + b.conjugate() * b - 1.0) <= ORTHO_TOL for a, b in v)
-    if len(v) < 2:
-        return units
-    (a, b), (c, d) = v
-    return units and abs(a.conjugate() * c + b.conjugate() * d) <= ORTHO_TOL
 
 
 @dataclass(frozen=True)
@@ -332,7 +319,7 @@ def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
     pins the index rule independently up to 12 qubits.
     """
     v = h.vectors.tolist()
-    if not _orthonormal(v):
+    if not orthonormal_rows(v, ORTHO_TOL):
         raise ValueError("term vectors are not orthonormal; rank-1 exponential invalid")
     if a.dtype != complex or not a.flags.c_contiguous or a.shape[:1] != (h.dim,):
         raise ValueError(

@@ -5,8 +5,9 @@ products instead of sparse assembly and instead of the rank-1 exponential,
 dense matrix-vector chains instead of the pair-update kernels. The circuit
 unitary applies each gate's Kronecker factors to the axes of one identity
 matrix by reshapes, O(4^n) per gate, without forming a gate matrix or
-taking an index from qindex. Sweeps record Frobenius-norm errors over a
-theta grid.
+taking an index from qindex. reconstruction_error and oracle_deviation
+compute the two checks the CLI prints; the crx and engine sweeps record
+them over a theta grid and over random circuits.
 """
 from __future__ import annotations
 
@@ -72,11 +73,10 @@ def gate_hamiltonian_sweep(n: int, i: int, j: int) -> ErrorSweep:
     with control i and target j as a one-gate circuit: its Kronecker oracle C
     against e^{-iH} from circuit_hamiltonians, recording ||C - e^{-iH}||_F."""
     thetas = theta_grid()
-    errors = []
-    for theta in thetas:
-        circuit = Circuit(n, (GateOp(j, rotation_gate("X", float(theta)), i),))
-        unitary = groups_unitary(circuit_hamiltonians(circuit), n)
-        errors.append(frobenius_error(dense_circuit_unitary(circuit), unitary))
+    errors = [
+        reconstruction_error(Circuit(n, (GateOp(j, rotation_gate("X", float(theta)), i),)))
+        for theta in thetas
+    ]
     return ErrorSweep(f"crx_n{n}_i{i}_j{j}", tuple(float(t) for t in thetas), tuple(errors))
 
 
@@ -96,14 +96,6 @@ def string_hamiltonian_sweep(n: int, axis: str = "X") -> ErrorSweep:
     return ErrorSweep(
         f"strings_{axis.lower()}_n{n}", tuple(float(t) for t in thetas), tuple(errors)
     )
-
-
-def dense_apply_oracle(m: np.ndarray, state: StateVector) -> StateVector:
-    """Exact dense matrix-vector application; returns a fresh state."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (len(state.amps), len(state.amps)):
-        raise ValueError(f"matrix shape {m.shape} does not match state dim")
-    return StateVector(state.n, m @ state.amps)
 
 
 def _apply_kron_factors(out: np.ndarray, n: int, op: GateOp) -> None:
@@ -136,8 +128,23 @@ def dense_chain(circuit: Circuit, state: StateVector) -> StateVector:
     """The circuit applied to state as a dense matrix-vector chain of
     per-gate Kronecker oracles, O(K 4^n). The input state is never modified."""
     for op in circuit.ops:
-        state = dense_apply_oracle(dense_gate(circuit.n, op.j, op.u, op.i), state)
+        state = StateVector(circuit.n, dense_gate(circuit.n, op.j, op.u, op.i) @ state.amps)
     return state
+
+
+def reconstruction_error(circuit: Circuit, groups=None) -> float:
+    """The check of `hamiltonian --check`: ||C - prod e^{-iH}||_F between the
+    circuit's Kronecker oracle C and its Hamiltonian groups' exponentials
+    applied to the identity. groups defaults to circuit_hamiltonians(circuit)."""
+    if groups is None:
+        groups = circuit_hamiltonians(circuit)
+    return frobenius_error(dense_circuit_unitary(circuit), groups_unitary(groups, circuit.n))
+
+
+def oracle_deviation(circuit: Circuit, initial: StateVector, result: StateVector) -> float:
+    """The check of `run --oracle`: max |result - dense_chain(circuit, initial)|
+    over the amplitudes."""
+    return float(np.max(np.abs(result.amps - dense_chain(circuit, initial).amps)))
 
 
 def random_gate(rng: np.random.Generator) -> OneQubitGate:
@@ -176,9 +183,7 @@ def engine_equivalence_deviations(
         k = int(rng.integers(1, MAX_GATES + 1))
         circuit = random_circuit(rng, n, k)
         state = StateVector.zero(n)
-        reference = dense_chain(circuit, state)
-        result = run_circuit(circuit, state)
-        deviations.append(float(np.max(np.abs(result.amps - reference.amps))))
+        deviations.append(oracle_deviation(circuit, state, run_circuit(circuit, state.copy())))
     return deviations
 
 

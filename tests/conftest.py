@@ -11,9 +11,10 @@ import sparseq
 from sparseq import OneQubitGate, rotation_gate
 from sparseq.circuit_ir import GATES
 
-#: Starts argv[1:] as a child and prints its exit code and ru_maxrss.
+#: Starts argv[1:] as a child, its stdout discarded, and prints its exit code
+#: and ru_maxrss.
 _PROBE = (
-    "import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+    "import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
     "_, status, usage = os.wait4(p.pid, 0); "
     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
 )

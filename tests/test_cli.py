@@ -18,10 +18,11 @@ from sparseq import (
     embedded_gate_hamiltonian,
     exp_minus_ih,
     frobenius_error,
+    verify,
 )
-from sparseq.circuit_ir import GATES, hea_template, serialize
+from sparseq.circuit_ir import GATES, bind, hea_template, parse_circuit, serialize
 from sparseq.cli import main, parse_gate_spec
-from sparseq.engine import NORM_TOL, StateVector
+from sparseq.engine import NORM_TOL, StateVector, run_circuit
 from sparseq.qindex import check_placement
 from sparseq.verify import random_gate
 
@@ -396,7 +397,7 @@ class TestRunCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("run --oracle built the full circuit unitary")
 
-        monkeypatch.setattr(cli, "dense_circuit_unitary", refuse)
+        monkeypatch.setattr(verify, "dense_circuit_unitary", refuse)
         circuit = write(tmp_path, "c.sq", serialize(hea_template(4, 1)))
         params = write(tmp_path, "p.json", json.dumps(
             {name: 0.3 + 0.1 * k for k, name in enumerate(hea_template(4, 1).param_names())}))
@@ -404,6 +405,25 @@ class TestRunCommand:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("oracle_deviation=")
         assert float(line.partition("=")[2]) <= 1e-12
+
+    # Controls above and below their targets, from |0...0> and from an --input state.
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_oracle_line_is_verify_oracle_deviation(self, tmp_path, capsys, seed):
+        text = "qubits 3\nu q2 h\ncrx q1 q3 $a\ncx q3 q1\ncry q2 q1 -0.8\nrz q3 0.4\n"
+        params = {"a": 1.1}
+        circuit = bind(parse_circuit(text), params)
+        argv = ["run", write(tmp_path, "c.sq", text), "--params",
+                write(tmp_path, "p.json", json.dumps(params)), "--oracle"]
+        if seed is None:
+            initial = StateVector.zero(3)
+        else:
+            amps = np.random.default_rng(seed).normal(size=(8, 2))
+            state = json.dumps((amps / np.linalg.norm(amps)).tolist())
+            argv += ["--input", write(tmp_path, "s.json", state)]
+            initial = StateVector.from_json(state)
+        assert main(argv) == 0
+        want = verify.oracle_deviation(circuit, initial, run_circuit(circuit, initial.copy()))
+        assert capsys.readouterr().out.splitlines()[-1] == f"oracle_deviation={want!r}"
 
     def test_custom_input_state(self, tmp_path, capsys):
         circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")
@@ -481,7 +501,7 @@ class TestMemoryBudget:
         "circuit_check": ("qubits 11\nrx q1 0.1\ncx q1 q2\n",
                           ["hamiltonian", "--circuit", "{c}", "--check"]),
         "build_gate_dense": (None, ["build-gate", "-n", "12", "-j", "1", "--gate", "x", "--dense"]),
-        "verify": (None, ["verify", "--suite", "crx", "-n", "11"]),
+        "verify": (None, ["verify", "--suite", "crx", "-n", "12"]),
     }
 
     @pytest.fixture
@@ -524,6 +544,35 @@ class TestMemoryBudget:
         ):
             assert main(argv) == 0, argv
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["run_oracle", "circuit_check"])
+    def test_dense_checks_peak_within_check_matrices(self, tmp_path, cli_maxrss, command):
+        """A 1-layer HEA at n = 10 peaks at most CHECK_MATRICES dense
+        matrices above the same command at n = 4 (measured: 3.5)."""
+        peaks = {}
+        for n in (4, 10):
+            template = hea_template(n, 1)
+            c = write(tmp_path, f"c{n}.sq", serialize(template))
+            p = write(tmp_path, f"p{n}.json", json.dumps(
+                {name: 0.3 + 0.01 * k for k, name in enumerate(template.param_names())}))
+            argv = (["run", c, "--oracle"] if command == "run_oracle"
+                    else ["hamiltonian", "--circuit", c, "--check"])
+            code, peaks[n] = cli_maxrss(argv + ["--params", p, "-o", os.devnull])
+            assert code == 0
+        assert (peaks[10] - peaks[4]) * 1024 <= cli.CHECK_MATRICES * 16 * 4 ** 10
+
+    def test_verify_n11_runs_in_300_mib(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_mem_available", lambda: 300 << 20)
+        calls = []
+
+        def sweep(n, i, j):
+            calls.append((n, i, j))
+            return ErrorSweep(f"crx_n{n}_i{i}_j{j}", (0.0,), (0.0,))
+
+        monkeypatch.setattr(cli, "gate_hamiltonian_sweep", sweep)
+        assert main(["verify", "--suite", "crx", "-n", "11", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 11 * 10
+        assert capsys.readouterr().err == ""
 
     def test_estimate_within_available_passes(self, monkeypatch):
         monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 40)

@@ -20,7 +20,7 @@ from sparseq.circuit_ir import GATES
 from sparseq.engine import amplitudes_csv, probabilities_csv
 from sparseq.gate_matrix import dense_gate
 from sparseq.qindex import pair_views
-from sparseq.verify import dense_apply_oracle, random_gate
+from sparseq.verify import random_gate
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
 H = OneQubitGate(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
@@ -470,18 +470,3 @@ class TestProbabilities:
     def test_csv_format(self):
         text = probabilities_csv(StateVector.zero(1))
         assert text == "index,probability\n0,1.0\n1,0.0\n"
-
-
-class TestDenseApplyOracle:
-    def test_identity(self, rng):
-        s = random_state(rng, 3)
-        out = dense_apply_oracle(np.eye(8), s)
-        np.testing.assert_allclose(out.amps, s.amps, atol=0)
-
-    def test_cnot_dense(self):
-        out = dense_apply_oracle(dense_gate(2, 2, X, 1), StateVector.basis(2, 2))
-        assert np.array_equal(out.amps, StateVector.basis(2, 3).amps)
-
-    def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            dense_apply_oracle(np.eye(4), random_state(rng, 3))
