@@ -365,7 +365,7 @@ def circuit_hamiltonians(circuit: Circuit) -> list[HamiltonianGroup]:
         run.clear()
 
     for op in circuit.ops:
-        if op.is_controlled:
+        if op.i is not None:
             flush()
             h = controlled_gate_hamiltonian(circuit.n, op.i, op.j, op.u)
             groups.append(HamiltonianGroup("controlled", (h,)))

@@ -8,12 +8,13 @@ output), 2 usage or parse error, 3 validation error, a register too large
 for memory or a tolerance that is not a finite number >= 0 included. The
 QSIM_TOL environment variable overrides the default of 1e-12; --tol beats both.
 
-Dense checks that gate_matrix.check_dense_cap refuses (above 12 qubits) and
-verify sizes out of range exit 3 before any output. Before a command
-allocates its state, Hamiltonian terms or dense check matrices, it estimates
-their peak bytes and refuses (exit 3) when the estimate exceeds MemAvailable
-in /proc/meminfo. Estimates up to BUDGET_FREE_BYTES skip that read. Then
-`hamiltonian` refuses (exit 3) schema-1 text above hamiltonian.JSON_MAX_BYTES.
+Dense checks and `build-gate --dense` that gate_matrix.check_dense_cap
+refuses (above 12 qubits) and verify sizes out of range exit 3 before any
+output. Before a command allocates its state, streams its text or builds
+dense check matrices, it estimates their peak bytes and refuses (exit 3)
+when the estimate exceeds MemAvailable in /proc/meminfo. Estimates up to
+BUDGET_FREE_BYTES skip that read. Then `hamiltonian` refuses (exit 3)
+schema-1 text above hamiltonian.JSON_MAX_BYTES.
 """
 from __future__ import annotations
 
@@ -54,25 +55,22 @@ BUDGET_FREE_BYTES = 256 << 20
 
 # Peak memory per unit of work, measured with child ru_maxrss (CPython 3.11,
 # numpy 2.4) and rounded up. `run` holds about 200 bytes per amplitude: the
-# state and the Python text of its output line. TERM_BYTES and
-# TERM_BUILD_BYTES price a Hamiltonian as packed terms, which over-counts its
-# O(1) stored form. They price memory only: the schema-1 text is bounded by
-# hamiltonian.check_json_size (`hamiltonian -n 20 -j 1 --gate x` prices
-# 168 MiB of memory and about 6.6 TB of text). Counted in complex 2^n x 2^n
-# matrices alive at once: 4 for every dense check, `hamiltonian --check`,
-# `run --oracle` and the verify suites alike, which peak at 3.2-3.9 beyond
-# the interpreter at n = 10..12 (reconstruction_error: the oracle's matrix
-# and the identity the exponentials are applied to, then 1.5 matrices in the
+# state and the Python text of its output line. The streamed text writers,
+# `build-gate` (with or without --dense) and `hamiltonian`, hold a few pieces
+# of text and index arrays: 24-69 bytes per amplitude above n = 4 at
+# n = 14 and 16, whatever the gate count. They price memory only: the schema-1
+# text is bounded by hamiltonian.check_json_size (`hamiltonian -n 20 -j 1
+# --gate x` prices 80 MiB of memory and about 6.6 TB of text), and --dense
+# text by check_dense_cap. Every dense check, `hamiltonian --check`,
+# `run --oracle` and the verify suites alike, is priced at 4 complex
+# 2^n x 2^n matrices alive at once; each peaks at 3.2-3.9 beyond the
+# interpreter at n = 10..12 (reconstruction_error: the oracle's matrix and
+# the identity the exponentials are applied to, then 1.5 matrices in the
 # error's temporaries or in the buffer of a two-row exponential;
-# oracle_deviation: a controlled gate's two Kronecker terms and their sum),
-# 2 for --dense: it streams its rows, but a caller that captures stdout holds
-# all of its text.
+# oracle_deviation: a controlled gate's two Kronecker terms and their sum).
 RUN_BYTES_PER_AMP = 208
-SPARSE_BYTES_PER_ROW = 80
-TERM_BYTES = 56
-TERM_BUILD_BYTES = 112
+TEXT_BYTES_PER_AMP = 80
 CHECK_MATRICES = 4
-DENSE_JSON_MATRICES = 2
 
 
 def _tolerance(args) -> float:
@@ -99,8 +97,12 @@ def _mem_available(path: str = "/proc/meminfo") -> int | None:
 def _require_memory(what: str, n: int, per_amp: int, matrices: int = 0):
     """Refuse with MemoryError (exit 3), before allocating, when per_amp
     bytes per amplitude plus `matrices` dense complex matrices on n qubits
-    exceed MemAvailable. n is clamped to 0..64 so that a hostile register
-    size stays a small integer: 2^64 of anything exceeds every memory."""
+    exceed MemAvailable. Dense matrices above the cap are refused first,
+    with check_dense_cap's ValueError. n is clamped to 0..64 so that a
+    hostile register size stays a small integer: 2^64 of anything exceeds
+    every memory."""
+    if matrices:
+        check_dense_cap(n)
     dim = 1 << min(max(n, 0), 64)
     nbytes = dim * per_amp + matrices * 16 * dim * dim
     if nbytes <= BUDGET_FREE_BYTES:
@@ -144,9 +146,9 @@ def _ended(chunks):
 
 
 def cmd_build_gate(args) -> int:
-    _require_memory(
-        "build-gate", args.n, SPARSE_BYTES_PER_ROW, DENSE_JSON_MATRICES if args.dense else 0
-    )
+    if args.dense:
+        check_dense_cap(args.n)
+    _require_memory("build-gate", args.n, TEXT_BYTES_PER_AMP)
     sparse = SparseUnitary(args.n, args.j, parse_gate_spec(args.gate), args.i)
     _write(_ended(sparse.json_chunks(dense=args.dense)), args.output)
     return 0
@@ -167,15 +169,12 @@ def cmd_hamiltonian(args) -> int:
         print(f"hamiltonian: {usage}", file=sys.stderr)
         return 2
     if single:
-        n, what, ops = args.n, "hamiltonian", 1
+        n, what = args.n, "hamiltonian"
     else:
         circuit = bind(parse_circuit(Path(args.circuit).read_text(encoding="utf-8")),
                        _load_params(args.params))
-        n, what, ops = circuit.n, "hamiltonian --circuit", len(circuit.ops)
-    if args.check:
-        check_dense_cap(n)
-    _require_memory(what, n, TERM_BYTES * ops + TERM_BUILD_BYTES,
-                    CHECK_MATRICES if args.check else 0)
+        n, what = circuit.n, "hamiltonian --circuit"
+    _require_memory(what, n, TEXT_BYTES_PER_AMP, CHECK_MATRICES if args.check else 0)
     if single:
         circuit = Circuit(n, (GateOp(args.j, parse_gate_spec(args.gate), args.i),))
     groups = circuit_hamiltonians(circuit)
@@ -186,7 +185,7 @@ def cmd_hamiltonian(args) -> int:
         error = reconstruction_error(circuit, groups)
         print(f"reconstruction_error={error!r}")
         # Products accumulate; a circuit scales the per-factor tolerance by 10*K.
-        return 0 if error <= (tol if single else 10 * max(1, ops) * tol) else 1
+        return 0 if error <= (tol if single else 10 * max(1, len(circuit.ops)) * tol) else 1
     return 0
 
 
@@ -204,15 +203,9 @@ def cmd_run(args) -> int:
     tol = _tolerance(args)
     template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
     circuit = bind(template, _load_params(args.params))
-    if args.oracle:
-        check_dense_cap(circuit.n)
     _require_memory("run", circuit.n, RUN_BYTES_PER_AMP, CHECK_MATRICES if args.oracle else 0)
     if args.input is not None:
         state = StateVector.from_json(Path(args.input).read_text(encoding="utf-8"))
-        if state.n != circuit.n:
-            raise ValueError(
-                f"input state has {state.n} qubits, circuit {circuit.n}"
-            )
     else:
         state = StateVector.zero(circuit.n)
     initial = state.copy() if args.oracle else None

@@ -151,8 +151,7 @@ class StateVector:
     __slots__ = ("n", "amps")
 
     def __init__(self, n: int, amps: np.ndarray | None = None):
-        if n < 1:
-            raise ValueError("need at least one qubit")
+        check_placement(n, 1)
         dim = 1 << n
         if amps is None:
             amps = np.zeros(dim, dtype=complex)
@@ -224,10 +223,6 @@ class GateOp:
     u: OneQubitGate
     i: int | None = None
     name: str = "u"
-
-    @property
-    def is_controlled(self) -> bool:
-        return self.i is not None
 
 
 @dataclass(frozen=True)

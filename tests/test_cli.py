@@ -20,9 +20,17 @@ from sparseq import (
     frobenius_error,
     verify,
 )
-from sparseq.circuit_ir import GATES, bind, hea_template, parse_circuit, serialize
+from sparseq.circuit_ir import (
+    GATES,
+    bind,
+    circuit_hamiltonians,
+    hea_template,
+    parse_circuit,
+    serialize,
+)
 from sparseq.cli import main, parse_gate_spec
 from sparseq.engine import NORM_TOL, StateVector, run_circuit
+from sparseq.hamiltonian import circuit_json_chunks
 from sparseq.qindex import check_placement
 from sparseq.verify import random_gate
 
@@ -447,6 +455,26 @@ class TestRunCommand:
         state = write(tmp_path, "s.json", json.dumps([[1.0, 0.0], [0.0, 0.0]]))
         assert main(["run", circuit, "--input", state]) == 3
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_wrong_register_input_is_refused_by_run_circuit(self, tmp_path, capsys, oracle):
+        circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")
+        state = write(tmp_path, "s.json", json.dumps([[0.5, 0.0]] * 4))
+        out = tmp_path / "out.csv"
+        argv = ["run", circuit, "--input", state, "-o", str(out)]
+        assert main(argv + (["--oracle"] if oracle else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: state has 2 qubits, circuit 1\n"
+        assert not out.exists()
+
+    def test_one_amplitude_input_gets_the_register_message(self, tmp_path, capsys):
+        circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")
+        state = write(tmp_path, "s.json", "[[1.0, 0.0]]")
+        assert main(["run", circuit, "--input", state]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: register size 0 must be at least 1 qubit\n"
+
     @pytest.mark.parametrize("text", [
         "5", "[1, 2]", '["ab", "cd"]', "[[1.0, 0.0], [0.0]]", "[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]",
         '[[1.0, 0.0], [0.0, "0"]]', "[[1.0, 0.0], [0.0, null]]", "{}",
@@ -495,12 +523,11 @@ class TestMemoryBudget:
     REFUSED = {
         "run": ("qubits 21\nrx q1 0.1\n", ["run", "{c}"]),
         "run_oracle": ("qubits 11\nrx q1 0.1\n", ["run", "{c}", "--oracle"]),
-        "hamiltonian": (None, ["hamiltonian", "-n", "21", "-j", "1", "--gate", "x"]),
+        "hamiltonian": (None, ["hamiltonian", "-n", "22", "-j", "1", "--gate", "x"]),
         "hamiltonian_check": (None, ["hamiltonian", "-n", "11", "-i", "2", "-j", "1",
                                      "--gate", "x", "--check"]),
         "circuit_check": ("qubits 11\nrx q1 0.1\ncx q1 q2\n",
                           ["hamiltonian", "--circuit", "{c}", "--check"]),
-        "build_gate_dense": (None, ["build-gate", "-n", "12", "-j", "1", "--gate", "x", "--dense"]),
         "verify": (None, ["verify", "--suite", "crx", "-n", "12"]),
     }
 
@@ -560,6 +587,34 @@ class TestMemoryBudget:
             code, peaks[n] = cli_maxrss(argv + ["--params", p, "-o", os.devnull])
             assert code == 0
         assert (peaks[10] - peaks[4]) * 1024 <= cli.CHECK_MATRICES * 16 * 4 ** 10
+
+    @pytest.mark.parametrize("argv, n", [
+        (["hamiltonian", "-n", "{n}", "-j", "1", "--gate", "x"], 14),
+        (["hamiltonian", "-n", "{n}", "-i", "{n}", "-j", "1", "--gate", "rx:0.7"], 14),
+        (["build-gate", "-n", "{n}", "-j", "1", "--gate", "x"], 16),
+    ])
+    def test_text_writers_peak_within_text_bytes_per_amp(self, cli_maxrss, argv, n):
+        """The streamed writers peak at most TEXT_BYTES_PER_AMP per amplitude,
+        plus 1 MiB, above the same command at n = 4 (measured: 24-69)."""
+        peaks = {}
+        for size in (4, n):
+            code, peaks[size] = cli_maxrss([a.format(n=size) for a in argv] + ["-o", os.devnull])
+            assert code == 0
+        assert (peaks[n] - peaks[4]) * 1024 <= cli.TEXT_BYTES_PER_AMP * 2 ** n + (1 << 20)
+
+    def test_identity_circuit_on_22_qubits_runs_in_1_gib(self, tmp_path, capsys, monkeypatch):
+        """A Hamiltonian stores O(1) whatever n and K are, so 40 gates on 22
+        qubits are priced like one."""
+        monkeypatch.setattr(cli, "_mem_available", lambda: 1 << 30)
+        text = "qubits 22\n" + "u q1 i\n" * 40
+        out = tmp_path / "h.json"
+        circuit_file = write(tmp_path, "c.sq", text)
+        assert main(["hamiltonian", "--circuit", circuit_file, "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        circuit = bind(parse_circuit(text), {})
+        expected = "".join(circuit_json_chunks(22, circuit_hamiltonians(circuit))) + "\n"
+        assert out.read_text() == expected
+        assert len(expected) == 3315
 
     def test_verify_n11_runs_in_300_mib(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_mem_available", lambda: 300 << 20)
@@ -737,6 +792,31 @@ class TestRefusedBeforeOutput:
         assert captured.out == ""
         assert captured.err == self.CAP
         assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_dense_build_gate_above_the_cap_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                           to_file):
+        """--dense text grows as 4^n, so it obeys the dense cap, before the
+        memory estimate reads MemAvailable."""
+        reads = []
+
+        def available():
+            reads.append(1)
+            return 64 << 30
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a gate whose dense text is refused")
+
+        monkeypatch.setattr(cli, "_mem_available", available)
+        monkeypatch.setattr(cli, "SparseUnitary", refuse)
+        out = tmp_path / "g.json"
+        argv = ["build-gate", "-n", "13", "-j", "1", "--gate", "x", "--dense"]
+        assert main(argv + (["-o", str(out)] if to_file else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.CAP
+        assert not out.exists()
+        assert reads == []
 
     TEXT = "validation error: schema-1 text of about 6291456 MiB exceeds the 4096 MiB bound\n"
 

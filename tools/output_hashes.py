@@ -171,6 +171,9 @@ def write_inputs(work: Path):
     (work / "state.json").write_text(json.dumps(amps), encoding="utf-8")
     (work / "bools.json").write_text("[[true, false], [0, 0], [0, 0], [0, 0]]", encoding="utf-8")
     (work / "nan.json").write_text('{"a": NaN, "b": -1.3}', encoding="utf-8")
+    (work / "id21.sq").write_text("qubits 21\n" + "u q1 i\n" * 40, encoding="utf-8")
+    (work / "x1.sq").write_text("qubits 1\nu q1 x\n", encoding="utf-8")
+    (work / "amp1.json").write_text("[[1.0, 0.0]]", encoding="utf-8")
 
 
 def corpus():
@@ -277,6 +280,13 @@ def corpus():
     yield ["hamiltonian", "--circuit", "bell.sq", "-n", "2", "-j", "1", "--gate", "x", "-o", "out"]
     yield ["hamiltonian", "--circuit", "bell.sq", "-i", "1", "--check", "-o", "out"]
     yield ["hamiltonian", "-n", "5", "-j", "2", "--gate", "x", "--params", "mixed.json", "-o", "out"]
+    # 40 identity gates on 21 qubits: the text and its memory price hold no
+    # gate count. Then input states whose register is not the circuit's:
+    # two qubits for one, and one amplitude.
+    yield ["hamiltonian", "--circuit", "id21.sq", "-o", "out"]
+    yield ["run", "x1.sq", "--input", "state.json", "-o", "out"]
+    yield ["run", "x1.sq", "--input", "state.json", "--oracle", "-o", "out"]
+    yield ["run", "x1.sq", "--input", "amp1.json", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
