@@ -1,5 +1,5 @@
-"""Single-qubit gate primitives: rotation gates, closed-form 2x2 eigenpairs,
-and eigenvalue phases on the principal branch."""
+"""Single-qubit gate primitives: rotation gates, exact closed-form 2x2
+eigenpairs on Python scalars, and eigenvalue phases on the principal branch."""
 from __future__ import annotations
 
 import cmath
@@ -10,13 +10,6 @@ import numpy as np
 
 #: Entrywise tolerance for unitarity validation and phase extraction.
 DEFAULT_TOL = 1e-12
-
-#: Below this eigenvalue gap a 2x2 unitary is treated as a scalar multiple of
-#: the identity and the canonical basis is returned.
-DEGENERACY_GAP = 1e-10
-
-_E1 = np.array([1, 0], dtype=complex)
-_E2 = np.array([0, 1], dtype=complex)
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -129,38 +122,36 @@ def rotation_gate(axis: str, theta: float) -> OneQubitGate:
     return OneQubitGate(m)
 
 
-def _phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rescale a unit vector so its largest-magnitude entry is real positive."""
-    k = np.abs(v).argmax()
-    p = v[k] / abs(v[k])
-    return v * p.conjugate()
+def _phase_normalize(a: complex, b: complex) -> tuple[complex, complex]:
+    """Rescale a unit vector so its larger-magnitude entry (a on a tie) is
+    real positive."""
+    x = a if abs(a) >= abs(b) else b
+    p = (x / abs(x)).conjugate()
+    return a * p, b * p
 
 
 def eigenpairs_2x2(u: OneQubitGate) -> tuple[EigenPair2, EigenPair2]:
-    """Closed-form orthonormal eigenpairs of a 2x2 unitary.
+    """Closed-form orthonormal eigenpairs of a 2x2 unitary, on Python scalars.
 
-    A unitary is normal, so eigenvectors of distinct eigenvalues are
-    orthogonal; the second vector is taken as the orthogonal complement of
-    the first. Diagonal input keeps the canonical basis, and a degenerate
-    spectrum (gap < 1e-10) also falls back to it, since then U = lambda*I.
+    The gap lam1 - lam2 = sqrt((u11 - u22)^2 + 4 u12 u21) holds no trace and
+    no determinant, so it does not cancel near a multiple of the identity.
+    Diagonal input keeps the canonical basis; a unitary with equal
+    eigenvalues is lam*I, which is diagonal. A unitary is normal, so the
+    second vector is the orthogonal complement of the first.
     """
-    m = u.matrix
-    u11, u12, u21, u22 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    (u11, u12), (u21, u22) = u.matrix.tolist()
     if u12 == 0 and u21 == 0:
-        return EigenPair2(u11, _E1), EigenPair2(u22, _E2)
-    tr = u11 + u22
-    det = u11 * u22 - u12 * u21
-    disc = np.sqrt(complex(tr * tr - 4 * det))
-    lam1 = (tr + disc) / 2
-    lam2 = (tr - disc) / 2
-    if abs(lam1 - lam2) < DEGENERACY_GAP:
-        return EigenPair2(lam1, _E1), EigenPair2(lam2, _E2)
-    # Columns of (U - lam2*I) span the lam1 eigenspace; take the larger one.
-    c1 = np.array([u11 - lam2, u21])
-    c2 = np.array([u12, u22 - lam2])
-    n1, n2 = np.linalg.norm(c1), np.linalg.norm(c2)
-    v1 = _phase_normalize(c1 / n1 if n1 >= n2 else c2 / n2)
-    v2 = _phase_normalize(np.array([-v1[1].conjugate(), v1[0].conjugate()]))
+        return EigenPair2(u11, (1, 0)), EigenPair2(u22, (0, 1))
+    d = u11 - u22
+    gap = cmath.sqrt(d * d + 4 * u12 * u21)
+    lam1 = (u11 + u22 + gap) / 2
+    lam2 = (u11 + u22 - gap) / 2
+    # Columns of 2(U - lam2*I) span the lam1 eigenspace; take the larger one.
+    c1, c2 = (d + gap, 2 * u21), (2 * u12, gap - d)
+    n1, n2 = (math.hypot(abs(x), abs(y)) for x, y in (c1, c2))
+    (x, y), norm = (c1, n1) if n1 >= n2 else (c2, n2)
+    v1 = _phase_normalize(x / norm, y / norm)
+    v2 = _phase_normalize(-v1[1].conjugate(), v1[0].conjugate())
     return EigenPair2(lam1, v1), EigenPair2(lam2, v2)
 
 

@@ -1,7 +1,8 @@
 """apply_exp_minus_ih, the one route to e^{-iH}, against independent routes:
-the Kronecker oracle dense_gate on random states and matrices for every
-GATES entry and every placement with n <= 7, and the paper's reference
-eigenpairs of the target-pair and straddled blocks."""
+the Kronecker oracle dense_gate of the gate itself on random states and
+matrices for every GATES entry and every placement with n <= 7, at angles
+near the identity included, and the paper's reference eigenpairs of the
+target-pair and straddled blocks."""
 import math
 
 import numpy as np
@@ -30,7 +31,12 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=8, database=No
 TOL = 1e-13
 MAX_N = 7
 
-turns = st.floats(-math.pi, math.pi)
+#: Any angle, or one near the identity or near -I: +-10^-k and 2pi - 10^-k.
+turns = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([s * 10.0 ** -k for k in range(1, 17) for s in (1, -1)]
+                    + [2 * math.pi - 10.0 ** -k for k in (6, 9, 12)]),
+)
 
 
 def placements(controlled):
@@ -65,16 +71,6 @@ def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def rows_gate(h):
-    """The 2x2 unitary I + sum_s (e^{-iz_s} - 1) v_s v_s† that h's rows spell
-    out, built here with np.outer. It differs from the gate h was lifted
-    from only by the accuracy of core.eigenpairs_2x2."""
-    m = np.eye(2, dtype=complex)
-    for z, v in zip(h.weights, h.vectors):
-        m += (np.exp(-1j * z) - 1.0) * np.outer(v, v.conj())
-    return OneQubitGate(m)
-
-
 def check_against(oracle_gate, h, rng, columns):
     n, j, i = h.n, h.j, h.i
     oracle = dense_gate(n, j, oracle_gate, i)
@@ -90,14 +86,12 @@ def check_against(oracle_gate, h, rng, columns):
 @PROPERTY
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5))
 def test_every_gate_matches_the_kronecker_oracle_of_its_rows(name, data, seed, columns):
-    """Against dense_gate of rows_gate(h), so that the route is judged apart
-    from the eigenpairs: near the identity (rx at 1e-4) those are off by
-    1.3e-13 in the 2x2, and the gate's own oracle would see that."""
+    """Against dense_gate of the gate itself, so that the eigenpairs the rows
+    come from are judged too, near the identity included."""
     u = data.draw(gates(name))
     rng = np.random.default_rng(seed)
     for n, j, i in placements(GATES[name].controlled):
-        h = hamiltonian(n, j, i, u)
-        check_against(rows_gate(h), h, rng, columns)
+        check_against(u, hamiltonian(n, j, i, u), rng, columns)
 
 
 def test_table_gates_match_their_kronecker_oracle(table_gates, rng):

@@ -188,11 +188,49 @@ class TestEigenpairs2x2:
         np.testing.assert_allclose(p1.vector, [s, s], atol=1e-15)
         np.testing.assert_allclose(p2.vector, [s, -s], atol=1e-15)
 
-    def test_identity_degenerate_branch(self):
+    def test_identity_takes_the_diagonal_branch(self):
         p1, p2 = eigenpairs_2x2(OneQubitGate(np.eye(2)))
         assert p1.value == 1.0 and p2.value == 1.0
         assert np.array_equal(p1.vector, [1, 0])
         assert np.array_equal(p2.vector, [0, 1])
+
+    #: Eigenpairs pinned bit for bit, signed zeros included: per gate, each
+    #: pair's value and vector entries as (re, im). "cu" is the explicit gate
+    #: [[0.6, 0.8i], [0.8i, 0.6]] of a cu statement.
+    PINNED = {
+        "h": [((0.9999999999999999, 0.0), [(0.9238795325112867, 0.0), (0.3826834323650897, 0.0)]),
+              ((-0.9999999999999999, 0.0), [(-0.3826834323650897, 0.0), (0.9238795325112867, 0.0)])],
+        "rx:0.7": [((0.9393727128473789, 0.34289780745545134),
+                    [(0.7071067811865475, 0.0), (-0.7071067811865475, -0.0)]),
+                   ((0.9393727128473789, -0.34289780745545134),
+                    [(0.7071067811865475, 0.0), (0.7071067811865475, 0.0)])],
+        "ry:-2.1": [((0.49757104789172696, 0.867423225594017),
+                     [(0.7071067811865476, 0.0), (0.0, 0.7071067811865476)]),
+                    ((0.49757104789172696, -0.867423225594017),
+                     [(0.7071067811865476, 0.0), (0.0, -0.7071067811865476)])],
+        "cu": [
+            ((0.6, 0.8), [(0.7071067811865476, 0.0), (0.7071067811865476, 0.0)]),
+            ((0.6, -0.8), [(0.7071067811865476, 0.0), (-0.7071067811865476, 0.0)])],
+    }
+
+    def test_pinned_bits(self):
+        cu = bind(parse_circuit("qubits 2\ncu q1 q2 0.6,0.0 0.0,0.8 0.0,0.8 0.6,0.0\n")).ops[0].u
+        gates = {
+            "h": GATES["h"].fixed,
+            "rx:0.7": rotation_gate("X", 0.7),
+            "ry:-2.1": rotation_gate("Y", -2.1),
+            "cu": cu,
+        }
+
+        def bits(*entries):
+            return np.array([complex(re, im) for re, im in entries]).tobytes()
+
+        for spec, u in gates.items():
+            for pair, (value, vector) in zip(eigenpairs_2x2(u), self.PINNED[spec], strict=True):
+                assert type(pair.value) is complex, spec
+                assert bits((pair.value.real, pair.value.imag)) == bits(value), spec
+                assert pair.vector.tobytes() == bits(*vector), spec
+                assert not pair.vector.flags.writeable
 
     def test_diagonal_keeps_canonical_basis(self):
         theta = 0.9

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -22,7 +23,8 @@ from sparseq import (
     target_pair_block,
     target_pair_eigenpairs,
 )
-from sparseq.verify import random_gate
+from sparseq.engine import Circuit, GateOp
+from sparseq.verify import random_gate, reconstruction_error
 
 X = OneQubitGate(np.array([[0, 1], [1, 0]]))
 EYE = OneQubitGate(np.eye(2))
@@ -366,3 +368,27 @@ class TestExponentialAndDense:
         w = np.array([[complex(re, im) for re, im in t["w"]] for t in parsed["terms"]]).T
         z = np.array([t["z"] for t in parsed["terms"]])
         np.testing.assert_allclose((w * z) @ w.conj().T, h.to_dense(), atol=0)
+
+
+class TestTinyOffDiagonals:
+    """Off-diagonal entries whose products underflow to zero. The column
+    norms are hypots of moduli, which do not underflow, so the rows stay
+    finite unit vectors and the gate is rebuilt exactly."""
+
+    @pytest.mark.parametrize("off", [(1e-200j, 1e-200j), (-1e-200j, -1e-200j), (1e-200j, -1e-200j),
+                                     (5e-324, -5e-324), (5e-324, 5e-324)])
+    @pytest.mark.parametrize("phases", [(0.3, 0.3), (0.3, -0.3)])
+    def test_finite_unit_rows_and_exact_reconstruction(self, off, phases):
+        u = OneQubitGate([[cmath.exp(1j * phases[0]), off[0]], [off[1], cmath.exp(1j * phases[1])]])
+        for n in range(1, 4):
+            for j in range(1, n + 1):
+                for i in [None, *(q for q in range(1, n + 1) if q != j)]:
+                    if i is None:
+                        h = embedded_gate_hamiltonian(n, j, u)
+                    else:
+                        h = controlled_gate_hamiltonian(n, i, j, u)
+                    assert len(h.weights) == 2
+                    assert np.all(np.isfinite(h.vectors)) and np.all(np.isfinite(h.weights))
+                    assert np.max(np.abs(np.linalg.norm(h.vectors, axis=1) - 1)) <= 1e-15
+                    error = reconstruction_error(Circuit(n, (GateOp(j, u, i=i),)))
+                    assert error <= 1e-12, (n, j, i, error)

@@ -11,9 +11,10 @@ from sparseq import (
     frobenius_error,
     gate_hamiltonian_sweep,
     string_hamiltonian_sweep,
+    verify,
 )
 from sparseq.circuit_ir import GATES, bind, circuit_hamiltonians, groups_unitary, hea_template
-from sparseq.core import rotation_gate
+from sparseq.core import DEFAULT_TOL, rotation_gate
 from sparseq.engine import Circuit, GateOp
 from sparseq.gate_matrix import dense_gate, kron_chain
 from sparseq.hamiltonian import (
@@ -260,3 +261,32 @@ class TestDenseCircuitUnitary:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 16 * 4 ** n
+
+
+#: Rotation angles near the identity and near -I, where a discriminant with
+#: the trace and determinant in it cancels: +-10^-k for k = 1..16, +-pi, and
+#: 2pi - 10^-k for k = 6, 9, 12.
+NEAR_IDENTITY_ANGLES = [
+    *(s * 10.0 ** -k for k in range(1, 17) for s in (1, -1)),
+    math.pi, -math.pi,
+    *(2 * math.pi - 10.0 ** -k for k in (6, 9, 12)),
+]
+
+
+class TestNearIdentityReconstruction:
+    @pytest.mark.parametrize("name", ["rx", "ry", "rz", "crx", "cry", "crz"])
+    def test_every_placement_reconstructs_within_the_default_tolerance(self, name):
+        """The check of `hamiltonian --check` on one rotation at every angle
+        of NEAR_IDENTITY_ANGLES and every placement with n <= 4."""
+        kind = GATES[name]
+        failures = []
+        for theta in NEAR_IDENTITY_ANGLES:
+            u = rotation_gate(kind.axis, theta)
+            for n in range(1, 5):
+                for j in range(1, n + 1):
+                    controls = [i for i in range(1, n + 1) if i != j] if kind.controlled else [None]
+                    for i in controls:
+                        error = verify.reconstruction_error(Circuit(n, (GateOp(j, u, i=i),)))
+                        if not error <= DEFAULT_TOL:
+                            failures.append((theta, n, j, i, error))
+        assert failures == []

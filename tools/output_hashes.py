@@ -34,8 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-#: Single-qubit gate specs of the corpus: every fixed gate, and rotations
-#: with signed-zero, exact-zero and near-degenerate eigenvectors.
+#: Single-qubit gate specs of the corpus: every fixed gate, rotations with
+#: signed-zero and exact-zero eigenvector entries, and a rotation near the
+#: identity, whose two eigenvalues differ by 1e-9.
 GATE_SPECS = ("x", "y", "z", "h", "i", "s", "t", "rx:0.7", "ry:-2.1", "rz:2.5", "rx:1e-9")
 
 MIXED = """qubits 5
@@ -112,6 +113,16 @@ cy q13 q15
 crz q14 q16 1.1
 """
 
+#: Controlled rotations at a = 1e-9, an rx at b = 2pi - 1.2e-9, and a
+#: controlled gate whose off-diagonal entries are -1e-200j.
+NEAR = """qubits 3
+crx q1 q3 $a
+cry q3 q2 $a
+crz q2 q1 $a
+rx q2 $b
+cu q1 q2 1 0,-1e-200 0,-1e-200 1
+"""
+
 #: A unit state is accepted within NORM_TOL = 1e-10 of norm 1.
 NORM_TOL = 1e-10
 
@@ -174,6 +185,8 @@ def write_inputs(work: Path):
     (work / "id21.sq").write_text("qubits 21\n" + "u q1 i\n" * 40, encoding="utf-8")
     (work / "x1.sq").write_text("qubits 1\nu q1 x\n", encoding="utf-8")
     (work / "amp1.json").write_text("[[1.0, 0.0]]", encoding="utf-8")
+    (work / "near.sq").write_text(NEAR, encoding="utf-8")
+    (work / "near.json").write_text(json.dumps({"a": 1e-9, "b": 6.283185306}), encoding="utf-8")
 
 
 def corpus():
@@ -287,6 +300,11 @@ def corpus():
     yield ["run", "x1.sq", "--input", "state.json", "-o", "out"]
     yield ["run", "x1.sq", "--input", "state.json", "--oracle", "-o", "out"]
     yield ["run", "x1.sq", "--input", "amp1.json", "-o", "out"]
+    # Rotations near the identity and near -I, and a circuit of them with a
+    # gate whose off-diagonal product underflows to zero.
+    for spec in ("ry:1e-12", "rx:6.283185306", "ry:-1e-16"):
+        yield ["hamiltonian", "-n", "2", "-i", "1", "-j", "2", "--gate", spec, "--check", "-o", "out"]
+    yield ["hamiltonian", "--circuit", "near.sq", "--params", "near.json", "--check", "-o", "out"]
 
 
 def sha256(data: bytes) -> str:
