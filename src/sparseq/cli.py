@@ -10,11 +10,12 @@ QSIM_TOL environment variable overrides the default of 1e-12; --tol beats both.
 
 Dense checks and `build-gate --dense` that gate_matrix.check_dense_cap
 refuses (above 12 qubits) and verify sizes out of range exit 3 before any
-output. Before a command allocates its state, streams its text or builds
-dense check matrices, it estimates their peak bytes and refuses (exit 3)
-when the estimate exceeds MemAvailable in /proc/meminfo. Estimates up to
-BUDGET_FREE_BYTES skip that read. Then `hamiltonian` refuses (exit 3)
-schema-1 text above hamiltonian.JSON_MAX_BYTES.
+output. Before a command allocates its state, parses a JSON input file,
+streams its text or builds dense check matrices, it estimates their peak
+bytes and refuses (exit 3) when the estimate exceeds MemAvailable in
+/proc/meminfo. Estimates up to BUDGET_FREE_BYTES skip that read. Then
+`hamiltonian` refuses (exit 3) schema-1 text above
+hamiltonian.JSON_MAX_BYTES.
 """
 from __future__ import annotations
 
@@ -66,11 +67,17 @@ BUDGET_FREE_BYTES = 256 << 20
 # 2^n x 2^n matrices alive at once; each peaks at 3.2-3.9 beyond the
 # interpreter at n = 10..12 (reconstruction_error: the oracle's matrix and
 # the identity the exponentials are applied to, then 1.5 matrices in the
-# error's temporaries or in the buffer of a two-row exponential;
+# error's temporaries or in an exponential's three half-size products;
 # oracle_deviation: a controlled gate's two Kronecker terms and their sum).
 RUN_BYTES_PER_AMP = 208
 TEXT_BYTES_PER_AMP = 80
 CHECK_MATRICES = 4
+
+# Parsing a JSON input file (`--input`, `--params`) peaks beyond the
+# interpreter at 5 bytes per byte of file for 17-digit amplitudes, 25 for
+# `[[1,0],[0,0],...]` and up to 64 for lists nested 40-60 deep (child
+# ru_maxrss, files of 6-51 MB); the file's size is priced before it is read.
+JSON_BYTES_PER_BYTE = 72
 
 
 def _tolerance(args) -> float:
@@ -104,7 +111,12 @@ def _require_memory(what: str, n: int, per_amp: int, matrices: int = 0):
     if matrices:
         check_dense_cap(n)
     dim = 1 << min(max(n, 0), 64)
-    nbytes = dim * per_amp + matrices * 16 * dim * dim
+    _require_bytes(what, dim * per_amp + matrices * 16 * dim * dim)
+
+
+def _require_bytes(what: str, nbytes: int):
+    """Refuse with MemoryError (exit 3) when nbytes exceed MemAvailable;
+    up to BUDGET_FREE_BYTES, MemAvailable is not read."""
     if nbytes <= BUDGET_FREE_BYTES:
         return
     available = _mem_available()
@@ -189,11 +201,19 @@ def cmd_hamiltonian(args) -> int:
     return 0
 
 
+def _read_json_text(path: str) -> str:
+    """The text of a JSON input file, read only after its parse is priced at
+    JSON_BYTES_PER_BYTE per byte of file."""
+    file = Path(path)
+    _require_bytes(f"parsing {path}", file.stat().st_size * JSON_BYTES_PER_BYTE)
+    return file.read_text(encoding="utf-8")
+
+
 def _load_params(path: str | None) -> dict:
     """The JSON object in the file at path; bind judges its values."""
     if path is None:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(_read_json_text(path))
     if not isinstance(data, dict):
         raise ValueError("params file must hold a JSON object of name -> value")
     return data
@@ -205,7 +225,7 @@ def cmd_run(args) -> int:
     circuit = bind(template, _load_params(args.params))
     _require_memory("run", circuit.n, RUN_BYTES_PER_AMP, CHECK_MATRICES if args.oracle else 0)
     if args.input is not None:
-        state = StateVector.from_json(Path(args.input).read_text(encoding="utf-8"))
+        state = StateVector.from_json(_read_json_text(args.input))
     else:
         state = StateVector.zero(circuit.n)
     initial = state.copy() if args.oracle else None

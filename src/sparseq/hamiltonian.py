@@ -15,10 +15,11 @@ read. Dense vectors exist only in to_dense, gram_defect and the `terms` view,
 each refused by gate_matrix.check_dense_cap above 12 qubits before it
 allocates.
 
-apply_exp_minus_ih is the one route to e^{-iH}: rank-1 updates on the pair
-views of a state or of a matrix's columns, O(2^n) per column. exp_minus_ih
-applies it to the identity. Lifted vectors on different pairs have disjoint
-support, so orthonormality is checked on the stored rows alone.
+apply_exp_minus_ih is the one route to e^{-iH}, itself 2-sparse: one 2x2
+matrix, built from the rows, mixes the pair views of a state or of a
+matrix's columns, O(2^n) per column. exp_minus_ih applies it to the
+identity. Lifted vectors on different pairs have disjoint support, so
+orthonormality is checked on the stored rows alone.
 
 All schema-1 text is written here (json_chunks, circuit_json_chunks). It
 streams a bounded batch of terms at a time, each term one slice of a window
@@ -306,13 +307,13 @@ def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
     axis has h.dim rows: a state, or a matrix whose columns are transformed.
     Returns a.
 
-    Exact rank-1 updates: on every target pair of rows,
-    a_pair += sum_s (e^{-iz_s} - 1) v_s (v_s† a_pair), valid because every
-    direction outside the terms carries eigenvalue 1. Every projection
-    v_s† a_pair reads the input a, before any update writes it. Rejects,
-    before a is touched, Hamiltonians whose rows are not orthonormal within
-    ORTHO_TOL; rows on different pairs have disjoint support, so that is the
-    whole check.
+    e^{-iH} is 2-sparse like H: on every target pair of rows it is the one
+    2x2 matrix M = I + sum_s (e^{-iz_s} - 1) v_s v_s†, exact because every
+    direction outside the terms carries eigenvalue 1. M is built once on
+    Python scalars and mixes each pair in place. Rejects, before a is
+    touched, Hamiltonians whose rows are not orthonormal within ORTHO_TOL;
+    rows on different pairs have disjoint support, so that is the whole
+    check.
 
     The pairs are qindex.pair_views of a, the index rule the engine kernels
     share, but the 2x2 mix is the Hamiltonian's own. gate_matrix.dense_gate
@@ -325,23 +326,20 @@ def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"need a C-contiguous complex array of {h.dim} rows, got {a.dtype} {a.shape}"
         )
+    if not v:
+        return a
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for c, (v0, v1) in zip((np.exp(-1j * h.weights) - 1.0).tolist(), v):
+        w0, w1 = c * v0, c * v1
+        m00, m01 = m00 + w0 * v0.conjugate(), m01 + w0 * v1.conjugate()
+        m10, m11 = m10 + w1 * v0.conjugate(), m11 + w1 * v1.conjugate()
     low, high = pair_views(a.reshape(-1), h.n, h.j, h.i)
-    coefs = (np.exp(-1j * h.weights) - 1.0).tolist()
-    rows = [(c * v0, c * v1, v0.conjugate(), v1.conjugate()) for c, (v0, v1) in zip(coefs, v)]
-    # One buffer for every projection and the product being added: the same
-    # ufuncs, operands in the same order, as r0 * low + r1 * high and
-    # low += c0 * p, without a fresh half-size array for each.
-    buf = np.empty((len(rows) + 1,) + low.shape, dtype=complex)
-    tmp, projections = buf[0], buf[1:]
-    for (_, _, r0, r1), p in zip(rows, projections):
-        np.multiply(r0, low, out=p)
-        np.multiply(r1, high, out=tmp)
-        np.add(p, tmp, out=p)
-    for (c0, c1, _, _), p in zip(rows, projections):
-        np.multiply(c0, p, out=tmp)
-        np.add(low, tmp, out=low)
-        np.multiply(c1, p, out=tmp)
-        np.add(high, tmp, out=high)
+    # No product is written over its own operand or the other half: numpy
+    # rounds such products unlike fresh ones, so the mix takes three
+    # temporaries and keeps the bits of m00 * low + m01 * high.
+    t0, t1, t2 = m00 * low, m10 * low, m01 * high
+    np.add(t0, t2, out=low)
+    np.add(t1, np.multiply(m11, high, out=t2), out=high)
     return a
 
 

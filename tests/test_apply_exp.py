@@ -1,8 +1,9 @@
 """apply_exp_minus_ih, the one route to e^{-iH}, against independent routes:
 the Kronecker oracle dense_gate of the gate itself on random states and
 matrices for every GATES entry and every placement with n <= 7, at angles
-near the identity included, and the paper's reference eigenpairs of the
-target-pair and straddled blocks."""
+near the identity included, the paper's reference eigenpairs of the
+target-pair and straddled blocks, the Kronecker oracle of whole parsed
+circuits, and the engine on states above the dense cap."""
 import math
 
 import numpy as np
@@ -12,18 +13,24 @@ from hypothesis import given, settings, strategies as st
 from sparseq import (
     LocalHamiltonian,
     OneQubitGate,
+    StateVector,
     apply_exp_minus_ih,
+    bind,
+    circuit_hamiltonians,
     controlled_gate_hamiltonian,
     dense_gate,
     eigenpairs_2x2,
     embedded_gate_hamiltonian,
+    parse_circuit,
     rotation_gate,
+    run_circuit,
     straddled_pair_eigenpairs,
     target_pair_eigenpairs,
 )
 from sparseq.circuit_ir import GATES
+from sparseq.gate_matrix import DENSE_MAX_QUBITS
 from sparseq.qindex import pair_views
-from sparseq.verify import random_gate
+from sparseq.verify import random_circuit, random_gate, reconstruction_error
 
 # Deterministic and small, so tier-1 runs the same examples every time.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=8, database=None)
@@ -133,20 +140,20 @@ def test_refusals_leave_the_input_untouched(rng):
         assert bad.tobytes() == kept.tobytes()
 
 
-def fresh_array_rank1(h, a):
-    """The rank-1 update in its plainest numpy form: a fresh half-size array
-    for every product and sum, and the Gram check by matrix product.
-    apply_exp_minus_ih must give the same bits."""
+def fresh_array_mix(h, a):
+    """e^{-iH} in its plainest numpy form: the pair matrix M built from the
+    rows, then a fresh half-size array for every product and sum, and the
+    Gram check by matrix product. apply_exp_minus_ih must give the same
+    bits."""
     v = h.vectors
     assert np.max(np.abs(v.conj() @ v.T - np.eye(len(v))), initial=0.0) <= 1e-10
     low, high = pair_views(a.reshape(-1), h.n, h.j, h.i)
-    coefs = (np.exp(-1j * h.weights) - 1.0).tolist()
-    rows = [(c * v0, c * v1, v0.conjugate(), v1.conjugate())
-            for c, (v0, v1) in zip(coefs, v.tolist())]
-    projections = [r0 * low + r1 * high for _, _, r0, r1 in rows]
-    for (c0, c1, _, _), p in zip(rows, projections):
-        low += c0 * p
-        high += c1 * p
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for c, (v0, v1) in zip((np.exp(-1j * h.weights) - 1.0).tolist(), v.tolist()):
+        w0, w1 = c * v0, c * v1
+        m00, m01 = m00 + w0 * v0.conjugate(), m01 + w0 * v1.conjugate()
+        m10, m11 = m10 + w1 * v0.conjugate(), m11 + w1 * v1.conjugate()
+    low[...], high[...] = m00 * low + m01 * high, m10 * low + m11 * high
     return a
 
 
@@ -161,7 +168,7 @@ def same_bits(x, y):
     return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-def test_buffered_updates_give_the_bits_of_fresh_arrays(rng):
+def test_in_place_mix_gives_the_bits_of_fresh_arrays(rng):
     """Every placement with n <= 7, 1 and 2 rows, on a state and on a
     matrix, plus full 2^n x 2^n matrices at n = 9, where numpy elides the
     temporary of a sum of two large arrays."""
@@ -172,5 +179,57 @@ def test_buffered_updates_give_the_bits_of_fresh_arrays(rng):
             h = LocalHamiltonian(n, j, i, *seeded_rows(rng, count))
             for shape in ((1 << n,), (1 << n, columns)):
                 a = complex_normal(rng, shape)
-                want = fresh_array_rank1(h, a.copy())
+                want = fresh_array_mix(h, a.copy())
                 assert same_bits(apply_exp_minus_ih(h, a), want), (n, j, i, count, shape)
+
+
+@st.composite
+def circuit_sources(draw):
+    """Source text of up to 12 statements over every GATES kind on n <= 6
+    qubits, with its params: rotation angles are `$t<k>` drawn from turns,
+    explicit unitaries are written entry by entry as re,im."""
+    n = draw(st.integers(1, 6))
+    names = sorted(name for name, kind in GATES.items() if n >= 2 or not kind.controlled)
+    lines, params = [f"qubits {n}"], {}
+    for k in range(draw(st.integers(1, 12))):
+        name = draw(st.sampled_from(names))
+        kind = GATES[name]
+        qubits = draw(st.permutations(range(1, n + 1)))[:1 + kind.controlled]
+        head = "u" if kind.named else name
+        words = [head, *(f"q{q}" for q in qubits)]
+        if kind.named:
+            words.append(name)
+        elif kind.axis is not None:
+            params[f"t{k}"] = draw(turns)
+            words.append(f"$t{k}")
+        elif kind.fixed is None:
+            u = draw(gates(name)).matrix
+            words += [f"{z.real!r},{z.imag!r}" for z in u.reshape(-1).tolist()]
+        lines.append(" ".join(words))
+    return "\n".join(lines) + "\n", params
+
+
+@PROPERTY
+@given(source=circuit_sources())
+def test_parsed_circuits_meet_the_check_bound(source):
+    """The Hamiltonian route of a whole parsed and bound circuit is within
+    the bound of `hamiltonian --circuit --check`, 10 max(1, K) 1e-12, of its
+    Kronecker oracle."""
+    text, params = source
+    circuit = bind(parse_circuit(text), params)
+    assert reconstruction_error(circuit) <= 10 * max(1, len(circuit.ops)) * 1e-12, text
+
+
+def test_exponentials_match_the_engine_above_the_dense_cap():
+    """On n = 13..16 qubits, where no dense oracle exists, every group's
+    exponentials applied to a seeded state give the engine's state."""
+    rng = np.random.default_rng(20261020)
+    for n in range(DENSE_MAX_QUBITS + 1, DENSE_MAX_QUBITS + 5):
+        for _ in range(3):
+            circuit = random_circuit(rng, n, 20)
+            amps = complex_normal(rng, 1 << n)
+            amps /= np.linalg.norm(amps)
+            want = run_circuit(circuit, StateVector(n, amps.copy())).amps
+            for h in (h for g in circuit_hamiltonians(circuit) for h in g.hamiltonians):
+                apply_exp_minus_ih(h, amps)
+            assert np.max(np.abs(amps - want)) <= 1e-14, n

@@ -646,6 +646,56 @@ class TestMemoryBudget:
         assert cli._mem_available(str(tmp_path / "missing")) is None
 
 
+class TestJsonInputPricing:
+    """`--input` and `--params` files are priced from their size, at
+    JSON_BYTES_PER_BYTE per byte, before they are read or parsed."""
+
+    @pytest.fixture
+    def no_parse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed a file that should be refused")
+
+        monkeypatch.setattr(json, "loads", refuse)
+
+    @pytest.mark.parametrize("flag", ["--input", "--params"])
+    def test_large_file_is_refused_before_parsing(self, tmp_path, capsys, monkeypatch, no_parse,
+                                                  flag):
+        """A 2^20-amplitude state, or an object of 2^20 params."""
+        if flag == "--input":
+            text = "[[1,0]" + ",[0,0]" * ((1 << 20) - 1) + "]"
+        else:
+            text = "{" + ",".join(f'"p{k}":0' for k in range(1 << 20)) + "}"
+        path = write(tmp_path, "big.json", text)
+        circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")
+        monkeypatch.setattr(cli, "_mem_available", lambda: 64 << 20)
+        assert main(["run", circuit, flag, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        need = len(text) * cli.JSON_BYTES_PER_BYTE >> 20
+        assert captured.err == (f"validation error: register too large for memory: parsing {path}"
+                                f" needs about {need} MiB, 64 MiB available\n")
+
+    def test_small_files_never_read_meminfo(self, tmp_path, capsys, monkeypatch):
+        def unread():
+            raise AssertionError("MemAvailable read for a small file")
+
+        monkeypatch.setattr(cli, "_mem_available", unread)
+        circuit = write(tmp_path, "c.sq", "qubits 1\nrx q1 $a\n")
+        state = write(tmp_path, "s.json", json.dumps([[0.0, 0.0], [1.0, 0.0]]))
+        params = write(tmp_path, "p.json", json.dumps({"a": 0.5}))
+        assert main(["run", circuit, "--input", state, "--params", params]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flag", ["--input", "--params"])
+    def test_missing_file_keeps_its_io_error(self, tmp_path, capsys, flag):
+        circuit = write(tmp_path, "c.sq", "qubits 1\nu q1 x\n")
+        missing = str(tmp_path / "missing.json")
+        assert main(["run", circuit, flag, missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"io error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 class TestVerifyCommand:
     def test_crx_suite_writes_all_pair_csvs(self, tmp_path, capsys):
         code = main(["verify", "--suite", "crx", "-n", "4",

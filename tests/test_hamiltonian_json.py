@@ -302,25 +302,24 @@ def double_scatter_exp(h):
     return out
 
 
-def indexed_rank1_apply(h, a):
+def indexed_mix_apply(h, a):
     """e^{-iH} applied to the rows of a through the index arrays of
-    pair_indices: every pair's rows are gathered, updated and scattered
-    back, with the arithmetic of apply_exp_minus_ih in the same order."""
+    pair_indices: every pair's rows are gathered, mixed by the pair matrix M
+    built as apply_exp_minus_ih builds it, and scattered back."""
     low, high = pair_indices(h.n, h.j, h.i)
     x, y = a[low], a[high]
-    rows = [(complex(c) * v0, complex(c) * v1, v0.conjugate(), v1.conjugate())
-            for c, (v0, v1) in zip(np.exp(-1j * h.weights) - 1.0, h.vectors.tolist())]
-    projections = [r0 * x + r1 * y for _, _, r0, r1 in rows]
-    for (c0, c1, _, _), p in zip(rows, projections):
-        x += c0 * p
-        y += c1 * p
-    a[low], a[high] = x, y
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for c, (v0, v1) in zip((np.exp(-1j * h.weights) - 1.0).tolist(), h.vectors.tolist()):
+        w0, w1 = c * v0, c * v1
+        m00, m01 = m00 + w0 * v0.conjugate(), m01 + w0 * v1.conjugate()
+        m10, m11 = m10 + w1 * v0.conjugate(), m11 + w1 * v1.conjugate()
+    a[low], a[high] = m00 * x + m01 * y, m10 * x + m11 * y
     return a
 
 
 def test_hea_check_line_matches_np_kron_route(tmp_path, rng, capsys, monkeypatch):
     """The printed error is that of the np.kron oracle against the indexed
-    rank-1 route, bit for bit; that route is within 1e-14 of the dense
+    pair-mix route, bit for bit; that route is within 1e-14 of the dense
     double-scatter exponentials."""
     template = hea_template(6, 1)
     params = {name: float(rng.uniform(-math.pi, math.pi)) for name in template.param_names()}
@@ -335,7 +334,7 @@ def test_hea_check_line_matches_np_kron_route(tmp_path, rng, capsys, monkeypatch
     groups = circuit_hamiltonians(circuit)
     reconstructed = np.eye(64, dtype=complex)
     for h in (h for g in groups for h in g.hamiltonians):
-        indexed_rank1_apply(h, reconstructed)
+        indexed_mix_apply(h, reconstructed)
     dense = np.eye(64, dtype=complex)
     for g in reversed(groups):
         dense = dense @ reduce(np.matmul, [double_scatter_exp(h) for h in reversed(g.hamiltonians)])
