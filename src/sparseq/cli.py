@@ -10,7 +10,7 @@ QSIM_TOL environment variable overrides the default of 1e-12; --tol beats both.
 
 Dense checks and `build-gate --dense` that gate_matrix.check_dense_cap
 refuses (above 12 qubits) and verify sizes out of range exit 3 before any
-output. Before a command allocates its state, parses a JSON input file,
+output. Before a command allocates its state, parses an input file,
 streams its text or builds dense check matrices, it estimates their peak
 bytes and refuses (exit 3) when the estimate exceeds MemAvailable in
 /proc/meminfo. Estimates up to BUDGET_FREE_BYTES skip that read. Then
@@ -64,20 +64,22 @@ BUDGET_FREE_BYTES = 256 << 20
 # --gate x` prices 80 MiB of memory and about 6.6 TB of text), and --dense
 # text by check_dense_cap. Every dense check, `hamiltonian --check`,
 # `run --oracle` and the verify suites alike, is priced at 4 complex
-# 2^n x 2^n matrices alive at once; each peaks at 3.2-3.9 beyond the
+# 2^n x 2^n matrices alive at once; each peaks at 3.1-3.9 beyond the
 # interpreter at n = 10..12 (reconstruction_error: the oracle's matrix and
-# the identity the exponentials are applied to, then 1.5 matrices in the
-# error's temporaries or in an exponential's three half-size products;
-# oracle_deviation: a controlled gate's two Kronecker terms and their sum).
+# the identity the exponentials are applied to in place, then 1.5 matrices
+# in the error's temporaries; oracle_deviation: a controlled gate's two
+# Kronecker terms and their sum).
 RUN_BYTES_PER_AMP = 208
 TEXT_BYTES_PER_AMP = 80
 CHECK_MATRICES = 4
 
-# Parsing a JSON input file (`--input`, `--params`) peaks beyond the
-# interpreter at 5 bytes per byte of file for 17-digit amplitudes, 25 for
-# `[[1,0],[0,0],...]` and up to 64 for lists nested 40-60 deep (child
-# ru_maxrss, files of 6-51 MB); the file's size is priced before it is read.
+# Parsing an input file peaks beyond the interpreter (child ru_maxrss, files
+# of 2-51 MB) at up to 64 bytes per byte of JSON (`--input`, `--params`;
+# lists nested 40-60 deep), and of a circuit at up to 91 under `run` and 174
+# under `hamiltonian --circuit`, which keeps a Hamiltonian per gate (`rx q1 1`
+# lines). Each file's size is priced before it is read.
 JSON_BYTES_PER_BYTE = 72
+CIRCUIT_BYTES_PER_BYTE = 192
 
 
 def _tolerance(args) -> float:
@@ -183,7 +185,7 @@ def cmd_hamiltonian(args) -> int:
     if single:
         n, what = args.n, "hamiltonian"
     else:
-        circuit = bind(parse_circuit(Path(args.circuit).read_text(encoding="utf-8")),
+        circuit = bind(parse_circuit(_read_priced_text(args.circuit, CIRCUIT_BYTES_PER_BYTE)),
                        _load_params(args.params))
         n, what = circuit.n, "hamiltonian --circuit"
     _require_memory(what, n, TEXT_BYTES_PER_AMP, CHECK_MATRICES if args.check else 0)
@@ -201,11 +203,11 @@ def cmd_hamiltonian(args) -> int:
     return 0
 
 
-def _read_json_text(path: str) -> str:
-    """The text of a JSON input file, read only after its parse is priced at
-    JSON_BYTES_PER_BYTE per byte of file."""
+def _read_priced_text(path: str, bytes_per_byte: int) -> str:
+    """The text of an input file, read only after its parse is priced at
+    bytes_per_byte per byte of file."""
     file = Path(path)
-    _require_bytes(f"parsing {path}", file.stat().st_size * JSON_BYTES_PER_BYTE)
+    _require_bytes(f"parsing {path}", file.stat().st_size * bytes_per_byte)
     return file.read_text(encoding="utf-8")
 
 
@@ -213,7 +215,7 @@ def _load_params(path: str | None) -> dict:
     """The JSON object in the file at path; bind judges its values."""
     if path is None:
         return {}
-    data = json.loads(_read_json_text(path))
+    data = json.loads(_read_priced_text(path, JSON_BYTES_PER_BYTE))
     if not isinstance(data, dict):
         raise ValueError("params file must hold a JSON object of name -> value")
     return data
@@ -221,11 +223,11 @@ def _load_params(path: str | None) -> dict:
 
 def cmd_run(args) -> int:
     tol = _tolerance(args)
-    template = parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
-    circuit = bind(template, _load_params(args.params))
+    circuit = bind(parse_circuit(_read_priced_text(args.circuit, CIRCUIT_BYTES_PER_BYTE)),
+                   _load_params(args.params))
     _require_memory("run", circuit.n, RUN_BYTES_PER_AMP, CHECK_MATRICES if args.oracle else 0)
     if args.input is not None:
-        state = StateVector.from_json(_read_json_text(args.input))
+        state = StateVector.from_json(_read_priced_text(args.input, JSON_BYTES_PER_BYTE))
     else:
         state = StateVector.zero(circuit.n)
     initial = state.copy() if args.oracle else None

@@ -1,18 +1,18 @@
 """O(2^n)-per-gate state-vector kernels and circuit execution.
 
-A gate mixes, in place, the amplitude pairs (k, k + 2^(n-j)) that
-qindex.pair_views gives; a controlled gate's views hold the control-1 half.
-The kernel works on aligned chunks of 2^13 amplitudes that stay in cache
-(Haener and Steiger, arXiv:1704.01127), mixing a piece of one row in place
-and a piece of several strided rows in scratch. On states of more than two
-chunks, views whose contiguous run is 2..8 take c0 x + c1 partner(x) per
-chunk x instead: c0 and c1 hold u11/u22 and u12/u21 on the pairs, and 1 and
-0 where the control is 0; the partner is a gather of x, or the partner chunk
-when the target lies above x. A diagonal u (rz, s, t, z, cz, crz, or any u
-with off-diagonal entries exactly 0) multiplies in place only the halves
-whose entry is not exactly 1, or a whole chunk by c0 on those short runs.
-Nonzero amplitudes come out the same on every route; the sign of an exact
-zero is not meaningful, and the text writers print every exact zero as 0.0.
+mix_pairs, the one pair-mixing kernel (apply_op and the Hamiltonian's
+e^{-iH} both run it), mixes in place the index pairs (p, p + 2^(n-j)) of
+qindex.pair_views in a state or in the rows of a 2^n x m matrix; a
+controlled gate's views hold the control-1 half. It works on aligned chunks
+of 2^13 amplitudes that stay in cache (Haener and Steiger, arXiv:1704.01127),
+mixing a piece of one row in place and a piece of several strided rows in
+scratch. On states of more than two chunks, views whose contiguous run is
+2..8 take c0 x + c1 partner(x) per chunk x: c0 and c1 hold k11/k22 and
+k12/k21 on the pairs, and 1 and 0 where the control is 0; the partner is a
+gather of x, or the partner chunk when the target lies above x. A diagonal
+k (k12 = k21 = 0) scales only the halves whose entry is not exactly 1, or a
+whole chunk by c0 on those runs. Nonzero amplitudes come out the same on
+every route; the text writers print an exact zero of either sign as 0.0.
 """
 from __future__ import annotations
 
@@ -77,12 +77,11 @@ def _mix(x0, x1, k11, k12, k21, k22, s0, s1):
     np.add(x1, t1, out=x1)
 
 
-def _mix_views(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
+def _mix_views(a0: np.ndarray, a1: np.ndarray, k):
     """The general mix of pair views, a chunk-sized piece at a time: in place
     for a piece of one row, else in contiguous scratch, as numpy would push
     several short strided rows through its 8192-element buffer on every op."""
     s0, s1, _ = _scratch()
-    k = u.matrix.ravel().tolist()
     size = 1 << _CHUNK_QUBITS
     for x0, x1 in _pieces(a0, a1, size):
         if sum(d > 1 for d in x0.shape) <= 1:
@@ -94,8 +93,8 @@ def _mix_views(a0: np.ndarray, a1: np.ndarray, u: OneQubitGate):
         x0[...], x1[...] = y0, y1
 
 
-def _mix_chunks(amps: np.ndarray, n: int, j: int, i: int | None, u: OneQubitGate, diag: bool):
-    """Apply u at (n, j, i) as c0 x + c1 partner(x) on each chunk x. A control
+def _mix_chunks(amps: np.ndarray, n: int, j: int, i: int | None, k, diag: bool):
+    """Apply k at (n, j, i) as c0 x + c1 partner(x) on each chunk x. A control
     above the chunk selects whole chunks; a target above it pairs each chunk
     with its partner chunk, and c0, c1 span the pair."""
     c = min(n, _CHUNK_QUBITS)
@@ -105,8 +104,9 @@ def _mix_chunks(amps: np.ndarray, n: int, j: int, i: int | None, u: OneQubitGate
     lj, li = (1 if e else j - h), (None if i is None or outer else i - h + e)
     region = amps if outer is None else pair_views(amps, n, outer)[1]
     units = _pieces(*pair_views(amps, n, j, outer), size) if e else _pieces(region, region, size)
+    k11, k12, k21, k22 = k
     c0, c1, t = (buf[: size << e] for buf in _scratch())
-    for coef, low, high, rest in ((c0, u.u11, u.u22, 1), (c1, u.u12, u.u21, 0)):
+    for coef, low, high, rest in ((c0, k11, k22, 1), (c1, k12, k21, 0)):
         coef.fill(rest)
         v0, v1 = pair_views(coef, c + e, lj, li)
         v0[...], v1[...] = low, high
@@ -115,9 +115,9 @@ def _mix_chunks(amps: np.ndarray, n: int, j: int, i: int | None, u: OneQubitGate
             if not diag:
                 _mix(x0, x1, c0[:size], c1[:size], c1[size:], c0[size:], t, t[size:])
                 continue
-            if u.u11 != 1:
+            if k11 != 1:
                 np.multiply(c0[:size], x0, out=x0)
-            if u.u22 != 1:
+            if k22 != 1:
                 np.multiply(c0[size:], x1, out=x1)
         return
     perm = np.arange(size)
@@ -238,24 +238,30 @@ class Circuit:
             check_placement(self.n, op.j, op.i)
 
 
-def apply_op(state: StateVector, op: GateOp) -> StateVector:
-    """Apply op in place in one pass over the pair views of its placement;
-    a controlled op leaves the amplitudes whose control is 0 as they are."""
-    n, j, i, u = state.n, op.j, op.i, op.u
-    a0, a1 = pair_views(state.amps, n, j, i)
-    diag = u.u12 == 0 and u.u21 == 0
+def mix_pairs(a: np.ndarray, n: int, j: int, i: int | None, k) -> None:
+    """(x0, x1) <- (k11 x0 + k12 x1, k21 x0 + k22 x1) in place on the pairs
+    (n, j, i) of a, a contiguous state or flattened 2^n x m matrix."""
+    a0, a1 = pair_views(a, n, j, i)
+    k11, k12, k21, k22 = k
+    diag = k12 == 0 and k21 == 0
     # On one or two chunks the vectors cost more to set up than short runs
     # do; but numpy rounds an in-place multiply of one element without FMA,
     # so one-element views (n <= 2) take the vectors.
-    if a0.size == 1 or (1 < a0.shape[-1] <= _SHORT_RUN and n > _CHUNK_QUBITS + 1):
-        _mix_chunks(state.amps, n, j, i, u, diag)
+    short = a0.size == 1 or (1 < a0.shape[-1] <= _SHORT_RUN and n > _CHUNK_QUBITS + 1)
+    if short and a.size == 1 << n:
+        _mix_chunks(a, n, j, i, k, diag)
     elif diag:
-        if u.u11 != 1:
-            np.multiply(u.u11, a0, out=a0)
-        if u.u22 != 1:
-            np.multiply(u.u22, a1, out=a1)
+        if k11 != 1:
+            np.multiply(k11, a0, out=a0)
+        if k22 != 1:
+            np.multiply(k22, a1, out=a1)
     else:
-        _mix_views(a0, a1, u)
+        _mix_views(a0, a1, k)
+
+
+def apply_op(state: StateVector, op: GateOp) -> StateVector:
+    """Apply op in place: one mix_pairs pass over its placement's pairs."""
+    mix_pairs(state.amps, state.n, op.j, op.i, op.u.matrix.ravel().tolist())
     return state
 
 

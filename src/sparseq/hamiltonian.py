@@ -16,10 +16,10 @@ each refused by gate_matrix.check_dense_cap above 12 qubits before it
 allocates.
 
 apply_exp_minus_ih is the one route to e^{-iH}, itself 2-sparse: one 2x2
-matrix, built from the rows, mixes the pair views of a state or of a
-matrix's columns, O(2^n) per column. exp_minus_ih applies it to the
-identity. Lifted vectors on different pairs have disjoint support, so
-orthonormality is checked on the stored rows alone.
+matrix, built from the rows, mixes the target pairs of a state or of a
+matrix's columns in the gate kernel engine.mix_pairs, O(2^n) per column.
+exp_minus_ih applies it to the identity. Lifted vectors on different pairs
+have disjoint support, so orthonormality is checked on the rows alone.
 
 All schema-1 text is written here (json_chunks, circuit_json_chunks). It
 streams a bounded batch of terms at a time, each term one slice of a window
@@ -38,7 +38,8 @@ import numpy as np
 
 from .core import EigenPair2, OneQubitGate, eigenpairs_2x2, orthonormal_rows, phase_of
 from .gate_matrix import check_dense_cap
-from .qindex import check_placement, pair_indices, pair_views
+from .engine import mix_pairs
+from .qindex import check_placement, pair_indices
 
 #: Pairwise-orthogonality tolerance for projector term vectors.
 ORTHO_TOL = 1e-10
@@ -309,15 +310,12 @@ def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
 
     e^{-iH} is 2-sparse like H: on every target pair of rows it is the one
     2x2 matrix M = I + sum_s (e^{-iz_s} - 1) v_s v_s†, exact because every
-    direction outside the terms carries eigenvalue 1. M is built once on
-    Python scalars and mixes each pair in place. Rejects, before a is
-    touched, Hamiltonians whose rows are not orthonormal within ORTHO_TOL;
-    rows on different pairs have disjoint support, so that is the whole
-    check.
-
-    The pairs are qindex.pair_views of a, the index rule the engine kernels
-    share, but the 2x2 mix is the Hamiltonian's own. gate_matrix.dense_gate
-    pins the index rule independently up to 12 qubits.
+    direction outside the terms carries eigenvalue 1, built once on Python
+    scalars and applied by engine.mix_pairs, the kernel of every gate.
+    Rejects, before a is touched, Hamiltonians whose rows are not
+    orthonormal within ORTHO_TOL; rows on different pairs have disjoint
+    support, so that is the whole check. gate_matrix.dense_gate pins the
+    index rule independently up to 12 qubits.
     """
     v = h.vectors.tolist()
     if not orthonormal_rows(v, ORTHO_TOL):
@@ -333,13 +331,7 @@ def apply_exp_minus_ih(h: LocalHamiltonian, a: np.ndarray) -> np.ndarray:
         w0, w1 = c * v0, c * v1
         m00, m01 = m00 + w0 * v0.conjugate(), m01 + w0 * v1.conjugate()
         m10, m11 = m10 + w1 * v0.conjugate(), m11 + w1 * v1.conjugate()
-    low, high = pair_views(a.reshape(-1), h.n, h.j, h.i)
-    # No product is written over its own operand or the other half: numpy
-    # rounds such products unlike fresh ones, so the mix takes three
-    # temporaries and keeps the bits of m00 * low + m01 * high.
-    t0, t1, t2 = m00 * low, m10 * low, m01 * high
-    np.add(t0, t2, out=low)
-    np.add(t1, np.multiply(m11, high, out=t2), out=high)
+    mix_pairs(a.reshape(-1), h.n, h.j, h.i, (m00, m01, m10, m11))
     return a
 
 

@@ -1,9 +1,13 @@
-"""apply_exp_minus_ih, the one route to e^{-iH}, against independent routes:
-the Kronecker oracle dense_gate of the gate itself on random states and
-matrices for every GATES entry and every placement with n <= 7, at angles
-near the identity included, the paper's reference eigenpairs of the
-target-pair and straddled blocks, the Kronecker oracle of whole parsed
-circuits, and the engine on states above the dense cap."""
+"""apply_exp_minus_ih, the one route to e^{-iH}, which mixes the target
+pairs in the gate kernel engine.mix_pairs, against independent routes: the
+Kronecker oracle dense_gate of the gate itself on random states and matrices
+for every GATES entry and every placement with n <= 7, at angles near the
+identity included, the paper's reference eigenpairs of the target-pair and
+straddled blocks, the Kronecker oracle of whole parsed circuits, and, above
+the dense cap, a plain numpy mix on fresh arrays, bit for bit, and the
+engine's run of the circuit the exponentials come from. The engine shares
+the kernel, so above the cap it checks the lift of gates to Hamiltonians and
+the 2x2 matrix M, and the fresh arrays check the kernel."""
 import math
 
 import numpy as np
@@ -171,9 +175,13 @@ def same_bits(x, y):
 def test_in_place_mix_gives_the_bits_of_fresh_arrays(rng):
     """Every placement with n <= 7, 1 and 2 rows, on a state and on a
     matrix, plus full 2^n x 2^n matrices at n = 9, where numpy elides the
-    temporary of a sum of two large arrays."""
+    temporary of a sum of two large arrays, and at n = 15 and 16 every
+    placement whose lower qubit is n-3..n-1: a state takes those through the
+    kernel's coefficient vectors, a matrix through its pair views."""
     cases = [(n, j, i, 3) for n, j, i in (*placements(False), *placements(True))]
     cases += [(9, 1, None, 512), (9, 5, 2, 512), (9, 4, 9, 512)]
+    cases += [(n, j, i, 3) for n in (15, 16) for j in range(1, n + 1)
+              for i in (None, *range(1, n + 1)) if i != j and n - 3 <= max(j, i or 0) < n]
     for n, j, i, columns in cases:
         for count in (1, 2):
             h = LocalHamiltonian(n, j, i, *seeded_rows(rng, count))

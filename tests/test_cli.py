@@ -696,6 +696,49 @@ class TestJsonInputPricing:
         assert captured.err == f"io error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
+class TestCircuitPricing:
+    """The circuit file of `run` and `hamiltonian --circuit` is priced from
+    its size, at CIRCUIT_BYTES_PER_BYTE per byte, before it is read or
+    parsed."""
+
+    COMMANDS = [["run"], ["hamiltonian", "--circuit"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_large_file_is_refused_before_parsing(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed a file that should be refused")
+
+        size = cli.BUDGET_FREE_BYTES // cli.CIRCUIT_BYTES_PER_BYTE + 1
+        path = write(tmp_path, "big.sq", "qubits 1\n" + "\n" * (size - 9))
+        monkeypatch.setattr(cli, "parse_circuit", refuse)
+        monkeypatch.setattr(cli, "_mem_available", lambda: 64 << 20)
+        assert main([*command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        need = size * cli.CIRCUIT_BYTES_PER_BYTE >> 20
+        assert captured.err == (f"validation error: register too large for memory: parsing {path}"
+                                f" needs about {need} MiB, 64 MiB available\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_small_files_never_read_meminfo(self, tmp_path, capsys, monkeypatch, command):
+        def unread():
+            raise AssertionError("MemAvailable read for a small file")
+
+        monkeypatch.setattr(cli, "_mem_available", unread)
+        circuit = write(tmp_path, "c.sq", "qubits 2\n# a comment\nrx q1 $a\ncu q1 q2 0 1 1 0\n")
+        params = write(tmp_path, "p.json", json.dumps({"a": 0.5}))
+        assert main([*command, circuit, "--params", params, "-o", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_file_keeps_its_io_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.sq")
+        assert main([*command, missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"io error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 class TestVerifyCommand:
     def test_crx_suite_writes_all_pair_csvs(self, tmp_path, capsys):
         code = main(["verify", "--suite", "crx", "-n", "4",

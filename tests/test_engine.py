@@ -11,7 +11,10 @@ from sparseq import (
     GateOp,
     OneQubitGate,
     StateVector,
+    apply_exp_minus_ih,
     apply_op,
+    controlled_gate_hamiltonian,
+    embedded_gate_hamiltonian,
     rotation_gate,
     run_circuit,
 )
@@ -349,6 +352,19 @@ class TestChunkKernel:
             _assert_kernel_bits(rng, n, _placements(n))
 
 
+def _in_traced_thread(run):
+    """Run run() in a fresh thread, so that its thread-local scratch is
+    allocated there too, with tracemalloc on; fail if it does not end."""
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        tracemalloc.stop()
+    assert not worker.is_alive()
+
+
 class TestKernelMemory:
     def test_peak_stays_under_one_mib(self, rng):
         """apply_op at n=20 keeps no state-sized temporary and no cache per
@@ -370,20 +386,37 @@ class TestKernelMemory:
                     apply_op(state, GateOp(j, u, i=i))
                 peaks.append(tracemalloc.get_traced_memory()[1])
 
-        tracemalloc.start()
-        try:
-            worker = threading.Thread(target=run)
-            worker.start()
-            worker.join(timeout=300)
-        finally:
-            tracemalloc.stop()
-        assert not worker.is_alive()
+        _in_traced_thread(run)
         assert len(peaks) == 3
         assert peaks[0] < 1 << 20
         # A few bytes of interpreter bookkeeping; one cached chunk vector or
         # permutation would be 64 KiB or more.
         assert peaks[2] - peaks[1] < 4096
         assert peaks[2] < 1 << 20
+
+    def test_exponentials_stay_under_one_mib(self, rng):
+        """apply_exp_minus_ih at n=20 runs the gate kernel and keeps no
+        state-sized temporary: in a fresh thread, so that its scratch counts
+        too, a single-qubit placement, a control above and below its target
+        and a run of 4 amplitudes each leave the peak under 1 MiB."""
+        n, u = 20, random_gate(rng)
+        amps = StateVector.zero(n).amps
+        hamiltonians = [
+            embedded_gate_hamiltonian(n, 1, u),
+            controlled_gate_hamiltonian(n, 3, 12, u),
+            controlled_gate_hamiltonian(n, 12, 3, u),
+            embedded_gate_hamiltonian(n, 18, u),
+        ]
+        peaks = []
+
+        def run():
+            for h in hamiltonians:
+                apply_exp_minus_ih(h, amps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        _in_traced_thread(run)
+        assert len(peaks) == 4
+        assert max(peaks) < 1 << 20, peaks
 
 
 class TestRunCircuit:
