@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -77,7 +78,8 @@ CHECK_MATRICES = 4
 # of 2-51 MB) at up to 64 bytes per byte of JSON (`--input`, `--params`;
 # lists nested 40-60 deep), and of a circuit at up to 91 under `run` and 174
 # under `hamiltonian --circuit`, which keeps a Hamiltonian per gate (`rx q1 1`
-# lines). Each file's size is priced before it is read.
+# lines). Each regular file's size is priced before it is read; a pipe or
+# device is read no further than that price admits.
 JSON_BYTES_PER_BYTE = 72
 CIRCUIT_BYTES_PER_BYTE = 192
 
@@ -205,10 +207,24 @@ def cmd_hamiltonian(args) -> int:
 
 def _read_priced_text(path: str, bytes_per_byte: int) -> str:
     """The text of an input file, read only after its parse is priced at
-    bytes_per_byte per byte of file."""
+    bytes_per_byte per byte of file. A pipe or device has no size to price:
+    it is read only as far as the larger of BUDGET_FREE_BYTES and
+    MemAvailable admits, and refused (MemoryError) when more remains. Like a
+    small file, a small one never reads MemAvailable."""
     file = Path(path)
-    _require_bytes(f"parsing {path}", file.stat().st_size * bytes_per_byte)
-    return file.read_text(encoding="utf-8")
+    info = file.stat()
+    if stat.S_ISREG(info.st_mode):
+        _require_bytes(f"parsing {path}", info.st_size * bytes_per_byte)
+        return file.read_text(encoding="utf-8")
+    with file.open("rb") as f:
+        data = f.read(BUDGET_FREE_BYTES // bytes_per_byte + 1)
+        if len(data) * bytes_per_byte > BUDGET_FREE_BYTES:
+            limit = max(_mem_available() or 0, BUDGET_FREE_BYTES) // bytes_per_byte
+            data += f.read(limit + 1 - len(data))
+            if len(data) > limit:
+                need = limit * bytes_per_byte >> 20
+                raise MemoryError(f"parsing {path} needs more than {need} MiB")
+    return data.decode("utf-8")
 
 
 def _load_params(path: str | None) -> dict:

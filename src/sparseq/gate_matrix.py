@@ -113,26 +113,13 @@ class SparseUnitary:
         out[high] = u21 * x[low] + u22 * x[high]
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """The identity, with u on the rows and columns of each target pair."""
-        check_dense_cap(self.n)
-        pairs = np.stack(pair_indices(self.n, self.j, self.i), axis=1)[:, :, None]
-        m = np.eye(self.dim, dtype=complex)
-        m[pairs, pairs.transpose(0, 2, 1)] = self.u.matrix
-        return m
-
-    def unitarity_defect(self) -> float:
-        """max |U†U - I| entry, computed densely (capped like to_dense)."""
-        m = self.to_dense()
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))))
-
     def json_chunks(self, dense: bool = False):
         """Schema-1 JSON text in pieces of up to JSON_CHUNK_ROWS rows. Joined,
         they equal json.dumps of {"schema": 1, "dim": D, "rows": [[[c, re,
         im], ...], ...]} with the stored slots of every row.
 
-        dense=True adds "dense": to_dense() as rows of [re, im] pairs, one
-        piece per row. Each row is zeros around its stored slots, so no
+        dense=True adds "dense": the whole matrix as rows of [re, im] pairs,
+        one piece per row. Each row is zeros around its stored slots, so no
         dense matrix is built.
         """
         yield f'{{"schema": 1, "dim": {self.dim}, "rows": ['

@@ -11,9 +11,9 @@ Every term vector therefore has at most two nonzero entries, and the whole
 operator is fixed by the gate placement (n, j, i) and at most two (z, v)
 rows, one per non-unit gate eigenpair. A LocalHamiltonian stores just that;
 its terms are laid on the target pairs of qindex.pair_indices when they are
-read. Dense vectors exist only in to_dense, gram_defect and the `terms` view,
-each refused by gate_matrix.check_dense_cap above 12 qubits before it
-allocates.
+read. Dense vectors exist only in the `terms` view, kept for the benchmark's
+traced run, which counts the terms and their bytes; gate_matrix.check_dense_cap
+refuses it above 12 qubits before it allocates.
 
 apply_exp_minus_ih is the one route to e^{-iH}, itself 2-sparse: one 2x2
 matrix, built from the rows, mixes the target pairs of a state or of a
@@ -135,46 +135,25 @@ class LocalHamiltonian:
         return 1 << (self.n - (1 if self.i is None else 2))
 
     @property
-    def z(self) -> np.ndarray:
-        """Weight of each term (T,)."""
-        return self.weights.repeat(self._per_row)
-
-    @property
     def terms(self) -> tuple[ProjectorTerm, ...]:
         """The terms as dense ProjectorTerms, in storage order."""
-        return tuple(ProjectorTerm(z, w) for z, w in zip(self.z.tolist(), self._columns().T))
-
-    def _columns(self) -> np.ndarray:
-        """The (dim x T) matrix W whose column k is term vector k."""
         check_dense_cap(self.n)
         low, high = pair_indices(self.n, self.j, self.i)
-        terms = np.arange(len(low))
-        w = np.zeros((self.dim, len(self.weights), len(low)), dtype=complex)
-        # Advanced indices around a slice: w[low, :, terms] is (pairs, rows).
-        w[low, :, terms] = self.vectors[:, 0]
-        w[high, :, terms] = self.vectors[:, 1]
-        return w.reshape(self.dim, -1)
-
-    def to_dense(self) -> np.ndarray:
-        """Realize sum z * w w† as a dense Hermitian matrix."""
-        w = self._columns()
-        return (w * self.z) @ w.conj().T
-
-    def gram_defect(self) -> float:
-        """max |W†W - I| over the dense term-vector Gram matrix (0 if no
-        terms)."""
-        if not len(self.weights):
-            return 0.0
-        w = self._columns()
-        return float(np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1]))))
+        pairs = np.arange(len(low))
+        w = np.zeros((len(self.weights), len(low), self.dim), dtype=complex)
+        w[:, pairs, low] = self.vectors[:, :1]
+        w[:, pairs, high] = self.vectors[:, 1:]
+        weights = self.weights.repeat(len(low)).tolist()
+        return tuple(ProjectorTerm(z, v) for z, v in zip(weights, w.reshape(-1, self.dim)))
 
     def _term_texts(self):
         """The text of every term, in storage order. Each row's text is
         formatted once, between runs of zero padding as long as any term
         needs; a term is the slice of that window that puts the row's first
         entry at its pair's low index."""
-        low = pair_indices(self.n, self.j, self.i)[0].tolist()
-        stride = 1 << (self.n - self.j)
+        low, high = pair_indices(self.n, self.j, self.i)
+        stride = int(high[0] - low[0])
+        low = low.tolist()
         span = self.dim - 1 - stride  # zero entries around the row's two in every term
         zero, tail = "[0.0, 0.0], ", ", [0.0, 0.0]"
         for z, (va, vb) in zip(self.weights.tolist(), self.vectors.tolist()):

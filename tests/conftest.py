@@ -53,6 +53,38 @@ def slot_counts():
 
 
 @pytest.fixture
+def gate_dense():
+    """The dense matrix of a sparse gate, read from its schema-1 JSON rows:
+    zeros around the stored slots."""
+
+    def dense(sparse):
+        rows = json.loads(sparse.to_json())["rows"]
+        m = np.zeros((len(rows), len(rows)), dtype=complex)
+        for k, row in enumerate(rows):
+            for c, re, im in row:
+                m[k, c] = complex(re, im)
+        return m
+
+    return dense
+
+
+@pytest.fixture
+def term_columns():
+    """(z, W) of a Hamiltonian, read from its .terms: the term weights, and
+    the matrix whose column k is term vector k. Its dense H is (W * z) @ W†
+    and its Gram matrix W† W."""
+
+    def columns(h):
+        terms = h.terms
+        w = np.zeros((h.dim, len(terms)), dtype=complex)
+        for k, t in enumerate(terms):
+            w[:, k] = t.w
+        return np.array([t.z for t in terms], dtype=float), w
+
+    return columns
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)
 

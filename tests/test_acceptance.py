@@ -67,7 +67,7 @@ def test_criterion_3_engine_matches_dense_chain():
            worst <= ENGINE_TOL, f"max_deviation={worst:.3e} <= {ENGINE_TOL}")
 
 
-def test_criterion_4_known_sparse_patterns_and_kernel_rows():
+def test_criterion_4_known_sparse_patterns_and_kernel_rows(gate_dense):
     u = rotation_gate("Z", 0.5) @ rotation_gate("Y", 0.8) @ rotation_gate("Z", 0.3)
     assert len({u.u11, u.u12, u.u21, u.u22}) == 4
     checks = []
@@ -81,7 +81,7 @@ def test_criterion_4_known_sparse_patterns_and_kernel_rows():
     want[r + 4, r] = u.u21
     want[r + 4, r + 4] = u.u22
     checks.append(np.array_equal(b, want))
-    dense = controlled_sparse(ControlledGateSpec(5, 2, 3, u)).to_dense()
+    dense = gate_dense(controlled_sparse(ControlledGateSpec(5, 2, 3, u)))
     layout = np.zeros((32, 32), dtype=complex)
     layout[0:8, 0:8] = np.eye(8)
     layout[8:16, 8:16] = b
@@ -98,7 +98,7 @@ def test_criterion_4_known_sparse_patterns_and_kernel_rows():
          [0, u.u21, 0, u.u22]]
     )
     checks.append(np.array_equal(b, want))
-    dense = controlled_sparse(ControlledGateSpec(5, 2, 4, u)).to_dense()
+    dense = gate_dense(controlled_sparse(ControlledGateSpec(5, 2, 4, u)))
     layout = np.zeros((32, 32), dtype=complex)
     layout[0:8, 0:8] = np.eye(8)
     layout[16:24, 16:24] = np.eye(8)
@@ -115,7 +115,7 @@ def test_criterion_4_known_sparse_patterns_and_kernel_rows():
          [u.u21 * eye4, zero4, u.u22 * eye4]]
     )
     checks.append(np.array_equal(sb, want))
-    dense = controlled_sparse(ControlledGateSpec(5, 3, 2, u)).to_dense()
+    dense = gate_dense(controlled_sparse(ControlledGateSpec(5, 3, 2, u)))
     layout = np.zeros((32, 32), dtype=complex)
     layout[0:4, 0:4] = np.eye(4)
     layout[4:16, 4:16] = sb
@@ -124,11 +124,11 @@ def test_criterion_4_known_sparse_patterns_and_kernel_rows():
     checks.append(np.array_equal(dense, layout))
 
     # two-qubit register, both orderings
-    dense = controlled_sparse(ControlledGateSpec(2, 1, 2, u)).to_dense()
+    dense = gate_dense(controlled_sparse(ControlledGateSpec(2, 1, 2, u)))
     want = np.eye(4, dtype=complex)
     want[2:, 2:] = u.matrix
     checks.append(np.array_equal(dense, want))
-    dense = controlled_sparse(ControlledGateSpec(2, 2, 1, u)).to_dense()
+    dense = gate_dense(controlled_sparse(ControlledGateSpec(2, 2, 1, u)))
     want = np.array(
         [[1, 0, 0, 0],
          [0, u.u11, 0, u.u12],
@@ -175,7 +175,7 @@ def test_criterion_5_wall_time_doubles_per_qubit():
            ok, "ratios=" + " ".join(f"{r:.2f}" for r in ratios))
 
 
-def test_criterion_6_structural_invariants_exhaustive(slot_counts):
+def test_criterion_6_structural_invariants_exhaustive(slot_counts, gate_dense, term_columns):
     u = random_gate(np.random.default_rng(6))
     worst_unitarity = 0.0
     worst_gram = 0.0
@@ -186,9 +186,13 @@ def test_criterion_6_structural_invariants_exhaustive(slot_counts):
             sparse = controlled_sparse(ControlledGateSpec(n, i, j, u))
             per_row, per_column = slot_counts(sparse)
             sparsity_ok &= bool(np.all(per_row <= 2) and np.all(per_column <= 2))
-            worst_unitarity = max(worst_unitarity, sparse.unitarity_defect())
+            dense = gate_dense(sparse)
+            defect = np.max(np.abs(dense.conj().T @ dense - np.eye(sparse.dim)))
+            worst_unitarity = max(worst_unitarity, float(defect))
             h = controlled_gate_hamiltonian(n, i, j, u)
-            worst_gram = max(worst_gram, h.gram_defect())
+            _, w = term_columns(h)
+            gram = np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1])))
+            worst_gram = max(worst_gram, float(gram))
             counts_ok &= len(h.terms) == 2 * (1 << (n - 2))
     ok = (
         sparsity_ok

@@ -9,6 +9,9 @@ import importlib
 from pathlib import Path
 
 import sparseq
+from sparseq import controlled_gate_hamiltonian, embedded_gate_hamiltonian, rotation_gate
+from sparseq.circuit_ir import GATES
+from sparseq.qindex import pair_indices
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -77,3 +80,22 @@ def test_benchmark_workload_names_resolve():
     missing += [f"{imported[m]}.{attr}" for m, attr in used
                 if not hasattr(importlib.import_module(imported[m]), attr)]
     assert missing == []
+
+
+def test_terms_view_keeps_what_the_benchmark_reads(generic_gate):
+    """spans.py reads len(h.terms) and each t.w.nbytes of every gate
+    Hamiltonian it traces: one term per stored row and target pair, each a
+    read-only complex vector of 2^n entries."""
+    n = 4
+    for name, kind in GATES.items():
+        if kind.axis:
+            u = rotation_gate(kind.axis, 0.7)
+        else:
+            u = generic_gate if kind.fixed is None else kind.fixed
+        for h, (j, i) in ((embedded_gate_hamiltonian(n, 2, u), (2, None)),
+                          (controlled_gate_hamiltonian(n, 3, 1, u), (1, 3))):
+            terms = h.terms
+            assert len(terms) == len(h.weights) * len(pair_indices(n, j, i)[0]), name
+            for t in terms:
+                assert t.w.dtype == complex and t.w.shape == (1 << n,), name
+                assert not t.w.flags.writeable and t.w.nbytes == 16 << n, name

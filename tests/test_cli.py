@@ -1,7 +1,9 @@
+import contextlib
 import json
 import math
 import os
 import stat
+import threading
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ class TestGateSpec:
 
 
 class TestBuildGate:
-    def test_cnot_json(self, tmp_path, capsys):
+    def test_cnot_json(self, tmp_path, capsys, gate_dense):
         out = tmp_path / "cnot.json"
         code = main(["build-gate", "-n", "2", "-i", "1", "-j", "2",
                      "--gate", "x", "--dense", "-o", str(out)])
@@ -73,23 +75,23 @@ class TestBuildGate:
         ]
         dense = np.array([[re + 1j * im for re, im in row] for row in data["dense"]])
         want = np.eye(4)[:, [0, 1, 3, 2]]
-        assert np.array_equal(sparse.to_dense(), want)
+        assert np.array_equal(gate_dense(sparse), want)
         assert np.array_equal(dense, want)
 
     @staticmethod
-    def dict_route(argv):
+    def dict_route(argv, gate_dense):
         """The --dense text as a dict dumped whole: the gate's JSON as a dict
-        plus the dense matrix as float lists, the route the streamed rows
-        replaced."""
+        plus the dense matrix of its rows as float lists, the route the
+        streamed rows replaced."""
         args = cli.build_parser().parse_args(argv)
         sparse = SparseUnitary(args.n, args.j, parse_gate_spec(args.gate), args.i)
         payload = json.loads(sparse.to_json())
         payload["dense"] = [
-            [[float(c.real), float(c.imag)] for c in row] for row in sparse.to_dense()
+            [[float(c.real), float(c.imag)] for c in row] for row in gate_dense(sparse)
         ]
         return json.dumps(payload) + "\n"
 
-    def test_dense_text_equals_the_dict_route(self, capsys):
+    def test_dense_text_equals_the_dict_route(self, capsys, gate_dense):
         for n in range(1, 6):
             for j in range(1, n + 1):
                 for i in [None, *range(1, n + 1)]:
@@ -99,7 +101,7 @@ class TestBuildGate:
                         argv = ["build-gate", "-n", str(n), "-j", str(j), "--gate", spec]
                         argv += [] if i is None else ["-i", str(i)]
                         assert main(argv + ["--dense"]) == 0
-                        assert capsys.readouterr().out == self.dict_route(argv), argv
+                        assert capsys.readouterr().out == self.dict_route(argv, gate_dense), argv
 
     def test_dense_n10_streams_in_bounded_memory(self, tmp_path, cli_maxrss):
         """The dict route peaked at 209 MB here; the streamed rows hold no
@@ -206,10 +208,10 @@ class TestHamiltonianCommand:
         assert main(argv) == 0
         want = capsys.readouterr().out
 
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("dense reference built without --check")
 
-        monkeypatch.setattr(SparseUnitary, "to_dense", refuse)
+        monkeypatch.setattr(cli, "reconstruction_error", refuse)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
 
@@ -737,6 +739,86 @@ class TestCircuitPricing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"io error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+class TestPipedInputPricing:
+    """A pipe reports no size to price, so `--input`, `--params` and the
+    circuit file are read from one only as far as their price admits: any
+    byte beyond exits 3 before a parse or any output, and a small pipe, like
+    a small file, never reads MemAvailable."""
+
+    PLACES = ["circuit", "--input", "--params"]
+
+    @staticmethod
+    @contextlib.contextmanager
+    def fifo(tmp_path, payload):
+        """A FIFO in tmp_path that a thread feeds with payload. On exit the
+        thread is released, should no reader have opened the FIFO, and
+        joined."""
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+
+        def feed():
+            try:
+                with open(path, "wb") as f:
+                    f.write(payload)
+            except BrokenPipeError:  # the reader stopped early
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            yield str(path)
+        finally:
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    @staticmethod
+    def argv(tmp_path, place, pipe):
+        """`run` with the FIFO as the file that place names."""
+        if place == "circuit":
+            return ["run", pipe]
+        circuit = "qubits 1\nrx q1 $a\n" if place == "--params" else "qubits 1\nu q1 x\n"
+        return ["run", write(tmp_path, "c.sq", circuit), place, pipe]
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_pipe_over_its_price_is_refused_before_parsing(self, tmp_path, capsys, monkeypatch,
+                                                           place):
+        """About 8 MiB, more than BUDGET_FREE_BYTES admits at either price."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed a pipe that should be refused")
+
+        monkeypatch.setattr(cli, "_mem_available", lambda: 64 << 20)
+        if place == "circuit":
+            monkeypatch.setattr(cli, "parse_circuit", refuse)
+            payload, price = b"qubits 1\n" + b"\n" * (8 << 20), cli.CIRCUIT_BYTES_PER_BYTE
+        else:
+            monkeypatch.setattr(json, "loads", refuse)
+            payload, price = b"[[1,0]" + b",[0,0]" * ((8 << 20) // 6) + b"]", cli.JSON_BYTES_PER_BYTE
+        with self.fifo(tmp_path, payload) as pipe:
+            assert main(self.argv(tmp_path, place, pipe)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        need = cli.BUDGET_FREE_BYTES // price * price >> 20
+        assert captured.err == (f"validation error: register too large for memory: parsing {pipe}"
+                                f" needs more than {need} MiB\n")
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_small_pipe_reads_like_a_file(self, tmp_path, capsys, monkeypatch, place):
+        state = json.dumps([[0.0, 0.0], [1.0, 0.0]])
+        texts = {"circuit": "qubits 1\nu q1 h\n", "--input": state,
+                 "--params": json.dumps({"a": 0.5})}
+        assert main(self.argv(tmp_path, place, write(tmp_path, "file", texts[place]))) == 0
+        want = capsys.readouterr()
+
+        def unread():
+            raise AssertionError("MemAvailable read for a small pipe")
+
+        monkeypatch.setattr(cli, "_mem_available", unread)
+        with self.fifo(tmp_path, texts[place].encode()) as pipe:
+            assert main(self.argv(tmp_path, place, pipe)) == 0
+        assert capsys.readouterr() == want
 
 
 class TestVerifyCommand:

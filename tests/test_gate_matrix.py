@@ -121,14 +121,14 @@ class TestStraddledPairBlock:
 
 
 class TestControlledSparse:
-    def test_control_first_two_qubits(self, generic_gate):
+    def test_control_first_two_qubits(self, generic_gate, gate_dense):
         u = generic_gate
-        got = controlled_sparse(ControlledGateSpec(2, 1, 2, u)).to_dense()
+        got = gate_dense(controlled_sparse(ControlledGateSpec(2, 1, 2, u)))
         assert np.array_equal(got, block_diag(np.eye(2), np.asarray(u.matrix)))
 
-    def test_target_first_two_qubits(self, generic_gate):
+    def test_target_first_two_qubits(self, generic_gate, gate_dense):
         u = generic_gate
-        got = controlled_sparse(ControlledGateSpec(2, 2, 1, u)).to_dense()
+        got = gate_dense(controlled_sparse(ControlledGateSpec(2, 2, 1, u)))
         want = np.array(
             [
                 [1, 0, 0, 0],
@@ -139,29 +139,29 @@ class TestControlledSparse:
         )
         assert np.array_equal(got, want)
 
-    def test_block_layout_control_before_target(self, generic_gate):
+    def test_block_layout_control_before_target(self, generic_gate, gate_dense):
         # n=5, i=2, j=3: diag{I_8, B, I_8, B} with B the repeating pair block
         u = generic_gate
-        got = controlled_sparse(ControlledGateSpec(5, 2, 3, u)).to_dense()
+        got = gate_dense(controlled_sparse(ControlledGateSpec(5, 2, 3, u)))
         b = target_pair_block(5, 2, 3, u)
         assert np.array_equal(got, block_diag(np.eye(8), b, np.eye(8), b))
 
-    def test_block_layout_with_sub_blocks(self, generic_gate):
+    def test_block_layout_with_sub_blocks(self, generic_gate, gate_dense):
         # n=5, i=2, j=4: the pair block repeats twice inside each active block
         u = generic_gate
-        got = controlled_sparse(ControlledGateSpec(5, 2, 4, u)).to_dense()
+        got = gate_dense(controlled_sparse(ControlledGateSpec(5, 2, 4, u)))
         b = target_pair_block(5, 2, 4, u)
         assert np.array_equal(
             got, block_diag(np.eye(8), b, b, np.eye(8), b, b)
         )
 
-    def test_block_layout_control_after_target(self, generic_gate):
+    def test_block_layout_control_after_target(self, generic_gate, gate_dense):
         u = generic_gate
-        got = controlled_sparse(ControlledGateSpec(5, 3, 2, u)).to_dense()
+        got = gate_dense(controlled_sparse(ControlledGateSpec(5, 3, 2, u)))
         b = straddled_pair_block(5, 3, 2, u)
         assert np.array_equal(got, block_diag(np.eye(4), b, np.eye(4), b))
 
-    def test_pair_block_count(self, rng):
+    def test_pair_block_count(self, rng, gate_dense):
         # control before target: 2^(i-1) repeated diagonal pair blocks;
         # control after target: 2^(j-1)
         for n in range(2, 7):
@@ -169,18 +169,18 @@ class TestControlledSparse:
                 for j in range(1, n + 1):
                     if i == j:
                         continue
-                    dense = controlled_sparse(
+                    dense = gate_dense(controlled_sparse(
                         ControlledGateSpec(n, i, j, random_gate(rng))
-                    ).to_dense()
+                    ))
                     repeats = 1 << (min(i, j) - 1)
                     span = dense.shape[0] // repeats
                     pair = dense[:span, :span]
                     assert np.array_equal(dense, np.kron(np.eye(repeats), pair))
 
-    def test_identity_specialization_is_exact(self):
+    def test_identity_specialization_is_exact(self, gate_dense):
         eye = OneQubitGate(np.eye(2))
         for n, i, j in [(2, 1, 2), (4, 2, 4), (4, 3, 1), (6, 5, 2)]:
-            got = controlled_sparse(ControlledGateSpec(n, i, j, eye)).to_dense()
+            got = gate_dense(controlled_sparse(ControlledGateSpec(n, i, j, eye)))
             assert np.array_equal(got, np.eye(1 << n))
 
     def test_equal_positions_rejected(self, generic_gate):
@@ -203,7 +203,7 @@ class TestOracleEquivalence:
         want = np.eye(4)[:, [0, 3, 2, 1]]
         assert np.array_equal(got, want)
 
-    def test_sparse_matches_kron_oracle_sweep(self, rng, slot_counts):
+    def test_sparse_matches_kron_oracle_sweep(self, rng, slot_counts, gate_dense):
         for n in range(2, 8):
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
@@ -213,12 +213,13 @@ class TestOracleEquivalence:
                         u = random_gate(rng)
                         sparse = controlled_sparse(ControlledGateSpec(n, i, j, u))
                         oracle = dense_gate(n, j, u, i=i)
-                        assert np.max(np.abs(sparse.to_dense() - oracle)) <= 1e-13
-                        assert sparse.unitarity_defect() <= 1e-12
+                        dense = gate_dense(sparse)
+                        assert np.max(np.abs(dense - oracle)) <= 1e-13
+                        assert np.max(np.abs(dense.conj().T @ dense - np.eye(sparse.dim))) <= 1e-12
                         per_row, per_column = slot_counts(sparse)
                         assert np.all(per_row <= 2) and np.all(per_column <= 2)
 
-    def test_matvec_matches_dense(self, rng):
+    def test_matvec_matches_dense(self, rng, gate_dense):
         for _ in range(50):
             n = int(rng.integers(2, 7))
             i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
@@ -227,7 +228,7 @@ class TestOracleEquivalence:
             )
             x = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             np.testing.assert_allclose(
-                sparse.matvec(x), sparse.to_dense() @ x, atol=1e-13
+                sparse.matvec(x), gate_dense(sparse) @ x, atol=1e-13
             )
 
     def test_dense_cap_enforced(self, generic_gate):
@@ -238,30 +239,29 @@ class TestOracleEquivalence:
 
 
 class TestEmbeddedSparse:
-    def test_single_qubit_register(self, generic_gate):
-        got = embedded_sparse(1, 1, generic_gate).to_dense()
+    def test_single_qubit_register(self, generic_gate, gate_dense):
+        got = gate_dense(embedded_sparse(1, 1, generic_gate))
         assert np.array_equal(got, np.asarray(generic_gate.matrix))
 
-    def test_last_position_repeats_gate(self, generic_gate):
-        got = embedded_sparse(2, 2, generic_gate).to_dense()
+    def test_last_position_repeats_gate(self, generic_gate, gate_dense):
+        got = gate_dense(embedded_sparse(2, 2, generic_gate))
         m = np.asarray(generic_gate.matrix)
         assert np.array_equal(got, block_diag(m, m))
 
-    def test_first_position_matches_kron_oracle(self, generic_gate):
-        got = embedded_sparse(2, 1, generic_gate).to_dense()
+    def test_first_position_matches_kron_oracle(self, generic_gate, gate_dense):
+        got = gate_dense(embedded_sparse(2, 1, generic_gate))
         assert np.array_equal(got, dense_gate(2, 1, generic_gate))
 
-    def test_oracle_sweep(self, rng, slot_counts):
+    def test_oracle_sweep(self, rng, slot_counts, gate_dense):
         for n in range(1, 7):
             for j in range(1, n + 1):
                 u = random_gate(rng)
                 sparse = embedded_sparse(n, j, u)
-                assert np.max(
-                    np.abs(sparse.to_dense() - dense_gate(n, j, u))
-                ) <= 1e-13
+                dense = gate_dense(sparse)
+                assert np.max(np.abs(dense - dense_gate(n, j, u))) <= 1e-13
                 per_row, per_column = slot_counts(sparse)
                 assert np.all(per_row <= 2) and np.all(per_column <= 2)
-                assert sparse.unitarity_defect() <= 1e-12
+                assert np.max(np.abs(dense.conj().T @ dense - np.eye(sparse.dim))) <= 1e-12
 
     def test_position_out_of_range(self, generic_gate):
         with pytest.raises(ValueError):
@@ -288,7 +288,7 @@ class TestSparseUnitaryFormat:
             for slot, (c, re, im) in enumerate(row):
                 dense[k, c] = complex(re, im)
                 cols[k, slot] = c
-        assert np.array_equal(dense, sparse.to_dense())
+        assert np.array_equal(dense, dense_gate(4, 2, generic_gate, 3))
         assert np.array_equal(cols, pair_sparse_arrays(4, 2, generic_gate, 3)[0])
 
     def test_json_schema_fields(self, generic_gate):
@@ -346,7 +346,7 @@ def pair_sparse_arrays(n, j, u, i=None):
 
 
 class TestDerivedArrays:
-    def test_json_and_dense_match_the_array_packing_bit_for_bit(self, table_gates):
+    def test_json_and_dense_match_the_array_packing_bit_for_bit(self, table_gates, gate_dense):
         """The JSON writes every float by repr, so equal text means equal
         bits, signed zeros included."""
         for u in table_gates:
@@ -361,7 +361,7 @@ class TestDerivedArrays:
                             for c, v in zip(cs, vs):
                                 if c >= 0:
                                     dense[k, c] = v
-                        got = sparse.to_dense()
+                        got = gate_dense(sparse)
                         assert np.array_equal(got.view(np.uint64), dense.view(np.uint64)), (n, j, i)
 
     def test_controlled_sparse_holds_no_per_row_arrays(self, generic_gate):
@@ -475,7 +475,6 @@ def _capped_constructions():
     """Name -> call of every dense construction of the package at n=13, its
     inputs built up front: each sizes a 2^13-order matrix from n."""
     n = 13
-    sparse = SparseUnitary(n, 4, X, 1)
     h = embedded_gate_hamiltonian(n, 2, X)
     empty_h = embedded_gate_hamiltonian(n, 2, OneQubitGate(np.eye(2)))
     circuit = bind(parse_circuit(f"qubits {n}\nu q1 h\ncx q1 q{n}\n"))
@@ -484,10 +483,6 @@ def _capped_constructions():
     return {
         "dense_gate": lambda: dense_gate(n, 3, X),
         "dense_gate_controlled": lambda: dense_gate(n, 3, X, i=n),
-        "SparseUnitary.to_dense": sparse.to_dense,
-        "SparseUnitary.unitarity_defect": sparse.unitarity_defect,
-        "LocalHamiltonian.to_dense": h.to_dense,
-        "LocalHamiltonian.gram_defect": h.gram_defect,
         "LocalHamiltonian.terms": lambda: h.terms,
         "exp_minus_ih": lambda: exp_minus_ih(h),
         "exp_minus_ih_no_terms": lambda: exp_minus_ih(empty_h),

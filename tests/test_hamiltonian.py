@@ -12,9 +12,9 @@ from sparseq import (
     ProjectorTerm,
     controlled_gate_hamiltonian,
     controlled_sparse,
+    dense_gate,
     eigenpairs_2x2,
     embedded_gate_hamiltonian,
-    embedded_sparse,
     exp_minus_ih,
     frobenius_error,
     rotation_gate,
@@ -146,7 +146,7 @@ class TestControlledHamiltonians:
                 for _ in range(25):
                     u = random_gate(rng)
                     h = controlled_gate_hamiltonian(n, i, j, u)
-                    dense = controlled_sparse(ControlledGateSpec(n, i, j, u)).to_dense()
+                    dense = dense_gate(n, j, u, i)
                     assert frobenius_error(dense, exp_minus_ih(h)) <= 1e-12
 
     def test_terms_are_gate_eigenvectors(self, rng):
@@ -168,18 +168,19 @@ class TestControlledHamiltonians:
                 h = controlled_gate_hamiltonian(n, i, j, generic_gate)
                 assert len(h.terms) == 2 * (1 << (n - 2))
 
-    def test_orthonormality(self, rng):
+    def test_orthonormality(self, rng, term_columns):
         for _ in range(30):
             n = int(rng.integers(2, 7))
             i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             h = controlled_gate_hamiltonian(n, int(i), int(j), random_gate(rng))
-            assert h.gram_defect() <= 1e-10
+            _, w = term_columns(h)
+            assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1]))) <= 1e-10
 
     def test_crx_sweep_small(self):
         for theta in np.linspace(-math.pi, math.pi, 25):
             u = rotation_gate("X", theta)
             h = controlled_gate_hamiltonian(4, 1, 2, u)
-            dense = controlled_sparse(ControlledGateSpec(4, 1, 2, u)).to_dense()
+            dense = dense_gate(4, 2, u, 1)
             assert frobenius_error(dense, exp_minus_ih(h)) <= 1e-12
 
     def test_ordering_preconditions(self, generic_gate):
@@ -217,7 +218,7 @@ class TestEmbeddedGateHamiltonian:
             cases.append((n, j, random_gate(rng)))
         for n, j, u in cases:
             h = embedded_gate_hamiltonian(n, j, u)
-            dense = embedded_sparse(n, j, u).to_dense()
+            dense = dense_gate(n, j, u)
             assert frobenius_error(dense, exp_minus_ih(h)) <= 1e-12
 
     def test_position_out_of_range(self, generic_gate):
@@ -243,23 +244,22 @@ class TestExponentialAndDense:
         with pytest.raises(ValueError):
             exp_minus_ih(h)
 
-    def test_dense_realization_is_hermitian(self, rng):
+    def test_dense_realization_is_hermitian(self, rng, term_columns):
         for _ in range(20):
             n = int(rng.integers(2, 6))
             i, j = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             theta = float(rng.uniform(-math.pi, math.pi))
             h = controlled_gate_hamiltonian(n, int(i), int(j), rotation_gate("Z", theta))
-            m = h.to_dense()
+            z, w = term_columns(h)
+            m = (w * z) @ w.conj().T
             assert np.max(np.abs(m - m.conj().T)) <= 1e-15
 
-    def test_empty_dense_is_zero(self):
-        assert np.array_equal(LocalHamiltonian(2, 2, 1, [], []).to_dense(), np.zeros((4, 4)))
-
-    def test_cnot_dense_realization(self):
+    def test_cnot_dense_realization(self, term_columns):
         h = controlled_gate_hamiltonian(2, 1, 2, X)
         w = np.array([0, 0, 1, -1]) / math.sqrt(2)
+        z, terms = term_columns(h)
         np.testing.assert_allclose(
-            h.to_dense(), math.pi * np.outer(w, w), atol=1e-14
+            (terms * z) @ terms.conj().T, math.pi * np.outer(w, w), atol=1e-14
         )
 
     def test_projector_term_validation(self):
@@ -360,14 +360,16 @@ class TestExponentialAndDense:
             assert np.array_equal(t.w, w)
         assert h.to_json().count("-0.0") == 2
 
-    def test_json_round_trip(self, generic_gate):
+    def test_json_round_trip(self, generic_gate, term_columns):
         h = controlled_gate_hamiltonian(3, 3, 1, generic_gate)
         parsed = json.loads(h.to_json())
         assert parsed["dim"] == h.dim
         assert len(parsed["terms"]) == len(h.terms)
         w = np.array([[complex(re, im) for re, im in t["w"]] for t in parsed["terms"]]).T
         z = np.array([t["z"] for t in parsed["terms"]])
-        np.testing.assert_allclose((w * z) @ w.conj().T, h.to_dense(), atol=0)
+        z_terms, w_terms = term_columns(h)
+        np.testing.assert_allclose((w * z) @ w.conj().T, (w_terms * z_terms) @ w_terms.conj().T,
+                                   atol=0)
 
 
 class TestTinyOffDiagonals:

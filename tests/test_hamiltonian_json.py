@@ -3,8 +3,8 @@
 The reference builds every term as a dense length-2^n vector, one per pair
 low, and writes the schema-1 dict with json.dumps. The writer must produce
 the same bytes, the same term order and the same e^{-iH}, and the weights
-and the term-vector matrix W derived from the stored placement and rows
-must equal, bit for bit, those of the array-built lift packing.
+and term vectors of `.terms`, read as a matrix W, must equal, bit for bit,
+those of the array-built lift packing.
 """
 import hashlib
 import json
@@ -123,15 +123,15 @@ def build(n, j, i, u):
     return controlled_gate_hamiltonian(n, i, j, u)
 
 
-def test_derived_arrays_match_the_lift_packing_bit_for_bit(table_gates):
-    """z, W and the JSON text; the text writes every float by repr, so equal
-    text means equal bits."""
+def test_derived_arrays_match_the_lift_packing_bit_for_bit(table_gates, term_columns):
+    """z and W of the terms, and the JSON text; the text writes every float
+    by repr, so equal text means equal bits."""
     for u in table_gates:
         rows = nonunit_rows(eigenpairs_2x2(u))
         for n, j, i in placements(7):
             h = build(n, j, i, u)
             z, w = lift_columns(n, j, i, rows)
-            for got, want in ((h.z, z), (h._columns(), w)):
+            for got, want in zip(term_columns(h), (z, w)):
                 assert got.dtype == want.dtype and got.shape == want.shape, (n, j, i)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, j, i)
             if n <= 5:  # the text of every placement with n <= 7 is pinned below
@@ -185,7 +185,8 @@ def test_pieces_are_bounded_and_join_to_the_reference(entries, generic_gate, mon
         assert all(piece == ", " for piece in body[1::2]), (n, j, i)
         counts = [piece.count('{"z": ') for piece in body[::2]]
         assert all(0 < c <= per_piece for c in counts), (n, j, i)
-        assert sum(counts) == len(h.z) and len(counts) == -(-len(h.z) // per_piece)
+        terms = len(h.weights) * h._per_row
+        assert sum(counts) == terms and len(counts) == -(-terms // per_piece)
         ref = reference_terms(n, j, i, eigenpairs_2x2(generic_gate))
         assert "".join(pieces) == json.dumps(reference_dict(1 << n, ref)), (n, j, i)
 
@@ -272,13 +273,13 @@ def test_memoized_writer_keeps_signed_zeros_from_arrays():
 
 def test_exp_minus_ih_never_builds_w(monkeypatch):
     calls = []
-    columns = LocalHamiltonian._columns
+    terms = LocalHamiltonian.terms.fget
 
     def counted(self):
         calls.append(self)
-        return columns(self)
+        return terms(self)
 
-    monkeypatch.setattr(LocalHamiltonian, "_columns", counted)
+    monkeypatch.setattr(LocalHamiltonian, "terms", property(counted))
     h = controlled_gate_hamiltonian(4, 3, 1, rotation_gate("Y", 0.9))
     exp_minus_ih(h)
     s = math.sqrt(0.5)
