@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import os
-import stat
 import sys
 from pathlib import Path
 
@@ -78,8 +77,9 @@ CHECK_MATRICES = 4
 # of 2-51 MB) at up to 64 bytes per byte of JSON (`--input`, `--params`;
 # lists nested 40-60 deep), and of a circuit at up to 91 under `run` and 174
 # under `hamiltonian --circuit`, which keeps a Hamiltonian per gate (`rx q1 1`
-# lines). Each regular file's size is priced before it is read; a pipe or
-# device is read no further than that price admits.
+# lines). Each file's size is priced before it is read, and a file that
+# holds more than its size (a pipe, a device) is read no further than that
+# price admits.
 JSON_BYTES_PER_BYTE = 72
 CIRCUIT_BYTES_PER_BYTE = 192
 
@@ -118,16 +118,15 @@ def _require_memory(what: str, n: int, per_amp: int, matrices: int = 0):
     _require_bytes(what, dim * per_amp + matrices * 16 * dim * dim)
 
 
-def _require_bytes(what: str, nbytes: int):
+def _require_bytes(what: str, nbytes: int) -> int | None:
     """Refuse with MemoryError (exit 3) when nbytes exceed MemAvailable;
-    up to BUDGET_FREE_BYTES, MemAvailable is not read."""
-    if nbytes <= BUDGET_FREE_BYTES:
-        return
-    available = _mem_available()
-    if available is not None and nbytes > available:
-        raise MemoryError(
-            f"{what} needs about {nbytes >> 20} MiB, {available >> 20} MiB available"
-        )
+    up to BUDGET_FREE_BYTES, MemAvailable is not read. Returns the bytes
+    admitted: BUDGET_FREE_BYTES, else MemAvailable, else None (no bound)
+    where MemAvailable cannot be read."""
+    limit = BUDGET_FREE_BYTES if nbytes <= BUDGET_FREE_BYTES else _mem_available()
+    if limit is not None and nbytes > limit:
+        raise MemoryError(f"{what} needs about {nbytes >> 20} MiB, {limit >> 20} MiB available")
+    return limit
 
 
 def parse_gate_spec(spec: str) -> OneQubitGate:
@@ -206,25 +205,26 @@ def cmd_hamiltonian(args) -> int:
 
 
 def _read_priced_text(path: str, bytes_per_byte: int) -> str:
-    """The text of an input file, read only after its parse is priced at
-    bytes_per_byte per byte of file. A pipe or device has no size to price:
-    it is read only as far as the larger of BUDGET_FREE_BYTES and
-    MemAvailable admits, and refused (MemoryError) when more remains. Like a
-    small file, a small one never reads MemAvailable."""
-    file = Path(path)
-    info = file.stat()
-    if stat.S_ISREG(info.st_mode):
-        _require_bytes(f"parsing {path}", info.st_size * bytes_per_byte)
-        return file.read_text(encoding="utf-8")
-    with file.open("rb") as f:
-        data = f.read(BUDGET_FREE_BYTES // bytes_per_byte + 1)
-        if len(data) * bytes_per_byte > BUDGET_FREE_BYTES:
-            limit = max(_mem_available() or 0, BUDGET_FREE_BYTES) // bytes_per_byte
-            data += f.read(limit + 1 - len(data))
-            if len(data) > limit:
-                need = limit * bytes_per_byte >> 20
-                raise MemoryError(f"parsing {path} needs more than {need} MiB")
-    return data.decode("utf-8")
+    """The text of an input file, read only as far as _require_bytes admits
+    its parse, priced at bytes_per_byte per byte of file. The size the file
+    reports is priced before any read: a small file never reads MemAvailable
+    and a large one is refused unread. A file that holds more than it reports
+    (a pipe, a device, a procfs file, one that grew) is priced again by the
+    bytes it has given and read on to one byte past the bytes admitted.
+    Newlines read as in text mode."""
+    what = f"parsing {path}"
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        _require_bytes(what, size * bytes_per_byte)
+        data = f.read(size + 1)
+        while len(data) > size:
+            limit = _require_bytes(what, len(data) * bytes_per_byte)
+            if limit is None:
+                data += f.read()
+                break
+            size = limit // bytes_per_byte
+            data += f.read(size + 1 - len(data))
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_params(path: str | None) -> dict:

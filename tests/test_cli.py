@@ -744,10 +744,15 @@ class TestCircuitPricing:
 class TestPipedInputPricing:
     """A pipe reports no size to price, so `--input`, `--params` and the
     circuit file are read from one only as far as their price admits: any
-    byte beyond exits 3 before a parse or any output, and a small pipe, like
-    a small file, never reads MemAvailable."""
+    byte beyond exits 3 before a parse or any output, with the message a
+    regular file of those bytes gets, and a small pipe, like a small file,
+    never reads MemAvailable."""
 
     PLACES = ["circuit", "--input", "--params"]
+    PRICES = {"circuit": cli.CIRCUIT_BYTES_PER_BYTE, "--input": cli.JSON_BYTES_PER_BYTE,
+              "--params": cli.JSON_BYTES_PER_BYTE}
+    TEXTS = {"circuit": "qubits 1\nu q1 h\n", "--input": json.dumps([[0.0, 0.0], [1.0, 0.0]]),
+             "--params": json.dumps({"a": 0.5})}
 
     @staticmethod
     @contextlib.contextmanager
@@ -775,50 +780,119 @@ class TestPipedInputPricing:
             assert not writer.is_alive()
 
     @staticmethod
-    def argv(tmp_path, place, pipe):
-        """`run` with the FIFO as the file that place names."""
+    def argv(tmp_path, place, path):
+        """`run` with path as the file that place names."""
         if place == "circuit":
-            return ["run", pipe]
+            return ["run", path]
         circuit = "qubits 1\nrx q1 $a\n" if place == "--params" else "qubits 1\nu q1 x\n"
-        return ["run", write(tmp_path, "c.sq", circuit), place, pipe]
+        return ["run", write(tmp_path, "c.sq", circuit), place, path]
+
+    @classmethod
+    def padded(cls, place, size):
+        """TEXTS[place] padded to size bytes with what its parser skips."""
+        text = cls.TEXTS[place].encode()
+        return text + (b"#" + b"x" * (size - len(text) - 1) if place == "circuit"
+                       else b" " * (size - len(text)))
+
+    @staticmethod
+    def refuse_parse(monkeypatch, place):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed a pipe that should be refused")
+
+        if place == "circuit":
+            monkeypatch.setattr(cli, "parse_circuit", refuse)
+        else:
+            monkeypatch.setattr(json, "loads", refuse)
 
     @pytest.mark.parametrize("place", PLACES)
     def test_pipe_over_its_price_is_refused_before_parsing(self, tmp_path, capsys, monkeypatch,
                                                            place):
-        """About 8 MiB, more than BUDGET_FREE_BYTES admits at either price."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("parsed a pipe that should be refused")
-
+        """About 8 MiB, more than BUDGET_FREE_BYTES admits at either price:
+        MemAvailable is read once the pipe has given one byte more."""
         monkeypatch.setattr(cli, "_mem_available", lambda: 64 << 20)
-        if place == "circuit":
-            monkeypatch.setattr(cli, "parse_circuit", refuse)
-            payload, price = b"qubits 1\n" + b"\n" * (8 << 20), cli.CIRCUIT_BYTES_PER_BYTE
-        else:
-            monkeypatch.setattr(json, "loads", refuse)
-            payload, price = b"[[1,0]" + b",[0,0]" * ((8 << 20) // 6) + b"]", cli.JSON_BYTES_PER_BYTE
-        with self.fifo(tmp_path, payload) as pipe:
+        self.refuse_parse(monkeypatch, place)
+        with self.fifo(tmp_path, self.padded(place, 8 << 20)) as pipe:
             assert main(self.argv(tmp_path, place, pipe)) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        need = cli.BUDGET_FREE_BYTES // price * price >> 20
+        price = self.PRICES[place]
+        need = (cli.BUDGET_FREE_BYTES // price + 1) * price >> 20
         assert captured.err == (f"validation error: register too large for memory: parsing {pipe}"
-                                f" needs more than {need} MiB\n")
+                                f" needs about {need} MiB, 64 MiB available\n")
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_pipe_that_memavailable_admits_reads_like_a_file(self, tmp_path, capsys,
+                                                            monkeypatch, place):
+        """8 MiB, above BUDGET_FREE_BYTES' worth and exactly what MemAvailable
+        admits, reads as the same bytes in a regular file do."""
+        monkeypatch.setattr(cli, "_mem_available", lambda: self.PRICES[place] << 23)
+        payload = self.padded(place, 8 << 20)
+        file = tmp_path / "file"
+        file.write_bytes(payload)
+        assert main(self.argv(tmp_path, place, str(file))) == 0
+        want = capsys.readouterr()
+        with self.fifo(tmp_path, payload) as pipe:
+            assert main(self.argv(tmp_path, place, pipe)) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("place", PLACES)
+    def test_pipe_one_byte_over_memavailable_is_refused_like_a_file(self, tmp_path, capsys,
+                                                                    monkeypatch, place):
+        monkeypatch.setattr(cli, "_mem_available", lambda: self.PRICES[place] << 23)
+        self.refuse_parse(monkeypatch, place)
+        payload = self.padded(place, (8 << 20) + 1)
+        file = tmp_path / "file"
+        file.write_bytes(payload)
+        assert main(self.argv(tmp_path, place, str(file))) == 3
+        want = capsys.readouterr()
+        with self.fifo(tmp_path, payload) as pipe:
+            assert main(self.argv(tmp_path, place, pipe)) == 3
+        got = capsys.readouterr()
+        assert got.out == want.out == ""
+        assert got.err == want.err.replace(str(file), pipe)
+        assert got.err.endswith(f" MiB, {self.PRICES[place] << 3} MiB available\n")
 
     @pytest.mark.parametrize("place", PLACES)
     def test_small_pipe_reads_like_a_file(self, tmp_path, capsys, monkeypatch, place):
-        state = json.dumps([[0.0, 0.0], [1.0, 0.0]])
-        texts = {"circuit": "qubits 1\nu q1 h\n", "--input": state,
-                 "--params": json.dumps({"a": 0.5})}
-        assert main(self.argv(tmp_path, place, write(tmp_path, "file", texts[place]))) == 0
+        assert main(self.argv(tmp_path, place, write(tmp_path, "file", self.TEXTS[place]))) == 0
         want = capsys.readouterr()
 
         def unread():
             raise AssertionError("MemAvailable read for a small pipe")
 
         monkeypatch.setattr(cli, "_mem_available", unread)
-        with self.fifo(tmp_path, texts[place].encode()) as pipe:
+        with self.fifo(tmp_path, self.TEXTS[place].encode()) as pipe:
             assert main(self.argv(tmp_path, place, pipe)) == 0
         assert capsys.readouterr() == want
+
+    def test_file_holding_more_than_its_size_is_priced_by_what_it_gives(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        """A procfs file reports size 0, and a file may grow between its
+        size and its read: such a file is priced as a pipe is."""
+        fstat = os.fstat
+        monkeypatch.setattr(cli.os, "fstat",
+                            lambda fd: os.stat_result((*fstat(fd)[:6], 0, *fstat(fd)[7:])))
+        monkeypatch.setattr(cli, "_mem_available", lambda: 64 << 20)
+        self.refuse_parse(monkeypatch, "--input")
+        file = tmp_path / "file"
+        file.write_bytes(self.padded("--input", 8 << 20))
+        assert main(self.argv(tmp_path, "--input", str(file))) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        need = (cli.BUDGET_FREE_BYTES // cli.JSON_BYTES_PER_BYTE + 1) * cli.JSON_BYTES_PER_BYTE
+        assert captured.err == (f"validation error: register too large for memory: parsing {file}"
+                                f" needs about {need >> 20} MiB, 64 MiB available\n")
+
+    def test_text_mode_newlines(self, tmp_path, capsys):
+        """CR and CRLF read as LF, as in text mode, so that a parse error
+        names the same line, column and character offset."""
+        path = tmp_path / "p.json"
+        path.write_bytes(b'{\r\n"a":\r1,\r\n}')
+        circuit = write(tmp_path, "c.sq", "qubits 1\nrx q1 $a\n")
+        assert main(["run", circuit, "--params", str(path)]) == 2
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(path.read_text(encoding="utf-8"))
+        assert str(exc.value) in capsys.readouterr().err
 
 
 class TestVerifyCommand:
