@@ -55,20 +55,22 @@ DEFAULT_TOL = 1e-12
 BUDGET_FREE_BYTES = 256 << 20
 
 # Peak memory per unit of work, measured with child ru_maxrss (CPython 3.11,
-# numpy 2.4) and rounded up. `run` holds about 200 bytes per amplitude: the
-# state and the Python text of its output line. The streamed text writers,
-# `build-gate` (with or without --dense) and `hamiltonian`, hold a few pieces
-# of text and index arrays: 24-69 bytes per amplitude above n = 4 at
-# n = 14 and 16, whatever the gate count. They price memory only: the schema-1
-# text is bounded by hamiltonian.check_json_size (`hamiltonian -n 20 -j 1
-# --gate x` prices 80 MiB of memory and about 6.6 TB of text), and --dense
-# text by check_dense_cap. Every dense check, `hamiltonian --check`,
-# `run --oracle` and the verify suites alike, is priced at 4 complex
-# 2^n x 2^n matrices alive at once; each peaks at 3.1-3.9 beyond the
-# interpreter at n = 10..12 (reconstruction_error: the oracle's matrix and
-# the identity the exponentials are applied to in place, then 1.5 matrices
-# in the error's temporaries; oracle_deviation: a controlled gate's two
-# Kronecker terms and their sum).
+# numpy 2.4) and rounded up. `run` holds the state and the text of its CSV,
+# formatted 2^14 rows at a time: at n = 20 and 22, 85 bytes per amplitude
+# above n = 4 for probabilities and 124 for --amplitudes when every value
+# prints 17 digits, 48-49 for a state of mostly exact zeros. The streamed
+# text writers, `build-gate` (with or without --dense) and `hamiltonian`,
+# hold a few pieces of text and index arrays: 24-69 bytes per amplitude
+# above n = 4 at n = 14 and 16, whatever the gate count. They price memory
+# only: the schema-1 text is bounded by hamiltonian.check_json_size
+# (`hamiltonian -n 20 -j 1 --gate x` prices 80 MiB of memory and about 6.6
+# TB of text), and --dense text by check_dense_cap. Every dense check,
+# `hamiltonian --check`, `run --oracle` and the verify suites alike, is
+# priced at 4 complex 2^n x 2^n matrices alive at once; each peaks at
+# 3.1-3.9 beyond the interpreter at n = 10..12 (reconstruction_error: the
+# oracle's matrix and the identity the exponentials are applied to in place,
+# then 1.5 matrices in the error's temporaries; oracle_deviation: a
+# controlled gate's two Kronecker terms and their sum).
 RUN_BYTES_PER_AMP = 208
 TEXT_BYTES_PER_AMP = 80
 CHECK_MATRICES = 4

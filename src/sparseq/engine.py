@@ -37,6 +37,9 @@ _CHUNK_QUBITS = 13
 #: coefficient vectors, on states of more than two chunks.
 _SHORT_RUN = 8
 
+#: Rows per formatted piece of the state CSVs.
+_CSV_CHUNK_ROWS = 1 << 14
+
 _tls = threading.local()
 
 
@@ -133,13 +136,6 @@ def _mix_chunks(amps: np.ndarray, n: int, j: int, i: int | None, k, diag: bool):
         np.add(x, t, out=x)
 
 
-def _pairs(amps: np.ndarray) -> list[list[float]]:
-    """[re, im] of each amplitude, every exact zero unsigned: x + 0.0 is x
-    for every other x, and 0.0 for both signs of zero."""
-    amps = amps + 0.0
-    return np.stack((amps.real, amps.imag), axis=1).tolist()
-
-
 def _norm(a: np.ndarray) -> float:
     """sqrt(<a|a>) in one pass over a, unlike np.linalg.norm."""
     return math.sqrt(np.vdot(a, a).real)
@@ -191,7 +187,10 @@ class StateVector:
         return np.abs(self.amps) ** 2
 
     def to_json(self) -> str:
-        return json.dumps(_pairs(self.amps))
+        """[[re, im], ...], every exact zero unsigned: x + 0.0 is x for every
+        other x, and 0.0 for both signs of zero."""
+        amps = self.amps + 0.0
+        return json.dumps(np.stack((amps.real, amps.imag), axis=1).tolist())
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":
@@ -283,14 +282,25 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
     return state
 
 
+def _csv(header: str, columns: tuple[np.ndarray, ...]) -> str:
+    """header, then the row "k,v,..." of each index k, its values those of
+    the columns at k as repr writes them, every exact zero unsigned. Rows
+    are formatted _CSV_CHUNK_ROWS at a time, so only one chunk's Python
+    floats and row strings are alive beside the text."""
+    row = ",".join(["%d"] + ["%r"] * len(columns))
+    pieces = [header]
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        values = [(c[start:stop] + 0.0).tolist() for c in columns]
+        pieces.append("\n".join(map(row.__mod__, zip(range(start, stop), *values))))
+    pieces.append("")
+    return "\n".join(pieces)
+
+
 def probabilities_csv(state: StateVector) -> str:
-    lines = ["index,probability"]
-    lines += [f"{k},{float(p)!r}" for k, p in enumerate(state.probabilities())]
-    return "\n".join(lines) + "\n"
+    return _csv("index,probability", (state.probabilities(),))
 
 
 def amplitudes_csv(state: StateVector) -> str:
     """index,re,im rows, with exact zeros written as to_json writes them."""
-    lines = ["index,re,im"]
-    lines += [f"{k},{re!r},{im!r}" for k, (re, im) in enumerate(_pairs(state.amps))]
-    return "\n".join(lines) + "\n"
+    return _csv("index,re,im", (state.amps.real, state.amps.imag))

@@ -6,7 +6,8 @@ state whose qubit i is 0 and couples each remaining index k only with its
 target partner k +- 2^(n-j), so every row and column carries at most two
 nonzeros. The sparse builders write that rule down directly; dense_gate
 assembles the same operators from Kronecker products and exists to
-cross-check the sparse path.
+cross-check the sparse path. The paper's dense pair blocks are windows of
+dense_gate on the n-j+1 qubits of one target pair span.
 
 check_dense_cap is the one judge of the dense register size: every function
 in the package that sizes a 2^n-order matrix from n calls it before
@@ -143,57 +144,28 @@ class SparseUnitary:
 
 
 def target_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
-    """Dense repeating block of order 2^(n-j+1) for control before target.
-
-    u11/u22 sit on the first/second half-diagonal, u12/u21 on the +-2^(n-j)
-    off-diagonals; the controlled gate restricted to one target pair span.
-    """
+    """Dense repeating block of order 2^(n-j+1) for control before target:
+    the controlled gate on one target pair span, u ⊗ I_{2^(n-j)}."""
     if not i < j:
         raise ValueError(f"requires control before target, got i={i}, j={j}")
     check_placement(n, j, i)
-    half = 1 << (n - j)
-    block = np.zeros((2 * half, 2 * half), dtype=complex)
-    r = np.arange(half)
-    block[r, r] = u.u11
-    block[r, r + half] = u.u12
-    block[r + half, r] = u.u21
-    block[r + half, r + half] = u.u22
-    return block
+    return dense_gate(n - j + 1, 1, u)
 
 
 def straddled_pair_block(n: int, i: int, j: int, u: OneQubitGate) -> np.ndarray:
     """Dense nontrivial block of order 2^(n-j+1) - 2^(n-i) for control after
-    target.
+    target: the controlled gate on one target pair span less its leading
+    identity block of 2^(n-i) rows.
 
     With the control below the target the partner offset 2^(n-j) exceeds the
     control-block length 2^(n-i), so paired entries straddle interleaved
-    control blocks on which the gate acts as the identity. Row-blocks of
-    height 2^(n-i) alternate: odd blocks carry (u11, u12) rows (and their
-    (u21, u22) mirrors 2^(n-j) rows further down), even blocks are identity.
+    control blocks on which the gate acts as the identity.
     """
     if not i > j:
         raise ValueError(f"requires control after target, got i={i}, j={j}")
     check_placement(n, j, i)
     blk = 1 << (n - i)
-    stride = 1 << (n - j)
-    dim = 2 * stride - blk
-    m = np.zeros((dim, dim), dtype=complex)
-    cross = 1 << (i - j)
-    for l in range(1, cross + 1):  # upper row group
-        rows = np.arange(blk) + (l - 1) * blk
-        if l % 2 == 1:
-            m[rows, rows] = u.u11
-            m[rows, rows + stride] = u.u12
-        else:
-            m[rows, rows] = 1.0
-    for l in range(1, cross):  # lower row group
-        rows = np.arange(blk) + (l - 1) * blk + stride
-        if l % 2 == 1:
-            m[rows, rows - stride] = u.u21
-            m[rows, rows] = u.u22
-        else:
-            m[rows, rows] = 1.0
-    return m
+    return dense_gate(n - j + 1, 1, u, i - j + 1)[blk:, blk:].copy()
 
 
 def controlled_sparse(spec: ControlledGateSpec) -> SparseUnitary:

@@ -11,9 +11,11 @@ Every term vector therefore has at most two nonzero entries, and the whole
 operator is fixed by the gate placement (n, j, i) and at most two (z, v)
 rows, one per non-unit gate eigenpair. A LocalHamiltonian stores just that;
 its terms are laid on the target pairs of qindex.pair_indices when they are
-read. Dense vectors exist only in the `terms` view, kept for the benchmark's
-traced run, which counts the terms and their bytes; gate_matrix.check_dense_cap
-refuses it above 12 qubits before it allocates.
+read. Dense vectors exist in two places: the `terms` view, kept for the
+benchmark's traced run, which counts the terms and their bytes, and the
+paper's block eigenpairs (target_pair_eigenpairs, straddled_pair_eigenpairs),
+laid on one target pair span. gate_matrix.check_dense_cap refuses each above
+12 qubits, of the register or of the span, before it allocates.
 
 apply_exp_minus_ih is the one route to e^{-iH}, itself 2-sparse: one 2x2
 matrix, built from the rows, mixes the target pairs of a state or of a
@@ -238,6 +240,7 @@ def target_pair_eigenpairs(
     if not i < j:
         raise ValueError(f"requires control before target, got i={i}, j={j}")
     check_placement(n, j, i)
+    check_dense_cap(n - j + 1)
     return _block_eigenpairs(2 << (n - j), *pair_indices(n - j + 1, 1), pairs)
 
 
@@ -256,6 +259,7 @@ def straddled_pair_eigenpairs(
     if not i > j:
         raise ValueError(f"requires control after target, got i={i}, j={j}")
     check_placement(n, j, i)
+    check_dense_cap(n - j + 1)
     blk = 1 << (n - i)
     low, high = pair_indices(n - j + 1, 1, i - j + 1)
     return _block_eigenpairs((2 << (n - j)) - blk, low - blk, high - blk, pairs)

@@ -604,6 +604,18 @@ class TestMemoryBudget:
             assert code == 0
         assert (peaks[n] - peaks[4]) * 1024 <= cli.TEXT_BYTES_PER_AMP * 2 ** n + (1 << 20)
 
+    @pytest.mark.parametrize("route", [[], ["--amplitudes"]])
+    def test_run_peaks_within_run_bytes_per_amp(self, tmp_path, cli_maxrss, route):
+        """`run` of a 3-gate circuit at n = 20 peaks at most RUN_BYTES_PER_AMP
+        per amplitude, plus 1 MiB, above the same run at n = 4 (measured: 48
+        for each route)."""
+        peaks = {}
+        for n in (4, 20):
+            c = write(tmp_path, f"c{n}.sq", f"qubits {n}\nu q1 h\ncx q1 q2\nrx q{n} 0.3\n")
+            code, peaks[n] = cli_maxrss(["run", c, *route, "-o", os.devnull])
+            assert code == 0
+        assert (peaks[20] - peaks[4]) * 1024 <= cli.RUN_BYTES_PER_AMP * 2 ** 20 + (1 << 20)
+
     def test_identity_circuit_on_22_qubits_runs_in_1_gib(self, tmp_path, capsys, monkeypatch):
         """A Hamiltonian stores O(1) whatever n and K are, so 40 gates on 22
         qubits are priced like one."""

@@ -35,6 +35,19 @@ def random_state(rng, n):
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+def state_with_signed_zeros(rng, n):
+    """A random state with exact zeros of either sign at indices 1, 2 and 6
+    and, for n = 15, on both sides of the state CSVs' first chunk boundary."""
+    s = random_state(rng, n)
+    s.amps[[1, 6]] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    s.amps[2] = complex(s.amps[2].real, -0.0)
+    if n == 15:
+        edge = engine._CSV_CHUNK_ROWS
+        s.amps[[edge - 1, edge]] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        s.amps[edge + 1] = complex(s.amps[edge + 1].real, -0.0)
+    return s
+
+
 def reference_full_mix(a0, a1, u):
     """The general 2x2 mix done directly on two pair views: both new halves
     computed out of place, scalar first, then written back."""
@@ -105,15 +118,20 @@ class TestStateVector:
         s = StateVector(2, np.array([-0.0 + 1j, complex(0.0, -0.0), 0.0, 0.0]))
         assert s.to_json() == "[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"
 
-    def test_amplitudes_csv_writes_the_json_values(self, rng):
-        s = random_state(rng, 3)
-        s.amps[[1, 6]] = complex(-0.0, 0.0), complex(0.0, -0.0)
-        s.amps[2] = complex(s.amps[2].real, -0.0)
-        header, *rows = amplitudes_csv(s).splitlines()
+    @pytest.mark.parametrize("n", [3, 15])
+    def test_amplitudes_csv_writes_the_json_values(self, rng, n):
+        s = state_with_signed_zeros(rng, n)
+        text = amplitudes_csv(s)
+        assert text.endswith("\n")
+        header, *rows = text.splitlines()
         assert header == "index,re,im"
         pairs = json.loads(s.to_json())
         assert rows == [f"{k},{re!r},{im!r}" for k, (re, im) in enumerate(pairs)]
         assert rows[1] == "1,0.0,0.0" and rows[6] == "6,0.0,0.0" and rows[2].endswith(",0.0")
+        if n == 15:
+            edge = engine._CSV_CHUNK_ROWS
+            assert rows[edge - 1] == f"{edge - 1},0.0,0.0" and rows[edge] == f"{edge},0.0,0.0"
+            assert rows[edge + 1].endswith(",0.0")
 
     def test_from_json_keeps_signed_zeros(self):
         s = StateVector.from_json("[[-0.0, 1.0], [0.0, -0.0]]")
@@ -500,6 +518,9 @@ class TestProbabilities:
         s = random_state(rng, 6)
         assert abs(s.probabilities().sum() - 1.0) <= 1e-10
 
-    def test_csv_format(self):
+    def test_csv_format(self, rng):
         text = probabilities_csv(StateVector.zero(1))
         assert text == "index,probability\n0,1.0\n1,0.0\n"
+        s = state_with_signed_zeros(rng, 15)
+        rows = [f"{k},{float(p)!r}" for k, p in enumerate(s.probabilities())]
+        assert probabilities_csv(s) == "\n".join(["index,probability", *rows]) + "\n"

@@ -473,8 +473,11 @@ class TestSparseUnitaryJson:
 
 def _capped_constructions():
     """Name -> call of every dense construction of the package at n=13, its
-    inputs built up front: each sizes a 2^13-order matrix from n."""
+    inputs built up front: each sizes a 2^13-order matrix from n. The paper's
+    pair references size theirs from the target pair span, n - j + 1 qubits
+    of a 14-qubit register."""
     n = 13
+    x_pairs = eigenpairs_2x2(X)
     h = embedded_gate_hamiltonian(n, 2, X)
     empty_h = embedded_gate_hamiltonian(n, 2, OneQubitGate(np.eye(2)))
     circuit = bind(parse_circuit(f"qubits {n}\nu q1 h\ncx q1 q{n}\n"))
@@ -493,6 +496,10 @@ def _capped_constructions():
         "dense_chain": lambda: dense_chain(circuit, state),
         "gate_hamiltonian_sweep": lambda: gate_hamiltonian_sweep(n, 1, 2),
         "string_hamiltonian_sweep": lambda: string_hamiltonian_sweep(n),
+        "target_pair_block": lambda: target_pair_block(n + 1, 1, 2, X),
+        "straddled_pair_block": lambda: straddled_pair_block(n + 1, n + 1, 2, X),
+        "target_pair_eigenpairs": lambda: target_pair_eigenpairs(n + 1, 1, 2, x_pairs),
+        "straddled_pair_eigenpairs": lambda: straddled_pair_eigenpairs(n + 1, n + 1, 2, x_pairs),
     }
 
 
